@@ -107,9 +107,7 @@ CHZonotope AbstractSolver::step(const CHZonotope &State, double LambdaScale,
   std::pair<const Matrix *, const CHZonotope *> Terms[] = {
       {&StateMatrix, &State}, {nullptr, &InputContrib}};
   // The only map here is the dense monDEQ state matrix: skip the density
-  // probe so the gemm goes straight to the dense kernel — which is what
-  // keeps it fusible into co-batched queries' shared-pack waves (the
-  // batched tier only fuses dense gemms; see linalg/KernelsBatched.h).
+  // probe so the gemm goes straight to the dense kernel.
   CHZonotope Pre = CHZonotope::linearCombine(
       Terms, Offset, BoxPolicy::CastToGenerators, kernels::DensityHint::Dense);
   switch (Act) {

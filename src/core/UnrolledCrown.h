@@ -34,7 +34,6 @@
 #ifndef CRAFT_CORE_UNROLLEDCROWN_H
 #define CRAFT_CORE_UNROLLEDCROWN_H
 
-#include "domains/DomainConcept.h"
 #include "domains/Interval.h"
 #include "nn/Solvers.h"
 
@@ -90,17 +89,6 @@ public:
   /// postcondition.
   CrownResult verifyRegion(const Vector &InLo, const Vector &InHi,
                            int TargetClass) const;
-
-  /// Domain-generic entry: verifies the concretization of any portfolio
-  /// domain's abstract input state. Linear-bound propagation starts from a
-  /// box, so concretize-to-box is the one operation it needs — any domain
-  /// satisfying \ref AbstractDomain plugs in here.
-  template <class Dom>
-  CrownResult verifyRegionAbs(const typename Dom::State &Input,
-                              int TargetClass) const {
-    IntervalVector Hull = Dom::hull(Input);
-    return verifyRegion(Hull.lowerBounds(), Hull.upperBounds(), TargetClass);
-  }
 
 private:
   const MonDeq &Model;

@@ -20,6 +20,9 @@
 
 #include "linalg/Kernels.h"
 #include "linalg/Views.h"
+#include "support/ThreadPool.h"
+
+#include <functional>
 
 namespace craft {
 namespace kernels {
@@ -38,17 +41,6 @@ struct KernelTable {
   void (*Axpy)(VectorView, double, ConstVectorView);
   void (*Scale)(VectorView, double);
   double (*NormInf)(ConstVectorView);
-  /// One packed-B column-panel step of the dense gemm: Out columns
-  /// [J0, J0+NP) against an already-packed panel (KernelsGeneric.h
-  /// gemmPanel layout, Pack[k * NP + j]). The batched tier packs a shared
-  /// B once and replays this entry across every problem in a group; the
-  /// per-element operation order matches Gemm exactly, so sharing the
-  /// pack never changes results.
-  void (*GemmPanel)(MatrixView, ConstMatrixView, const double *, size_t,
-                    size_t, double, double);
-  /// The panel width (NC) this tier's Gemm uses; GemmPanel callers must
-  /// partition columns with the same width to replay the same panels.
-  size_t PanelCols;
 };
 
 /// The portable fallback table (always present).
@@ -67,6 +59,15 @@ const KernelTable &avx512KernelTable();
 const KernelTable *kernelTableFor(KernelBackend Backend);
 
 namespace detail {
+
+/// The fan-out scaffold of the tiled kernels: partitions [0, N) into
+/// \p Tiles contiguous ranges and runs Body(range) on the kernel thread
+/// pool, waiting for exactly this call's tiles. Rethrows the first tile
+/// (or submit) error after all of this call's tiles finished, so the
+/// caller's views stay alive until no task references them. Exposed for
+/// the tests; production calls reach it through gemm/gemvAbs.
+void runTiled(size_t N, size_t Tiles,
+              const std::function<void(IndexRange)> &Body);
 
 /// Column-panel-tiled gemm over the active backend: output columns are
 /// split into \p Tiles contiguous panels fanned out on the kernel thread

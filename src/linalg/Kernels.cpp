@@ -3,16 +3,15 @@
 // The public kernel entry points: alias/shape contracts, once-per-process
 // backend selection (CPUID probe, CRAFT_KERNEL_BACKEND override), the
 // measured-density probe behind gemmAuto, and ThreadPool tiling of large
-// gemm/gemvAbs calls. The arithmetic lives in the backend TUs
-// (KernelsScalar/Avx2/Avx512.cpp); everything here is structure-preserving,
-// so backend, tiling, and thread count never change results.
+// gemm/gemvAbs calls made outside any pool worker. The arithmetic lives in
+// the backend TUs (KernelsScalar/Avx2/Avx512.cpp); everything here is
+// structure-preserving, so backend, tiling, and thread count never change
+// results.
 //
 //===----------------------------------------------------------------------===//
 
 #include "linalg/KernelBackends.h"
 #include "linalg/Kernels.h"
-#include "linalg/KernelsBatched.h"
-#include "linalg/KernelsTiling.h"
 
 #include "support/ThreadPool.h"
 
@@ -154,6 +153,22 @@ size_t configuredKernelThreads() {
   return ThreadPool::hardwareWorkers();
 }
 
+/// Persistent pool for intra-kernel tiling. Its workers are ThreadPool
+/// workers, so a tile never re-tiles (the pool's tasks must not block on
+/// the pool).
+ThreadPool &kernelPool() {
+  static ThreadPool Pool(kernelThreadCount());
+  return Pool;
+}
+
+/// Tile fan-out available to the calling thread. The cores have one owner:
+/// a caller that is itself a ThreadPool worker (batch, split, or serve
+/// fan-out, or a kernel tile) already holds its core and runs serially; a
+/// caller that has not fanned out tiles across the whole kernel pool.
+size_t tileWorkers() {
+  return ThreadPool::onWorkerThread() ? 1 : kernelThreadCount();
+}
+
 // Tiling thresholds. Tiling only pays when the per-tile work dwarfs the
 // submit/wake cost (~10 us): a p=200 CH-Zonotope generator product (~16M
 // mul-adds) crosses GemmTileMinFlops, per-iteration p<=200 gemv-family
@@ -167,10 +182,11 @@ constexpr size_t GemmMinTileCols = 32;
 constexpr size_t GemvAbsMinTileRows = 64;
 
 /// Per-call completion latch for one tiled kernel invocation. The kernel
-/// pool is shared by every concurrent caller (batch-driver workers all
-/// tile onto the same pool), so each caller must wait for *its* tiles
-/// only — ThreadPool::wait() drains the pool-global in-flight count and
-/// would both over-wait on peers and steal a peer's task exception.
+/// pool is shared by every concurrent caller that is not a pool worker
+/// (e.g. the serve dispatcher next to an embedder's own threads), so each
+/// caller must wait for *its* tiles only — ThreadPool::wait() drains the
+/// pool-global in-flight count and would both over-wait on peers and steal
+/// a peer's task exception.
 class TileGroup {
 public:
   explicit TileGroup(size_t Count) : Remaining(Count) {}
@@ -222,27 +238,15 @@ void runGemmTiled(GemmFn Fn, MatrixView Out, ConstMatrixView A,
 }
 
 size_t gemmTileCount(size_t M, size_t N, size_t K) {
-  if (detail::InKernelTile || M * N * K < GemmTileMinFlops ||
-      N < 2 * GemmMinTileCols)
+  if (M * N * K < GemmTileMinFlops || N < 2 * GemmMinTileCols)
     return 1;
-  const size_t Workers = kernelThreadCount();
+  const size_t Workers = tileWorkers();
   if (Workers <= 1)
     return 1;
   return Workers < N / GemmMinTileCols ? Workers : N / GemmMinTileCols;
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Pool scaffold (declared in KernelsTiling.h; shared with KernelsBatched)
-//===----------------------------------------------------------------------===//
-
-ThreadPool &kernels::detail::kernelPool() {
-  static ThreadPool Pool(configuredKernelThreads());
-  return Pool;
-}
-
-thread_local bool kernels::detail::InKernelTile = false;
 
 void kernels::detail::runTiled(size_t N, size_t Tiles,
                                const std::function<void(IndexRange)> &Body) {
@@ -263,7 +267,6 @@ void kernels::detail::runTiled(size_t N, size_t Tiles,
     }
     try {
       Pool.submit([&Body, &Group, R] {
-        KernelTileScope Scope;
         std::exception_ptr E;
         try {
           Body(R);
@@ -278,17 +281,6 @@ void kernels::detail::runTiled(size_t N, size_t Tiles,
     }
   }
   Group.wait(); // Rethrows the first tile (or submit) error.
-}
-
-void kernels::detail::gemmNoFuse(MatrixView Out, ConstMatrixView A,
-                                 ConstMatrixView B, double Alpha,
-                                 double Beta) {
-  runGemmTiled(dispatch().Table->Gemm, Out, A, B, Alpha, Beta,
-               gemmTileCount(A.rows(), B.cols(), A.cols()));
-}
-
-const KernelTable &kernels::detail::activeKernelTable() {
-  return *dispatch().Table;
 }
 
 //===----------------------------------------------------------------------===//
@@ -368,13 +360,8 @@ void kernels::gemm(MatrixView Out, ConstMatrixView A, ConstMatrixView B,
          "gemm output shape mismatch");
   assert(noAlias(Out, A) && "gemm output aliases A");
   assert(noAlias(Out, B) && "gemm output aliases B");
-  // Batch-fusion capture point: a thread enrolled in a GemmWaveGate hands
-  // eligible calls to the wave executor instead of dispatching directly.
-  // Fused execution replays the exact same per-element operation order, so
-  // a captured call returns byte-identical results.
-  if (wave::maybePost(Out, A, B, Alpha, Beta))
-    return;
-  detail::gemmNoFuse(Out, A, B, Alpha, Beta);
+  runGemmTiled(dispatch().Table->Gemm, Out, A, B, Alpha, Beta,
+               gemmTileCount(A.rows(), B.cols(), A.cols()));
 }
 
 void kernels::gemmSparseAware(MatrixView Out, ConstMatrixView A,
@@ -440,9 +427,9 @@ void kernels::gemvAbs(VectorView Out, ConstMatrixView M, ConstVectorView V,
   assert(noAlias(Out, M) && "gemvAbs output aliases M");
   assert(noAlias(Out, V) && "gemvAbs output aliases V");
   size_t Tiles = 1;
-  if (!detail::InKernelTile && M.rows() >= 2 * GemvAbsMinTileRows &&
+  if (M.rows() >= 2 * GemvAbsMinTileRows &&
       M.rows() * M.cols() >= GemvAbsTileMinElems) {
-    const size_t Workers = kernelThreadCount();
+    const size_t Workers = tileWorkers();
     const size_t MaxTiles = M.rows() / GemvAbsMinTileRows;
     Tiles = Workers < MaxTiles ? Workers : MaxTiles;
   }

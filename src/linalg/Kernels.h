@@ -38,9 +38,11 @@
 /// AVX-512F), overridable for testing via CRAFT_KERNEL_BACKEND=
 /// scalar|avx2|avx512. Large gemm/gemvAbs calls additionally fan output
 /// tiles out across the kernel thread pool (CRAFT_KERNEL_THREADS, default
-/// one per hardware thread; 1 disables). All tiers and tilings produce
-/// byte-identical results on finite data — enforced by the equivalence
-/// suite in tests/test_linalg_kernels.cpp.
+/// one per hardware thread; 1 disables), but only when the caller is not
+/// itself a ThreadPool worker: a batch, split, or serve fan-out already
+/// owns the cores, so its workers run every kernel serially. All tiers and
+/// tilings produce byte-identical results on finite data — enforced by the
+/// equivalence suite in tests/test_linalg_kernels.cpp.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -306,8 +306,6 @@ template <class L> KernelTable makeKernelTable() {
   T.Axpy = &axpyBody<L>;
   T.Scale = &scaleBody<L>;
   T.NormInf = &normInfBody<L>;
-  T.GemmPanel = &gemmPanel<L, false>;
-  T.PanelCols = L::Width >= 8 ? 64 : 48;
   return T;
 }
 

@@ -367,8 +367,8 @@ void Scheduler::dispatchLoop() {
     QueueDepthGauge.set(static_cast<int64_t>(Queue.size()));
 
     TRACE_SPAN("serve.batch");
-    std::vector<RunOutcome> Outcomes = runSpecBatchLoaded(
-        Specs, Models, Opts.Jobs, Opts.FuseBatchGemms, Controls);
+    std::vector<RunOutcome> Outcomes =
+        runSpecBatchLoaded(Specs, Models, Opts.Jobs, Controls);
 
     StatBatches.increment();
     StatExecuted.add(Batch.size());

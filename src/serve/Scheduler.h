@@ -95,12 +95,6 @@ public:
     /// so a normalized query and its explicit twin share one cache
     /// entry. Unset = no default (historic single-rung behavior).
     CascadePolicy DefaultCascade;
-    /// Fuse co-batched queries' layer gemms through the batched kernel
-    /// tier (linalg/KernelsBatched.h): each batch's workers rendezvous
-    /// their gemms into shared-pack waves. Outcomes are byte-identical
-    /// with or without fusion; CRAFT_BATCH_FUSE=0 also disables it at
-    /// runtime.
-    bool FuseBatchGemms = true;
   };
 
   /// Pipeline counters, as a snapshot since this scheduler's construction.

@@ -9,10 +9,16 @@
 
 using namespace craft;
 
+namespace {
+thread_local bool IsPoolWorker = false;
+} // namespace
+
 size_t ThreadPool::hardwareWorkers() {
   unsigned N = std::thread::hardware_concurrency();
   return N > 0 ? N : 1;
 }
+
+bool ThreadPool::onWorkerThread() { return IsPoolWorker; }
 
 ThreadPool::ThreadPool(size_t NumWorkers) {
   if (NumWorkers == 0)
@@ -20,6 +26,7 @@ ThreadPool::ThreadPool(size_t NumWorkers) {
   Workers.reserve(NumWorkers);
   for (size_t I = 0; I < NumWorkers; ++I)
     Workers.emplace_back([this, I] {
+      IsPoolWorker = true;
       telemetry::setCurrentThreadLabel("worker " + std::to_string(I + 1));
       workerLoop();
     });

@@ -59,6 +59,12 @@ public:
   /// Hardware concurrency with a floor of 1.
   static size_t hardwareWorkers();
 
+  /// True on a worker thread of any ThreadPool. This is the core-ownership
+  /// rule: a caller that has already fanned out holds its core, so the
+  /// kernel layer only tiles large gemm/gemvAbs calls across its own pool
+  /// when this is false (see linalg/Kernels.h).
+  static bool onWorkerThread();
+
 private:
   void workerLoop();
 

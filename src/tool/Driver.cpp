@@ -9,17 +9,13 @@
 #include "core/LipschitzCert.h"
 #include "core/UnrolledCrown.h"
 #include "core/Verifier.h"
-#include "linalg/KernelsBatched.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
-#include <memory>
 
 using namespace craft;
 
@@ -329,11 +325,6 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
   if (Spec.Attack && Spec.SplitDepth <= 0 && !Out.Certified &&
       !Out.Refuted && !Spec.Center.empty() && Spec.Epsilon > 0.0 &&
       !Control.stopRequested()) {
-    // PGD iterates gemv-shaped concrete solves — a long gemm-free phase.
-    // Step out of the batch's gemm rendezvous so co-batched queries still
-    // verifying do not stall on this thread (values are unaffected; the
-    // pause only changes wave composition).
-    kernels::WavePauseScope PauseWaves;
     telemetry::PhaseTimer PgdPhase(telemetry::Phase::Pgd);
     TRACE_SPAN("pgd.attack");
     PgdOptions Attack;
@@ -456,55 +447,13 @@ bool batchFansOut(size_t N, int Jobs) {
 /// scheduling decision.
 void clampSplitJobsForBatch(VerificationSpec &Spec) { Spec.SplitJobs = 1; }
 
-/// Only the CH-Zonotope engines run the dense layer-gemm loop the wave
-/// gate fuses; Crown/Lipschitz workers stay unenrolled so their threads
-/// never hold up a rendezvous.
-bool specCanFuse(const VerificationSpec &Spec) {
-  return Spec.Verifier == SpecVerifier::Craft ||
-         Spec.Verifier == SpecVerifier::Box;
-}
-
-/// Runtime kill switch for batch-gemm fusion (CRAFT_BATCH_FUSE=0).
-bool batchFuseEnabled() {
-  const char *Env = std::getenv("CRAFT_BATCH_FUSE");
-  return !(Env && std::strcmp(Env, "0") == 0);
-}
-
-/// A gate is worth creating only when the batch fans out and at least two
-/// runnable queries can enroll; otherwise waves could never form and
-/// every eligible post would pay the rendezvous timeout.
-std::unique_ptr<kernels::GemmWaveGate>
-makeWaveGate(const std::vector<VerificationSpec> &Specs,
-             const std::vector<const MonDeq *> &Models, bool FansOut,
-             bool Fuse) {
-  if (!Fuse || !FansOut || !batchFuseEnabled())
-    return nullptr;
-  size_t Fusible = 0;
-  for (size_t I = 0; I < Specs.size(); ++I)
-    if (I < Models.size() && Models[I] && specCanFuse(Specs[I]))
-      ++Fusible;
-  if (Fusible < 2)
-    return nullptr;
-  return std::make_unique<kernels::GemmWaveGate>();
-}
-
 } // namespace
 
 std::vector<RunOutcome>
 craft::runSpecBatchLoaded(const std::vector<VerificationSpec> &Specs,
                           const std::vector<const MonDeq *> &Models,
-                          int Jobs, bool FuseBatchGemms) {
-  return runSpecBatchLoaded(Specs, Models, Jobs, FuseBatchGemms, {});
-}
-
-std::vector<RunOutcome>
-craft::runSpecBatchLoaded(const std::vector<VerificationSpec> &Specs,
-                          const std::vector<const MonDeq *> &Models,
-                          int Jobs, bool FuseBatchGemms,
-                          const std::vector<RunControl> &Controls) {
+                          int Jobs, const std::vector<RunControl> &Controls) {
   const bool FansOut = batchFansOut(Specs.size(), Jobs);
-  std::unique_ptr<kernels::GemmWaveGate> Gate =
-      makeWaveGate(Specs, Models, FansOut, FuseBatchGemms);
   std::vector<RunOutcome> Outcomes(Specs.size());
   parallelForIndex(Specs.size(), Jobs, [&](size_t I) {
     const MonDeq *Model = I < Models.size() ? Models[I] : nullptr;
@@ -515,11 +464,6 @@ craft::runSpecBatchLoaded(const std::vector<VerificationSpec> &Specs,
     }
     const RunControl Control =
         I < Controls.size() ? Controls[I] : RunControl{};
-    // Enroll this worker's query into the batch's gemm rendezvous: its
-    // layer gemms execute as fused waves with the co-batched queries,
-    // byte-identically to running alone.
-    kernels::WaveWorkerScope Wave(specCanFuse(Specs[I]) ? Gate.get()
-                                                        : nullptr);
     if (FansOut) {
       VerificationSpec Spec = Specs[I];
       clampSplitJobsForBatch(Spec);
@@ -546,15 +490,6 @@ craft::runSpecBatch(const std::vector<VerificationSpec> &Specs,
   }
 
   const bool FansOut = batchFansOut(Specs.size(), Opts.Jobs);
-  // Same fusion setup as runSpecBatchLoaded: multi-input spec files hit
-  // the same shared model instances, so their layer gemms fuse too.
-  std::vector<const MonDeq *> Loaded(Specs.size(), nullptr);
-  for (size_t I = 0; I < Specs.size(); ++I) {
-    const std::optional<MonDeq> &Model = Models.at(Specs[I].ModelPath);
-    Loaded[I] = Model ? &*Model : nullptr;
-  }
-  std::unique_ptr<kernels::GemmWaveGate> Gate =
-      makeWaveGate(Specs, Loaded, FansOut, true);
   // One budget shared by the whole batch: every worker polls the same
   // deadline, so a long batch degrades to DeadlineExceeded on the specs
   // that were still unresolved when it expired.
@@ -569,12 +504,12 @@ craft::runSpecBatch(const std::vector<VerificationSpec> &Specs,
       Spec.AttackSeed = taskSeed(Opts.BaseSeed, I);
     if (FansOut)
       clampSplitJobsForBatch(Spec);
-    if (!Loaded[I]) {
+    const std::optional<MonDeq> &Model = Models.at(Spec.ModelPath);
+    if (!Model) {
       Outcomes[I].Detail = "cannot load model '" + Spec.ModelPath + "'";
       return;
     }
-    kernels::WaveWorkerScope Wave(specCanFuse(Spec) ? Gate.get() : nullptr);
-    Outcomes[I] = runSpecOn(Spec, *Loaded[I], Control);
+    Outcomes[I] = runSpecOn(Spec, *Model, Control);
   });
   return Outcomes;
 }

@@ -128,27 +128,14 @@ RunOutcome runSpecLoaded(const VerificationSpec &Spec, const MonDeq &Model);
 /// the serve scheduler's dispatch path, where batches are formed by
 /// admission timing and positions are not reproducible.
 ///
-/// When \p FuseBatchGemms is set (and the batch fans out across workers
-/// with at least two Craft/Box queries), the workers enroll in a shared
-/// GemmWaveGate: their layer gemms rendezvous and execute as fused waves
-/// through the batched kernel tier, packing each shared model matrix once
-/// per wave instead of once per query. Outcomes are byte-identical either
-/// way (see linalg/KernelsBatched.h); CRAFT_BATCH_FUSE=0 is a runtime
-/// kill switch.
+/// Controls[I] (when present) is polled by spec I's engine at
+/// iteration/wave boundaries, and a spec cut short without a verdict
+/// reports DeadlineExceeded. An empty vector (or default-constructed
+/// entries) runs every spec to completion.
 std::vector<RunOutcome>
 runSpecBatchLoaded(const std::vector<VerificationSpec> &Specs,
                    const std::vector<const MonDeq *> &Models, int Jobs,
-                   bool FuseBatchGemms = true);
-
-/// As above, with a per-spec RunControl: Controls[I] (when present) is
-/// polled by spec I's engine at iteration/wave boundaries, and a spec cut
-/// short without a verdict reports DeadlineExceeded. An empty vector (or
-/// default-constructed entries) reproduces the overload above exactly.
-std::vector<RunOutcome>
-runSpecBatchLoaded(const std::vector<VerificationSpec> &Specs,
-                   const std::vector<const MonDeq *> &Models, int Jobs,
-                   bool FuseBatchGemms,
-                   const std::vector<RunControl> &Controls);
+                   const std::vector<RunControl> &Controls = {});
 
 /// Batch execution knobs for runSpecBatch.
 struct BatchOptions {

@@ -8,7 +8,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "data/GaussianMixture.h"
-#include "linalg/KernelsBatched.h"
 #include "nn/Solvers.h"
 #include "nn/Training.h"
 #include "support/Rng.h"
@@ -19,7 +18,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <stdexcept>
@@ -319,26 +317,26 @@ TEST(BatchDriverTest, JobCountNeverChangesOutcomes) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batch-gemm fusion: fused waves must never change any outcome
+// Preloaded batches: kernels tile on the caller, never on batch workers
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Model big enough that the solver's layer gemms clear the batched
-/// tier's default fusion threshold (2^18 multiply-adds): the
-/// Peaceman-Rachford state matrix is 192 x 192, so a step gemm against a
-/// k >= 8-generator abstract value is wave-eligible. Untrained on
-/// purpose — fusion equivalence is about arithmetic, not accuracy.
-struct FusionFixture {
+/// A wider model than batchFixture's: the Peaceman-Rachford state matrix
+/// is 192 x 192, so solver-step gemms are large. At Jobs = 1 the batch
+/// runs on the calling thread, which may tile them on the kernel pool; at
+/// Jobs = 4 every query runs serially on a batch worker. Untrained on
+/// purpose — the contract is about arithmetic, not accuracy.
+struct WideFixture {
   MonDeq Model;
   std::vector<VerificationSpec> Specs;
 };
 
-FusionFixture &fusionFixture() {
-  static FusionFixture *F = [] {
+WideFixture &wideFixture() {
+  static WideFixture *F = [] {
     Rng InitRng(91);
-    auto *Out = new FusionFixture{
-        MonDeq::randomFc(InitRng, 16, 96, 3, 20.0), {}};
+    auto *Out = new WideFixture{MonDeq::randomFc(InitRng, 16, 96, 3, 20.0),
+                                {}};
     Out->Model.fbAlphaBound(); // Warm the lazy cache before fan-out.
     Rng CenterRng(92);
     for (size_t I = 0; I < 6; ++I) {
@@ -355,8 +353,6 @@ FusionFixture &fusionFixture() {
         Spec.InLo[J] = Spec.Center[J] - Spec.Epsilon;
         Spec.InHi[J] = Spec.Center[J] + Spec.Epsilon;
       }
-      // Mix fusible (Craft/Box) and unenrolled (Crown) queries so the
-      // rendezvous proves it never stalls on non-participating workers.
       Spec.Verifier = I == 4 ? SpecVerifier::Crown
                              : (I % 2 ? SpecVerifier::Box
                                       : SpecVerifier::Craft);
@@ -369,52 +365,16 @@ FusionFixture &fusionFixture() {
 
 } // namespace
 
-TEST(BatchFusionTest, FusedOutcomesAreByteIdenticalToSequential) {
-  FusionFixture &Fix = fusionFixture();
+TEST(BatchDriverTest, LoadedBatchIsByteIdenticalAcrossJobs) {
+  WideFixture &Fix = wideFixture();
   std::vector<const MonDeq *> Models(Fix.Specs.size(), &Fix.Model);
-
-  // Ground truth: one worker, no gate (batchFansOut is false at Jobs = 1,
-  // so no fusion machinery is even constructed).
   std::vector<RunOutcome> Sequential =
       runSpecBatchLoaded(Fix.Specs, Models, 1);
   ASSERT_EQ(Sequential.size(), Fix.Specs.size());
-
-  // Fusion off, parallel: the pre-existing jobs-1-vs-N contract.
-  std::vector<RunOutcome> Unfused =
-      runSpecBatchLoaded(Fix.Specs, Models, 4, /*FuseBatchGemms=*/false);
+  std::vector<RunOutcome> Parallel = runSpecBatchLoaded(Fix.Specs, Models, 4);
+  ASSERT_EQ(Parallel.size(), Fix.Specs.size());
   for (size_t I = 0; I < Sequential.size(); ++I)
-    expectSameOutcome(Sequential[I], Unfused[I], I);
-
-  // Fusion on, parallel: outcomes must still be byte-identical, and the
-  // batched tier must actually have fused work (with four identically
-  // shaped co-queries the rendezvous aligns well within its window).
-  kernels::resetBatchGemmStats();
-  std::vector<RunOutcome> Fused =
-      runSpecBatchLoaded(Fix.Specs, Models, 4, /*FuseBatchGemms=*/true);
-  for (size_t I = 0; I < Sequential.size(); ++I)
-    expectSameOutcome(Sequential[I], Fused[I], I);
-  const kernels::BatchGemmStats S = kernels::batchGemmStats();
-  EXPECT_GT(S.Waves, 0u) << "no rendezvous wave ever fired";
-  EXPECT_GT(S.FusedProblems, 0u) << "no gemm executed fused";
-  EXPECT_LT(S.PanelsPackedShared, S.PanelsPackedUnshared)
-      << "pack sharing saved no work";
-}
-
-TEST(BatchFusionTest, KillSwitchDisablesFusionWithoutChangingOutcomes) {
-  FusionFixture &Fix = fusionFixture();
-  std::vector<const MonDeq *> Models(Fix.Specs.size(), &Fix.Model);
-  std::vector<RunOutcome> Baseline = runSpecBatchLoaded(Fix.Specs, Models, 1);
-
-  ASSERT_EQ(setenv("CRAFT_BATCH_FUSE", "0", 1), 0);
-  kernels::resetBatchGemmStats();
-  std::vector<RunOutcome> Disabled =
-      runSpecBatchLoaded(Fix.Specs, Models, 4, /*FuseBatchGemms=*/true);
-  ASSERT_EQ(unsetenv("CRAFT_BATCH_FUSE"), 0);
-
-  EXPECT_EQ(kernels::batchGemmStats().Waves, 0u)
-      << "CRAFT_BATCH_FUSE=0 must prevent any wave";
-  for (size_t I = 0; I < Baseline.size(); ++I)
-    expectSameOutcome(Baseline[I], Disabled[I], I);
+    expectSameOutcome(Sequential[I], Parallel[I], I);
 }
 
 TEST(BatchDriverTest, AttackSeedsAreDerivedFromTaskIndex) {

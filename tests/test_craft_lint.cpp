@@ -236,38 +236,6 @@ TEST(HotAlloc, FlagsAllocationInKernelBodies) {
   EXPECT_EQ(countRule(R, "hot-alloc"), 3);
 }
 
-TEST(HotAlloc, BatchedTierIsInKernelScope) {
-  // The batch-fused tier rides the Kernels* name prefix into hot-alloc
-  // scope — pinned here so a rename cannot silently drop it.
-  const std::string Src = "namespace craft {\n"
-                          "void fuse(size_t N) {\n"
-                          "  std::vector<double> Pack(N);\n"
-                          "}\n"
-                          "} // namespace craft\n";
-  EXPECT_EQ(countRule(lintSnippet("src/linalg/KernelsBatched.cpp", Src),
-                      "hot-alloc"),
-            1);
-  EXPECT_EQ(countRule(lintSnippet("src/linalg/KernelsBatched.h", Src),
-                      "hot-alloc"),
-            1);
-  EXPECT_EQ(countRule(lintSnippet("src/linalg/KernelsTiling.h", Src),
-                      "hot-alloc"),
-            1);
-}
-
-TEST(SoundFma, BatchedTierIsNotFmaExempt) {
-  // Only the three per-ISA TUs may spell FMA out; the batched tier
-  // orchestrates their panel kernels and must never contract on its own.
-  const std::string Src =
-      "double f(double a, double b, double c) { return std::fma(a, b, c); }\n";
-  EXPECT_EQ(countRule(lintSnippet("src/linalg/KernelsBatched.cpp", Src),
-                      "sound-fma"),
-            1);
-  EXPECT_EQ(
-      countRule(lintSnippet("src/linalg/KernelsScalar.cpp", Src), "sound-fma"),
-      0);
-}
-
 TEST(HotAlloc, SignaturesAndOtherFilesAreFine) {
   // Outside a function body (a declaration's return/param types) the
   // tokens are part of the API, not a hot-path allocation.

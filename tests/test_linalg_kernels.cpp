@@ -9,13 +9,11 @@
 
 #include "linalg/KernelBackends.h"
 #include "linalg/Kernels.h"
-#include "linalg/KernelsBatched.h"
 #include "linalg/Views.h"
 #include "linalg/Workspace.h"
 
 #include "domains/CHZonotope.h"
 #include "support/Rng.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -610,268 +608,6 @@ TEST(LinearCombine, NullMatrixIsIdentity) {
       EXPECT_EQ(A.generators()(I2, J), B.generators()(I2, J));
   }
   EXPECT_EQ(A.termIds(), B.termIds());
-}
-
-//===----------------------------------------------------------------------===//
-// Batched gemm: fusion must be byte-identical to the looped kernels
-//===----------------------------------------------------------------------===//
-
-// Every gemmBatched result below is compared bitwise against looping
-// kernels::gemm over the same problems — the batched tier's whole
-// contract is that grouping, pack sharing, and fan-out are structure-only
-// and never change any per-element reduction order.
-
-/// Runs \p Problems both ways — batched into the problems' own outputs,
-/// looped into \p Expected (parallel array of same-shaped matrices) — and
-/// compares bitwise.
-void expectBatchedMatchesLooped(std::vector<kernels::GemmProblem> &Problems,
-                                std::vector<Matrix> &Expected) {
-  ASSERT_EQ(Problems.size(), Expected.size());
-  for (size_t I = 0; I < Problems.size(); ++I)
-    kernels::gemm(Expected[I], Problems[I].A, Problems[I].B,
-                  Problems[I].Alpha, Problems[I].Beta);
-  kernels::gemmBatched(Problems);
-  for (size_t I = 0; I < Problems.size(); ++I)
-    expectBitEqual(ConstMatrixView(Problems[I].Out), ConstMatrixView(Expected[I]));
-}
-
-TEST(BatchedGemm, SharedAGroupBitwiseMatchesLooped) {
-  Rng R(201);
-  // One model-layer matrix, many queries: each member holds its *own
-  // copy* of A (distinct storage, equal content — exactly the serve
-  // shape, where every query owns its solver's state matrix), its own B
-  // of ragged width, and its own Alpha.
-  Matrix AMaster = randomMatrix(R, 33, 50);
-  std::vector<Matrix> ACopies(7, AMaster);
-  std::vector<Matrix> Bs, Outs, Expected;
-  const size_t Widths[] = {1, 5, 17, 41, 64, 65, 130};
-  for (size_t I = 0; I < 7; ++I) {
-    Bs.push_back(randomMatrix(R, 50, Widths[I]));
-    Outs.emplace_back(33, Widths[I], 1e300); // Poison: Beta = 0 overwrites.
-    Expected.emplace_back(33, Widths[I]);
-  }
-  std::vector<kernels::GemmProblem> Problems;
-  for (size_t I = 0; I < 7; ++I)
-    Problems.push_back({Outs[I], ACopies[I], Bs[I], 0.5 * double(I + 1), 0.0});
-  kernels::resetBatchGemmStats();
-  expectBatchedMatchesLooped(Problems, Expected);
-  const kernels::BatchGemmStats S = kernels::batchGemmStats();
-  EXPECT_EQ(S.SharedGroups, 1u);
-  EXPECT_EQ(S.FusedProblems, 7u);
-  EXPECT_EQ(S.PlainProblems, 0u);
-  // The whole point: one shared pack instead of one per member.
-  EXPECT_LT(S.PanelsPackedShared, S.PanelsPackedUnshared);
-}
-
-TEST(BatchedGemm, SharedBGroupKeepsPerMemberAlphaBeta) {
-  Rng R(202);
-  // Shared right operand, per-member accumulation: Beta != 0 members are
-  // shared-B eligible (only shared-A requires Beta == 0).
-  Matrix BMaster = randomMatrix(R, 40, 70);
-  std::vector<Matrix> BCopies(5, BMaster);
-  std::vector<Matrix> As, Outs, Expected;
-  const double Alphas[] = {1.0, -0.25, 2.0, 1.0, 0.5};
-  const double Betas[] = {1.0, 0.5, -1.0, 2.0, 0.25};
-  for (size_t I = 0; I < 5; ++I) {
-    As.push_back(randomMatrix(R, 9 + 3 * I, 40));
-    Matrix Prior = randomMatrix(R, 9 + 3 * I, 70);
-    Outs.push_back(Prior);
-    Expected.push_back(Prior); // Same prior contents: Beta reads them.
-  }
-  std::vector<kernels::GemmProblem> Problems;
-  for (size_t I = 0; I < 5; ++I)
-    Problems.push_back({Outs[I], As[I], BCopies[I], Alphas[I], Betas[I]});
-  kernels::resetBatchGemmStats();
-  expectBatchedMatchesLooped(Problems, Expected);
-  const kernels::BatchGemmStats S = kernels::batchGemmStats();
-  EXPECT_EQ(S.SharedGroups, 1u);
-  EXPECT_EQ(S.FusedProblems, 5u);
-  EXPECT_LT(S.PanelsPackedShared, S.PanelsPackedUnshared);
-}
-
-TEST(BatchedGemm, MixedBatchGroupsAndLeftovers) {
-  Rng R(203);
-  // A realistic admission mix: a shared-A clique, a shared-B clique, a
-  // Beta != 0 problem whose A matches the clique (must fall out of the
-  // shared-A pass), and fully distinct leftovers.
-  Matrix A1 = randomMatrix(R, 20, 30);
-  Matrix A1Copy = A1;
-  Matrix B1 = randomMatrix(R, 25, 35);
-  Matrix B1Copy = B1;
-  std::vector<Matrix> Outs, Expected;
-  // Problems hold views into Outs: reserve so growth never relocates.
-  Outs.reserve(8);
-  Expected.reserve(8);
-  std::vector<kernels::GemmProblem> Problems;
-  auto add = [&](size_t M, size_t N) -> size_t {
-    Outs.emplace_back(M, N, 0.0);
-    Expected.emplace_back(M, N, 0.0);
-    return Outs.size() - 1;
-  };
-  Matrix B2 = randomMatrix(R, 30, 12), B3 = randomMatrix(R, 30, 28);
-  Problems.push_back({Outs[add(20, 12)], A1, B2, 1.0, 0.0});
-  Problems.push_back({Outs[add(20, 28)], A1Copy, B3, -2.0, 0.0});
-  Matrix A2 = randomMatrix(R, 8, 25), A3 = randomMatrix(R, 14, 25);
-  Problems.push_back({Outs[add(8, 35)], A2, B1, 1.0, 0.0});
-  Problems.push_back({Outs[add(14, 35)], A3, B1Copy, 1.0, 0.0});
-  // A matches the shared-A clique but Beta != 0: accumulates into Out.
-  Matrix B4 = randomMatrix(R, 30, 12);
-  Problems.push_back({Outs[add(20, 12)], A1, B4, 1.0, 1.0});
-  // Distinct leftover + K == 0 degenerate (plain path).
-  Matrix A4 = randomMatrix(R, 6, 11), B5 = randomMatrix(R, 11, 4);
-  Problems.push_back({Outs[add(6, 4)], A4, B5, 1.0, 0.0});
-  Matrix A5(3, 0), B6(0, 5);
-  Problems.push_back({Outs[add(3, 5)], A5, B6, 1.0, 0.0});
-  kernels::resetBatchGemmStats();
-  expectBatchedMatchesLooped(Problems, Expected);
-  const kernels::BatchGemmStats S = kernels::batchGemmStats();
-  EXPECT_EQ(S.SharedGroups, 2u);  // One shared-A, one shared-B.
-  EXPECT_EQ(S.FusedProblems, 4u);
-  EXPECT_EQ(S.PlainProblems, 3u); // Beta mismatch, distinct, degenerate.
-}
-
-TEST(BatchedGemm, StridedUnalignedViews) {
-  Rng R(204);
-  // Operands and destinations carved out of larger parents at column
-  // offset 1 (8-byte- but not 64-byte-aligned rows, all views strided).
-  Matrix AParent = randomMatrix(R, 30, 60);
-  ConstMatrixView A = ConstMatrixView(AParent).block(1, 1, 23, 37);
-  Matrix ACopy(23, 37);
-  kernels::copyInto(MatrixView(ACopy), A); // Equal content, packed stride.
-  Matrix B1Parent = randomMatrix(R, 40, 90);
-  Matrix B2Parent = randomMatrix(R, 40, 50);
-  ConstMatrixView B1 = ConstMatrixView(B1Parent).block(2, 1, 37, 83);
-  ConstMatrixView B2 = ConstMatrixView(B2Parent).block(0, 1, 37, 44);
-  Matrix Out1Parent(25, 90, -7.0), Out2Parent(25, 50, -7.0);
-  std::vector<kernels::GemmProblem> Problems = {
-      {MatrixView(Out1Parent).block(1, 1, 23, 83), A, B1, 1.5, 0.0},
-      {MatrixView(Out2Parent).block(1, 1, 23, 44), ACopy, B2, 1.5, 0.0},
-  };
-  Matrix Exp1Parent(25, 90, -7.0), Exp2Parent(25, 50, -7.0);
-  kernels::gemm(MatrixView(Exp1Parent).block(1, 1, 23, 83), A, B1, 1.5, 0.0);
-  kernels::gemm(MatrixView(Exp2Parent).block(1, 1, 23, 44), ACopy, B2, 1.5,
-                0.0);
-  kernels::resetBatchGemmStats();
-  kernels::gemmBatched(Problems);
-  EXPECT_EQ(kernels::batchGemmStats().SharedGroups, 1u); // Content-equal A.
-  // Whole-parent comparison: identical results and untouched borders.
-  expectBitEqual(Out1Parent, Exp1Parent);
-  expectBitEqual(Out2Parent, Exp2Parent);
-}
-
-TEST(BatchedGemm, ChunkingPastFiveTwelve) {
-  Rng R(205);
-  // 600 problems sharing one A: crosses the 512-problem chunk boundary,
-  // so the tier must form (at least) two shared groups and still match.
-  const size_t Count = 600;
-  Matrix AMaster = randomMatrix(R, 6, 10);
-  std::vector<Matrix> ACopies(Count, AMaster);
-  std::vector<Matrix> Bs, Outs, Expected;
-  Bs.reserve(Count);
-  for (size_t I = 0; I < Count; ++I) {
-    Bs.push_back(randomMatrix(R, 10, 3 + I % 5));
-    Outs.emplace_back(6, 3 + I % 5);
-    Expected.emplace_back(6, 3 + I % 5);
-  }
-  std::vector<kernels::GemmProblem> Problems;
-  Problems.reserve(Count);
-  for (size_t I = 0; I < Count; ++I)
-    Problems.push_back({Outs[I], ACopies[I], Bs[I], 1.0, 0.0});
-  kernels::resetBatchGemmStats();
-  expectBatchedMatchesLooped(Problems, Expected);
-  const kernels::BatchGemmStats S = kernels::batchGemmStats();
-  EXPECT_EQ(S.SharedGroups, 2u); // One per chunk.
-  EXPECT_EQ(S.FusedProblems, Count);
-}
-
-TEST(BatchedGemm, EmptyBatch) {
-  kernels::gemmBatched({});
-  SUCCEED();
-}
-
-// The implicit capture layer: worker threads enrolled in one GemmWaveGate
-// post their kernels::gemm calls into fused waves. Wave *composition* is
-// timing-dependent (a poster that waits out the fusion window runs
-// unfused), so these tests assert values — which must be byte-identical
-// to unenrolled execution no matter how the waves formed — plus only
-// timing-independent counter facts.
-TEST(GemmWave, EnrolledWorkersBitwiseMatchUnenrolled) {
-  Rng R(206);
-  const size_t Workers = 4;
-  // 64^3 = 2^18 multiply-adds: exactly the default fusion threshold, so
-  // every post is eligible without touching the environment.
-  const size_t Dim = 64;
-  Matrix AMaster = randomMatrix(R, Dim, Dim);
-  std::vector<Matrix> ACopies(Workers, AMaster);
-  std::vector<Matrix> Bs, Outs, Expected;
-  for (size_t I = 0; I < Workers; ++I) {
-    Bs.push_back(randomMatrix(R, Dim, Dim));
-    Outs.emplace_back(Dim, Dim, 1e300);
-    Expected.emplace_back(Dim, Dim);
-  }
-  for (size_t I = 0; I < Workers; ++I)
-    kernels::gemm(Expected[I], ACopies[I], Bs[I]);
-
-  kernels::GemmWaveGate Gate;
-  parallelForIndex(Workers, int(Workers), [&](size_t I) {
-    kernels::WaveWorkerScope Scope(&Gate);
-    kernels::gemm(Outs[I], ACopies[I], Bs[I]);
-  });
-  for (size_t I = 0; I < Workers; ++I)
-    expectBitEqual(ConstMatrixView(Outs[I]), ConstMatrixView(Expected[I]));
-}
-
-TEST(GemmWave, MultipleRoundsAndPauses) {
-  Rng R(207);
-  const size_t Workers = 3, Rounds = 5, Dim = 64;
-  Matrix AMaster = randomMatrix(R, Dim, Dim);
-  std::vector<Matrix> ACopies(Workers, AMaster);
-  std::vector<std::vector<Matrix>> Bs(Workers), Outs(Workers), Expected(Workers);
-  for (size_t W = 0; W < Workers; ++W)
-    for (size_t K = 0; K < Rounds; ++K) {
-      Bs[W].push_back(randomMatrix(R, Dim, Dim));
-      Outs[W].emplace_back(Dim, Dim, 1e300);
-      Expected[W].emplace_back(Dim, Dim);
-      kernels::gemm(Expected[W].back(), AMaster, Bs[W].back());
-    }
-
-  kernels::GemmWaveGate Gate;
-  parallelForIndex(Workers, int(Workers), [&](size_t W) {
-    kernels::WaveWorkerScope Scope(&Gate);
-    for (size_t K = 0; K < Rounds; ++K) {
-      kernels::gemm(Outs[W][K], ACopies[W], Bs[W][K]);
-      if (K == 2) {
-        // A gemm-free phase: the pause keeps peers from stalling on us;
-        // values after resume must be unaffected.
-        kernels::WavePauseScope Paused;
-      }
-    }
-  });
-  for (size_t W = 0; W < Workers; ++W)
-    for (size_t K = 0; K < Rounds; ++K)
-      expectBitEqual(ConstMatrixView(Outs[W][K]),
-                     ConstMatrixView(Expected[W][K]));
-}
-
-TEST(GemmWave, NullGateAndSmallGemmsAreUnfusedNoOps) {
-  Rng R(208);
-  Matrix A = randomMatrix(R, 9, 11), B = randomMatrix(R, 11, 6);
-  Matrix Out(9, 6), Expect(9, 6);
-  kernels::gemm(Expect, A, B);
-  {
-    kernels::WaveWorkerScope Scope(nullptr); // No gate: plain execution.
-    kernels::gemm(Out, A, B);
-  }
-  expectBitEqual(ConstMatrixView(Out), ConstMatrixView(Expect));
-  kernels::GemmWaveGate Gate;
-  {
-    // Enrolled, but 9*11*6 is far below the fusion threshold: the call
-    // must not block waiting for nonexistent peers.
-    kernels::WaveWorkerScope Scope(&Gate);
-    Matrix Out2(9, 6);
-    kernels::gemm(Out2, A, B);
-    expectBitEqual(ConstMatrixView(Out2), ConstMatrixView(Expect));
-  }
 }
 
 TEST(CHZonotope, WithBoxRadiusReplacesBoxOnly) {

@@ -318,8 +318,9 @@ TEST(ServeE2eTest, ChaosLifecycle) {
 
   // Wind the daemon down; if the shutdown ack itself falls to a fault,
   // SIGTERM (graceful drain) is the fallback — either way, exit 0.
-  if (!Client.requestShutdown(Error))
+  if (!Client.requestShutdown(Error)) {
     ASSERT_EQ(::kill(Daemon.pid(), SIGTERM), 0) << Error;
+  }
   EXPECT_EQ(Daemon.wait(), 0)
       << "daemon must exit cleanly even under injected faults";
 }

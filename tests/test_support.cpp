@@ -1,11 +1,16 @@
 //===- tests/test_support.cpp - Support utility tests ---------------------===//
 
+#include "linalg/KernelBackends.h"
+#include "linalg/Kernels.h"
+#include "linalg/Matrix.h"
 #include "support/Rng.h"
 #include "support/Table.h"
+#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 using namespace craft;
@@ -91,6 +96,66 @@ TEST(TimerTest, MeasuresElapsedTime) {
   EXPECT_NEAR(T.milliseconds(), T.seconds() * 1e3, T.seconds() * 50);
   T.reset();
   EXPECT_LT(T.seconds(), 1.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Core ownership: kernels tile only outside ThreadPool workers
+//===----------------------------------------------------------------------===//
+
+TEST(CoreOwnershipTest, FlagIsSetOnlyOnPoolWorkers) {
+  EXPECT_FALSE(ThreadPool::onWorkerThread());
+
+  constexpr size_t N = 16;
+  std::vector<char> OnWorker(N, 0);
+  parallelForIndex(N, 4, [&](size_t I) {
+    OnWorker[I] = ThreadPool::onWorkerThread();
+  });
+  for (size_t I = 0; I < N; ++I)
+    EXPECT_TRUE(OnWorker[I]) << "parallelForIndex task " << I;
+
+  // Jobs = 1 runs inline on the caller, which keeps its cores.
+  bool Inline = true;
+  parallelForIndex(3, 1, [&](size_t) {
+    Inline = Inline && ThreadPool::onWorkerThread();
+  });
+  EXPECT_FALSE(Inline);
+
+  // The kernel pool is a ThreadPool too, so a tile never re-tiles.
+  std::vector<char> InTile(N, 0);
+  kernels::detail::runTiled(N, 4, [&](IndexRange R) {
+    for (size_t I = R.Begin; I < R.End; ++I)
+      InTile[I] = ThreadPool::onWorkerThread();
+  });
+  for (size_t I = 0; I < N; ++I)
+    EXPECT_TRUE(InTile[I]) << "kernel tile element " << I;
+
+  EXPECT_FALSE(ThreadPool::onWorkerThread());
+}
+
+TEST(CoreOwnershipTest, WorkerGemmMatchesTiledCallerGemmBitwise) {
+  // 192^3 multiply-adds clear the kernel layer's 2^22 tiling threshold,
+  // so the caller's gemm may fan out while the worker's runs serially.
+  constexpr size_t Dim = 192;
+  Rng R(11);
+  Matrix A(Dim, Dim), B(Dim, Dim);
+  for (size_t I = 0; I < Dim; ++I)
+    for (size_t J = 0; J < Dim; ++J) {
+      A(I, J) = R.uniform(-1.0, 1.0);
+      B(I, J) = R.uniform(-1.0, 1.0);
+    }
+
+  Matrix OnCaller(Dim, Dim), Tiled(Dim, Dim), OnWorker(Dim, Dim);
+  kernels::gemm(OnCaller, A, B);
+  // Force a tiled run even where CRAFT_KERNEL_THREADS=1 disables tiling.
+  kernels::detail::gemmTiled(Tiled, A, B, 1.0, 0.0, 4);
+  parallelForIndex(2, 2, [&](size_t I) {
+    if (I == 0)
+      kernels::gemm(OnWorker, A, B);
+  });
+
+  const size_t Bytes = Dim * Dim * sizeof(double);
+  EXPECT_EQ(0, std::memcmp(OnWorker.rowData(0), OnCaller.rowData(0), Bytes));
+  EXPECT_EQ(0, std::memcmp(OnWorker.rowData(0), Tiled.rowData(0), Bytes));
 }
 
 } // namespace

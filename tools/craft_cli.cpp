@@ -142,7 +142,7 @@ void printOutcome(const VerificationSpec &Spec, const RunOutcome &Out) {
       Spec.Verifier == SpecVerifier::Box)
     std::printf("containment  %s\n", Out.Containment ? "yes" : "no");
   std::printf("margin       %.6f\n", Out.MarginLower);
-  std::printf("time         %.3f s\n", Out.TimeSeconds);
+  std::printf("time         %.3f ms\n", Out.TimeSeconds * 1e3);
   if (!Out.CascadeRung.empty() || Out.CascadeEscalations > 0)
     std::printf("cascade      rung %s, %d escalation%s\n",
                 Out.CascadeRung.empty() ? "(none)" : Out.CascadeRung.c_str(),
@@ -313,7 +313,7 @@ int runSplit(const std::vector<std::string> &Files, int Jobs, bool HaveJobs,
                 Res.NumVerifierCalls, Res.NumWaves);
     std::printf("measure      %.6g over the non-degenerate dimensions\n",
                 measureOf(Spec.InLo, Spec.InHi));
-    std::printf("time         %.3f s\n", Out.TimeSeconds);
+    std::printf("time         %.3f ms\n", Out.TimeSeconds * 1e3);
     // Exact leaf accounting, not the rounded fraction: a deep tree's
     // uncertified tail can vanish below double precision.
     if (Res.NumCertified < Res.Regions.size() && Exit == ExitCertified)
@@ -577,7 +577,7 @@ int runClient(int Argc, char **Argv) {
                   : Out.DeadlineExceeded ? "DEADLINE EXCEEDED"
                                          : "not certified");
       std::printf("margin       %.6f\n", Out.MarginLower);
-      std::printf("time         %.3f s\n", Out.TimeSeconds);
+      std::printf("time         %.3f ms\n", Out.TimeSeconds * 1e3);
       std::printf("cached       %s\n", R.Cached ? "yes" : "no");
       if (!Out.CascadeRung.empty() || Out.CascadeEscalations > 0)
         std::printf("cascade      rung %s, %d escalation%s\n",

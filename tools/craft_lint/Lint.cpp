@@ -374,10 +374,9 @@ struct FileScope {
   bool IsTelemetryTU = false;
   bool IsRoundedTU = false; ///< src/support/RoundedInterval.h.
   bool IsIsaKernelTU = false; ///< Per-ISA kernel TU (owns its -m flags).
-  /// src/linalg/Kernels* (hot-path tier): the dispatch layer, the per-ISA
-  /// TUs, and the batch-fused tier (KernelsBatched.*, KernelsTiling.h) —
-  /// the Kernels name prefix keeps future kernel files in scope by
-  /// construction.
+  /// src/linalg/Kernels* (hot-path tier): the dispatch layer and the
+  /// per-ISA TUs — the Kernels name prefix keeps future kernel files in
+  /// scope by construction.
   bool IsKernelFile = false;
   bool InResultPath = false;  ///< core/domains/tool/serve result paths.
 };
@@ -392,8 +391,8 @@ FileScope classify(const std::string &Rel) {
   FS.IsTelemetryTU = Rel == "src/support/Telemetry.cpp";
   FS.IsRoundedTU = Rel == "src/support/RoundedInterval.h";
   // Exactly the three TUs whose -ffp-contract=off builds may spell FMA
-  // out; the batched tier (KernelsBatched.cpp) stays un-exempt — it
-  // orchestrates the per-ISA panel kernels and does no arithmetic itself.
+  // out; the dispatch layer (Kernels.cpp) stays un-exempt — it only
+  // routes and tiles calls into the per-ISA kernels.
   FS.IsIsaKernelTU = Rel == "src/linalg/KernelsScalar.cpp" ||
                      Rel == "src/linalg/KernelsAvx2.cpp" ||
                      Rel == "src/linalg/KernelsAvx512.cpp";
@@ -509,8 +508,8 @@ const std::vector<RuleInfo> &craft::lint::allRules() {
        "std::fma / __builtin_fma outside the per-ISA kernel TUs",
        "a fused mul+add rounds once, not twice, silently changing results "
        "across backends; kernel TUs compile with -ffp-contract=off. The "
-       "batched tier (KernelsBatched.*) is NOT exempt: it replays the "
-       "per-ISA panel kernels and must never introduce contraction of its "
+       "dispatch layer (Kernels.cpp) is NOT exempt: it routes calls into "
+       "the per-ISA kernels and must never introduce contraction of its "
        "own"},
       {"sound-fastmath", Severity::Error,
        "fast-math / FP_CONTRACT pragmas or attributes anywhere",
@@ -525,9 +524,7 @@ const std::vector<RuleInfo> &craft::lint::allRules() {
        "new / malloc / std::vector / std::string in kernel function bodies",
        "the kernel tier is allocation-free by contract; scratch comes from "
        "the caller-owned Workspace arena. Covers every src/linalg/Kernels* "
-       "file, including the batch-fused tier (KernelsBatched, "
-       "KernelsTiling): shared packs and wave scratch live in arenas or "
-       "fixed member arrays, never the heap"},
+       "file, including the dispatch and tiling layer (Kernels.cpp)"},
       {"conc-detach", Severity::Error, "std::thread::detach anywhere",
        "detached threads outlive their owners and race teardown; every "
        "thread in this repo is joined"},
