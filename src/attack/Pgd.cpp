@@ -3,6 +3,7 @@
 #include "attack/Pgd.h"
 
 #include "nn/Training.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <cmath>
@@ -10,6 +11,16 @@
 using namespace craft;
 
 namespace {
+
+const telemetry::Counter PgdGradients =
+    telemetry::counterMetric("pgd.gradients");
+
+// A margin step takes its gradient at the InputGradientTol solve and its
+// logits at the DefaultLogitsTol one. Both are prefixes of one run only if
+// the gradient solve is the looser of the two.
+static_assert(InputGradientTol >= DefaultLogitsTol &&
+                  InputGradientMaxIter <= DefaultSolveMaxIter,
+              "the gradient solve must be a prefix of the logits solve");
 
 /// Projects \p X onto the l-inf ball around \p Center intersected with the
 /// valid input range.
@@ -81,6 +92,7 @@ PgdResult craft::pgdAttack(const MonDeq &Model, const FixpointSolver &Solver,
         V = R.uniform(-1.0, 1.0);
       for (int S = 0; S < Opts.OdiSteps; ++S) {
         Vector G = inputGradient(Model, Solver, Adv, Odi, Opts.NeumannTerms);
+        PgdGradients.increment();
         for (size_t I = 0; I < Q; ++I)
           Adv[I] += Step * (G[I] > 0.0 ? 1.0 : -1.0);
         project(Adv, X, Opts);
@@ -89,16 +101,24 @@ PgdResult craft::pgdAttack(const MonDeq &Model, const FixpointSolver &Solver,
       // Margin-loss PGD: ascend y_target - y_label (targeted) or
       // y_runnerup - y_label (untargeted). The margin coefficient vector is
       // hoisted out of the step loop and rewritten in place (two entries
-      // per step) instead of reallocated.
+      // per step) instead of reallocated. Each step runs one forward solve:
+      // to the gradient's tolerance first, then the same run continues to
+      // the logits' tolerance — bitwise what separate logits() and
+      // inputGradient() solves would give.
       Vector Coef(Model.outputDim(), 0.0);
       for (int S = 0; S < Opts.Steps; ++S) {
-        Vector Y = Solver.logits(Adv);
+        FixpointResult Fix =
+            Solver.solve(Adv, InputGradientTol, InputGradientMaxIter);
+        const Vector ZGrad = Fix.Z;
+        Solver.solve(Adv, Fix, DefaultLogitsTol, DefaultSolveMaxIter);
+        Vector Y = Model.output(Fix.Z);
         int Rival = Target >= 0 ? Target : argmaxExcluding(Y, Label);
         if (argmaxExcluding(Y, -1) != Label)
           break; // Already adversarial; stop refining.
         Coef[Rival] = 1.0;
         Coef[Label] = -1.0;
-        Vector G = inputGradient(Model, Solver, Adv, Coef, Opts.NeumannTerms);
+        Vector G = inputGradient(Model, Adv, ZGrad, Coef, Opts.NeumannTerms);
+        PgdGradients.increment();
         Coef[Rival] = 0.0;
         Coef[Label] = 0.0;
         for (size_t I = 0; I < Q; ++I)

@@ -439,6 +439,18 @@ void kernels::gemvAbs(VectorView Out, ConstMatrixView M, ConstVectorView V,
     detail::gemvAbsTiled(Out, M, V, Alpha, Beta, Tiles);
 }
 
+void kernels::gemvTransposed(VectorView Out, ConstMatrixView M,
+                             ConstVectorView V) {
+  assert(M.rows() == V.size() && "gemvTransposed inner dimension mismatch");
+  assert(Out.size() == M.cols() && "gemvTransposed output size mismatch");
+  assert(noAlias(Out, M) && "gemvTransposed output aliases M");
+  assert(noAlias(Out, V) && "gemvTransposed output aliases V");
+  const KernelTable &T = *dispatch().Table;
+  kernels::fill(Out, 0.0);
+  for (size_t R = 0, E = M.rows(); R < E; ++R)
+    T.Axpy(Out, V[R], M.rowVec(R));
+}
+
 void kernels::axpy(VectorView Y, double A, ConstVectorView X) {
   assert(Y.size() == X.size() && "axpy size mismatch");
   assert(noAlias(Y, X) && "axpy output aliases input");

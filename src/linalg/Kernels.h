@@ -8,7 +8,9 @@
 /// In-place, destination-passing dense kernels over the view layer
 /// (linalg/Views.h): the allocation-free core the CH-Zonotope and Kleene
 /// hot paths run on. The allocating Matrix/Vector operators are thin
-/// wrappers over these.
+/// wrappers over these. gemvTransposed (M^T v without materializing M^T)
+/// and LuDecomposition's elimination loops are sweeps of the dispatched
+/// axpy, so they inherit its operation order.
 ///
 /// Conventions:
 ///  - The serial kernel path never heap-allocates. Scratch (e.g. gemm's
@@ -108,6 +110,12 @@ void gemv(VectorView Out, ConstMatrixView M, ConstVectorView V,
 /// containment check.
 void gemvAbs(VectorView Out, ConstMatrixView M, ConstVectorView V,
              double Alpha = 1.0, double Beta = 0.0);
+
+/// Out = M^T * V without materializing M^T: zeroes Out, then sweeps the
+/// rows of M with the dispatched axpy (Out += V[r] * M(r, :)), so each
+/// output element is reduced over ascending r with a single accumulator —
+/// bitwise equal to gemv on the explicit transpose.
+void gemvTransposed(VectorView Out, ConstMatrixView M, ConstVectorView V);
 
 /// Y += A * X.
 void axpy(VectorView Y, double A, ConstVectorView X);

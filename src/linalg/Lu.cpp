@@ -2,6 +2,8 @@
 
 #include "linalg/Lu.h"
 
+#include "linalg/Kernels.h"
+
 #include <cmath>
 
 using namespace craft;
@@ -38,10 +40,10 @@ LuDecomposition::LuDecomposition(const Matrix &A) : Factors(A) {
       Factors(R, K) = L;
       if (L == 0.0)
         continue;
-      const double *URow = Factors.rowData(K);
-      double *Row = Factors.rowData(R);
-      for (size_t C = K + 1; C < N; ++C)
-        Row[C] -= L * URow[C];
+      // Row -= L * URow as an axpy with -L: bitwise the same, since
+      // r - l*u == r + (-l)*u exactly in IEEE arithmetic.
+      kernels::axpy(VectorView(Factors.rowData(R) + K + 1, N - K - 1), -L,
+                    ConstVectorView(Factors.rowData(K) + K + 1, N - K - 1));
     }
   }
 }
@@ -85,30 +87,24 @@ Matrix LuDecomposition::solve(const Matrix &B) const {
       for (size_t J = 0; J < M; ++J)
         std::swap(X(K, J), X(P, J));
     const double *Row = Factors.rowData(K);
-    double *XK = X.rowData(K);
+    VectorView XK(X.rowData(K), M);
     for (size_t C = 0; C < K; ++C) {
       double L = Row[C];
       if (L == 0.0)
         continue;
-      const double *XC = X.rowData(C);
-      for (size_t J = 0; J < M; ++J)
-        XK[J] -= L * XC[J];
+      kernels::axpy(XK, -L, ConstVectorView(X.rowData(C), M));
     }
   }
   for (size_t K = N; K-- > 0;) {
     const double *Row = Factors.rowData(K);
-    double *XK = X.rowData(K);
+    VectorView XK(X.rowData(K), M);
     for (size_t C = K + 1; C < N; ++C) {
       double U = Row[C];
       if (U == 0.0)
         continue;
-      const double *XC = X.rowData(C);
-      for (size_t J = 0; J < M; ++J)
-        XK[J] -= U * XC[J];
+      kernels::axpy(XK, -U, ConstVectorView(X.rowData(C), M));
     }
-    double Inv = 1.0 / Row[K];
-    for (size_t J = 0; J < M; ++J)
-      XK[J] *= Inv;
+    kernels::scale(XK, 1.0 / Row[K]);
   }
   return X;
 }

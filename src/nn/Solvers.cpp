@@ -5,9 +5,11 @@
 #include "domains/Activations.h"
 #include "linalg/Kernels.h"
 #include "linalg/Workspace.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 using namespace craft;
 
@@ -38,73 +40,91 @@ FixpointSolver::FixpointSolver(const MonDeq &Model, Splitting Method,
   }
 }
 
-
 namespace {
+
+const telemetry::Histogram ConcreteIterationsHist =
+    telemetry::histogramMetric("concrete.iterations");
 
 /// Applies the splitting's resolvent to the pre-activation in place: ReLU
 /// for the paper's main setting (prox is scaling-invariant), prox_{a f}
 /// for the smooth App. B.6 activations.
-void applyResolventInPlace(const MonDeq &Model, double Alpha, Vector &Pre) {
+void applyResolventInPlace(const MonDeq &Model, double Alpha, VectorView Pre) {
   switch (Model.activation()) {
   case ActivationKind::ReLU:
-    for (double &V : Pre)
-      V = std::max(V, 0.0);
+    for (size_t I = 0; I < Pre.size(); ++I)
+      Pre[I] = std::max(Pre[I], 0.0);
     return;
   case ActivationKind::Sigmoid:
-    for (double &V : Pre)
-      V = proxActivation(SmoothActivation::Sigmoid, Alpha, V);
+    for (size_t I = 0; I < Pre.size(); ++I)
+      Pre[I] = proxActivation(SmoothActivation::Sigmoid, Alpha, Pre[I]);
     return;
   case ActivationKind::Tanh:
-    for (double &V : Pre)
-      V = proxActivation(SmoothActivation::Tanh, Alpha, V);
+    for (size_t I = 0; I < Pre.size(); ++I)
+      Pre[I] = proxActivation(SmoothActivation::Tanh, Alpha, Pre[I]);
     return;
   }
 }
 
 } // namespace
 
-Vector FixpointSolver::fbStep(const Vector &X, const Vector &Z) const {
-  // ReLU((1-a) z + a (W z + U x + b)). The input drive lives in workspace
-  // scratch; only the returned iterate allocates.
-  const size_t P = Model.latentDim();
-  WorkspaceScope WS;
-  Vector Pre(P);
-  kernels::gemv(Pre, Model.weightW(), Z);
-  kernels::scale(Pre, Alpha);
-  VectorView Drive = WS.vector(P);
+void FixpointSolver::inputDriveInto(VectorView Drive, const Vector &X) const {
   kernels::copyInto(Drive, Model.biasZ());
   kernels::gemv(Drive, Model.weightU(), X, 1.0, 1.0);
-  kernels::axpy(Pre, Alpha, Drive);
-  kernels::axpy(Pre, 1.0 - Alpha, Z);
-  applyResolventInPlace(Model, Alpha, Pre);
-  return Pre;
+  if (Method == Splitting::PeacemanRachford)
+    kernels::scale(Drive, Alpha);
 }
 
-std::pair<Vector, Vector> FixpointSolver::prStep(const Vector &X,
-                                                 const Vector &Z,
-                                                 const Vector &U) const {
-  // Eq. (9). All intermediates live in workspace scratch: the concrete
+void FixpointSolver::fbStepInto(VectorView ZNext, ConstVectorView Drive,
+                                ConstVectorView Z) const {
+  // ReLU((1-a) z + a (W z + U x + b)).
+  kernels::gemv(ZNext, Model.weightW(), Z);
+  kernels::scale(ZNext, Alpha);
+  kernels::axpy(ZNext, Alpha, Drive);
+  kernels::axpy(ZNext, 1.0 - Alpha, Z);
+  applyResolventInPlace(Model, Alpha, ZNext);
+}
+
+void FixpointSolver::prStepInto(VectorView ZNext, VectorView U,
+                                ConstVectorView Drive,
+                                ConstVectorView Z) const {
+  // Eq. (9). The intermediates live in workspace scratch: the concrete
   // solver runs hundreds of iterations per forward pass (training, PGD,
   // prediction), so per-step temporaries dominated its heap traffic.
   const size_t P = Model.latentDim();
   WorkspaceScope WS;
   VectorView UHalf = WS.vector(P);
-  for (size_t I = 0; I < P; ++I)
-    UHalf[I] = 2.0 * Z[I] - U[I];
-  VectorView Drive = WS.vector(P);
-  kernels::copyInto(Drive, Model.biasZ());
-  kernels::gemv(Drive, Model.weightU(), X, 1.0, 1.0);
-  kernels::scale(Drive, Alpha);
   VectorView Sum = WS.vector(P);
-  for (size_t I = 0; I < P; ++I)
+  for (size_t I = 0; I < P; ++I) {
+    UHalf[I] = 2.0 * Z[I] - U[I];
     Sum[I] = UHalf[I] + Drive[I];
+  }
   VectorView ZHalf = WS.vector(P);
   kernels::gemv(ZHalf, MInv, Sum);
-  Vector UNext(P);
-  for (size_t I = 0; I < P; ++I)
-    UNext[I] = 2.0 * ZHalf[I] - UHalf[I];
-  Vector ZNext = UNext;
+  for (size_t I = 0; I < P; ++I) {
+    U[I] = 2.0 * ZHalf[I] - UHalf[I];
+    ZNext[I] = U[I];
+  }
   applyResolventInPlace(Model, Alpha, ZNext);
+}
+
+Vector FixpointSolver::fbStep(const Vector &X, const Vector &Z) const {
+  WorkspaceScope WS;
+  VectorView Drive = WS.vector(Model.latentDim());
+  inputDriveInto(Drive, X);
+  Vector ZNext(Model.latentDim());
+  fbStepInto(ZNext, Drive, Z);
+  return ZNext;
+}
+
+std::pair<Vector, Vector> FixpointSolver::prStep(const Vector &X,
+                                                 const Vector &Z,
+                                                 const Vector &U) const {
+  WorkspaceScope WS;
+  VectorView Drive = WS.vector(Model.latentDim());
+  inputDriveInto(Drive, X);
+  Vector ZNext(Model.latentDim());
+  Vector UNext = U;
+  prStepInto(ZNext, UNext, Drive, Z);
   return {std::move(ZNext), std::move(UNext)};
 }
 
@@ -114,29 +134,48 @@ FixpointResult FixpointSolver::solve(const Vector &X, double Tol,
   FixpointResult Res;
   Res.Z = Vector(P, 0.0);
   Res.U = Method == Splitting::PeacemanRachford ? Vector(P, 0.0) : Vector();
-
-  for (int It = 0; It < MaxIter; ++It) {
-    Vector ZNext;
-    if (Method == Splitting::ForwardBackward) {
-      ZNext = fbStep(X, Res.Z);
-    } else {
-      auto [Z, U] = prStep(X, Res.Z, Res.U);
-      ZNext = std::move(Z);
-      Res.U = std::move(U);
-    }
-    Res.Residual = (ZNext - Res.Z).norm2();
-    Res.Z = std::move(ZNext);
-    Res.Iterations = It + 1;
-    if (Res.Residual < Tol) {
-      Res.Converged = true;
-      break;
-    }
-  }
+  solve(X, Res, Tol, MaxIter);
   return Res;
 }
 
+void FixpointSolver::solve(const Vector &X, FixpointResult &Res, double Tol,
+                           int MaxIter) const {
+  assert(X.size() == Model.inputDim() && "input size mismatch");
+  const int Start = Res.Iterations;
+  // A run that stops at Tol stops at the first iterate whose residual is
+  // below it, so an earlier looser stop that already meets Tol is where a
+  // from-zero run at Tol stops too.
+  Res.Converged = Res.Iterations > 0 && Res.Residual < Tol;
+  if (!Res.Converged && Res.Iterations < MaxIter) {
+    const size_t P = Model.latentDim();
+    WorkspaceScope WS;
+    VectorView Drive = WS.vector(P); // Constant across iterations.
+    inputDriveInto(Drive, X);
+    Vector ZNext(P);
+    for (int It = Res.Iterations; It < MaxIter; ++It) {
+      if (Method == Splitting::ForwardBackward)
+        fbStepInto(ZNext, Drive, Res.Z);
+      else
+        prStepInto(ZNext, Res.U, Drive, Res.Z);
+      double Sq = 0.0; // ||z_n - z_{n-1}||_2, summed in index order.
+      for (size_t I = 0; I < P; ++I) {
+        const double D = ZNext[I] - Res.Z[I];
+        Sq += D * D;
+      }
+      Res.Residual = std::sqrt(Sq);
+      std::swap(Res.Z, ZNext);
+      Res.Iterations = It + 1;
+      if (Res.Residual < Tol) {
+        Res.Converged = true;
+        break;
+      }
+    }
+  }
+  ConcreteIterationsHist.observe(static_cast<uint64_t>(Res.Iterations - Start));
+}
+
 Vector FixpointSolver::logits(const Vector &X, double Tol) const {
-  return Model.output(solve(X, Tol).Z);
+  return Model.output(solve(X, Tol, DefaultSolveMaxIter).Z);
 }
 
 int FixpointSolver::predict(const Vector &X) const {

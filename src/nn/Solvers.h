@@ -19,9 +19,18 @@
 #define CRAFT_NN_SOLVERS_H
 
 #include "linalg/Lu.h"
+#include "linalg/Views.h"
 #include "nn/MonDeq.h"
 
 namespace craft {
+
+/// Iteration cap of \ref FixpointSolver::solve and \ref
+/// FixpointSolver::logits when the caller gives none.
+inline constexpr int DefaultSolveMaxIter = 2000;
+
+/// Tolerance of \ref FixpointSolver::logits and \ref FixpointSolver::predict
+/// when the caller gives none.
+inline constexpr double DefaultLogitsTol = 1e-9;
 
 /// Operator splitting method selector.
 enum class Splitting {
@@ -42,27 +51,43 @@ struct FixpointResult {
 /// configuration; PR precomputes the LU factorization of I + a(I - W).
 class FixpointSolver {
 public:
-  /// \p Alpha <= 0 selects a default: 0.9 * fbAlphaBound() for FB, 1.0
-  /// for PR.
+  /// \p Alpha <= 0 selects a default: 0.9 * fbAlphaBound() for FB, and
+  /// for PR the rate-optimal 1 / sqrt(m L) of Ryu & Boyd (2016), with m the
+  /// monotonicity and L = ||I - W||_2.
   FixpointSolver(const MonDeq &Model, Splitting Method, double Alpha = -1.0);
 
   double alpha() const { return Alpha; }
   Splitting method() const { return Method; }
 
-  /// One FB step on state z.
+  /// One FB step on state z (computes the input drive U x + b itself).
   Vector fbStep(const Vector &X, const Vector &Z) const;
 
-  /// One PR step on state (z, u); returns the new pair.
+  /// One PR step on state (z, u); returns the new pair (computes the input
+  /// drive a (U x + b) itself).
   std::pair<Vector, Vector> prStep(const Vector &X, const Vector &Z,
                                    const Vector &U) const;
 
-  /// Iterates from s_0 = 0 until ||z_n - z_{n-1}|| < Tol or MaxIter.
+  /// Iterates from s_0 = 0 until ||z_n - z_{n-1}|| < Tol or MaxIter
+  /// iterations. The input drive U x + b is constant across iterations, so
+  /// it is computed once per solve; every iterate is bitwise the one \ref
+  /// fbStep / \ref prStep would produce.
   FixpointResult solve(const Vector &X, double Tol = 1e-10,
-                       int MaxIter = 2000) const;
+                       int MaxIter = DefaultSolveMaxIter) const;
+
+  /// Continues \p Res, the result of an earlier solve of the same \p X at a
+  /// tolerance no tighter than \p Tol and a cap no larger than \p MaxIter,
+  /// and leaves in it bitwise the result of solve(X, Tol, MaxIter). The
+  /// looser run's iterates are a prefix of the tighter run's: it stopped at
+  /// the first residual below its own tolerance (or at its cap), and no
+  /// earlier residual met the tighter one. So if its last residual already
+  /// meets \p Tol it is marked converged as is; otherwise iteration resumes
+  /// from its state, and MaxIter counts the iterations of both runs.
+  void solve(const Vector &X, FixpointResult &Res, double Tol,
+             int MaxIter) const;
 
   /// Fixpoint followed by the output layer (reuses this solver's cached
   /// factorization, unlike the free function \ref forwardLogits).
-  Vector logits(const Vector &X, double Tol = 1e-9) const;
+  Vector logits(const Vector &X, double Tol = DefaultLogitsTol) const;
 
   /// Argmax class of \ref logits.
   int predict(const Vector &X) const;
@@ -72,6 +97,16 @@ public:
   const Matrix &solveMatrixInverse() const { return MInv; }
 
 private:
+  /// Drive = U x + b (FB) or a (U x + b) (PR).
+  void inputDriveInto(VectorView Drive, const Vector &X) const;
+  /// One FB step from z into \p ZNext, given the FB input drive.
+  void fbStepInto(VectorView ZNext, ConstVectorView Drive,
+                  ConstVectorView Z) const;
+  /// One PR step from (z, u): the new z into \p ZNext, u updated in place,
+  /// given the PR input drive.
+  void prStepInto(VectorView ZNext, VectorView U, ConstVectorView Drive,
+                  ConstVectorView Z) const;
+
   const MonDeq &Model;
   Splitting Method;
   double Alpha;
@@ -79,7 +114,8 @@ private:
 };
 
 /// Full forward pass: fixpoint via PR (robust default), then output layer.
-Vector forwardLogits(const MonDeq &Model, const Vector &X, double Tol = 1e-9);
+Vector forwardLogits(const MonDeq &Model, const Vector &X,
+                     double Tol = DefaultLogitsTol);
 
 /// Argmax class of \ref forwardLogits.
 int predictClass(const MonDeq &Model, const Vector &X);

@@ -4,6 +4,7 @@
 
 #include "domains/Activations.h"
 
+#include "linalg/Kernels.h"
 #include "linalg/Lu.h"
 
 #include <algorithm>
@@ -29,6 +30,14 @@ Vector softmax(const Vector &Y) {
   for (double &V : P)
     V /= Sum;
   return P;
+}
+
+/// M^T V through the transposed-product kernel: no copy of M^T, and
+/// bitwise the product with the explicit transpose.
+Vector transposeTimes(const Matrix &M, const Vector &V) {
+  Vector Out(M.cols());
+  kernels::gemvTransposed(Out, M, V);
+  return Out;
 }
 
 /// Adds the rank-1 update Scale * U V^T to \p Acc.
@@ -183,7 +192,7 @@ TrainStats craft::trainMonDeq(MonDeq &Model, const Dataset &Train,
         addOuter(GradV, DY, Z);
         GradBY += DY;
 
-        Vector DeltaZ = Model.weightV().transpose() * DY;
+        Vector DeltaZ = transposeTimes(Model.weightV(), DY);
         Vector Lambda = Opts.JacobianFree
                             ? DeltaZ
                             : solveAdjoint(Model.weightW(), DAct, DeltaZ);
@@ -237,12 +246,18 @@ double craft::evaluateAccuracy(const MonDeq &Model, const Dataset &Data) {
 Vector craft::inputGradient(const MonDeq &Model, const FixpointSolver &Solver,
                             const Vector &X, const Vector &OutCoef,
                             int NeumannTerms) {
+  FixpointResult Fix = Solver.solve(X, InputGradientTol, InputGradientMaxIter);
+  return inputGradient(Model, X, Fix.Z, OutCoef, NeumannTerms);
+}
+
+Vector craft::inputGradient(const MonDeq &Model, const Vector &X,
+                            const Vector &Z, const Vector &OutCoef,
+                            int NeumannTerms) {
   const size_t P = Model.latentDim();
-  FixpointResult Fix = Solver.solve(X, 1e-8, 500);
-  Vector Pre = Model.weightW() * Fix.Z + Model.weightU() * X + Model.biasZ();
+  Vector Pre = Model.weightW() * Z + Model.weightU() * X + Model.biasZ();
   Vector DAct = activationDerivativeAt(Model, Pre);
 
-  Vector DeltaZ = Model.weightV().transpose() * OutCoef;
+  Vector DeltaZ = transposeTimes(Model.weightV(), OutCoef);
   Vector Lambda;
   if (NeumannTerms < 0) {
     Lambda = solveAdjoint(Model.weightW(), DAct, DeltaZ);
@@ -255,7 +270,7 @@ Vector craft::inputGradient(const MonDeq &Model, const FixpointSolver &Solver,
       Vector Masked = V;
       for (size_t I = 0; I < P; ++I)
         Masked[I] *= DAct[I];
-      return V - Model.weightW().transpose() * Masked;
+      return V - transposeTimes(Model.weightW(), Masked);
     };
     auto ApplyAT = [&](const Vector &V) {
       Vector WV = Model.weightW() * V;
@@ -283,5 +298,5 @@ Vector craft::inputGradient(const MonDeq &Model, const FixpointSolver &Solver,
   }
   for (size_t I = 0; I < P; ++I)
     Lambda[I] *= DAct[I];
-  return Model.weightU().transpose() * Lambda;
+  return transposeTimes(Model.weightU(), Lambda);
 }

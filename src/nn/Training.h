@@ -59,16 +59,28 @@ TrainStats trainMonDeq(MonDeq &Model, const Dataset &Train,
 /// Fraction of samples in \p Data classified correctly.
 double evaluateAccuracy(const MonDeq &Model, const Dataset &Data);
 
+/// Tolerance and iteration cap of the fixpoint solve behind the
+/// solver-taking \ref inputGradient.
+inline constexpr double InputGradientTol = 1e-8;
+inline constexpr int InputGradientMaxIter = 500;
+
 /// Gradient of the scalar OutCoef^T y(x) with respect to the input x,
 /// computed via the implicit function theorem at the fixpoint for \p X.
 /// \p Solver must be a PR solver for \p Model (reused across calls for its
-/// cached factorization). \p NeumannTerms < 0 solves the adjoint system
-/// exactly (one O(p^3) LU); otherwise the inverse is approximated by that
-/// many Neumann-series terms (cheap matvecs; adequate for attack gradients
-/// on the conv-sized latents).
+/// cached factorization); it solves to InputGradientTol within
+/// InputGradientMaxIter iterations. \p NeumannTerms < 0 solves the adjoint
+/// system exactly (one O(p^3) LU); otherwise the inverse is approximated
+/// by that many CGNE iterations (cheap matvecs; adequate for attack
+/// gradients on the conv-sized latents).
 Vector inputGradient(const MonDeq &Model, const FixpointSolver &Solver,
                      const Vector &X, const Vector &OutCoef,
                      int NeumannTerms = -1);
+
+/// The same gradient at a fixpoint estimate \p Z for \p X that the caller
+/// already solved for (e.g. to share one solve between the gradient and
+/// the logits).
+Vector inputGradient(const MonDeq &Model, const Vector &X, const Vector &Z,
+                     const Vector &OutCoef, int NeumannTerms = -1);
 
 } // namespace craft
 

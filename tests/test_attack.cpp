@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 using namespace craft;
 
 namespace {
@@ -117,5 +120,116 @@ TEST(PgdTest, UntargetedModeAlsoWorks) {
   }
   EXPECT_GE(Found, Tried / 2);
 }
+
+/// pgdAttack as composed from separate Solver.logits and solver-taking
+/// inputGradient calls, i.e. two forward solves per margin step. The
+/// attack shares one solve per step and must match this bitwise.
+PgdResult referencePgd(const MonDeq &Model, const FixpointSolver &Solver,
+                       const Vector &X, int Label, const PgdOptions &Opts) {
+  auto Project = [&](Vector &V) {
+    for (size_t I = 0; I < V.size(); ++I)
+      V[I] = std::clamp(V[I], std::max(X[I] - Opts.Epsilon, Opts.InputLo),
+                        std::min(X[I] + Opts.Epsilon, Opts.InputHi));
+  };
+  auto ArgmaxExcluding = [](const Vector &Y, int Skip) {
+    int Best = -1;
+    double BestVal = -1e300;
+    for (size_t I = 0; I < Y.size(); ++I)
+      if (static_cast<int>(I) != Skip && Y[I] > BestVal) {
+        BestVal = Y[I];
+        Best = static_cast<int>(I);
+      }
+    return Best;
+  };
+  auto StepAlong = [&](Vector &Adv, const Vector &G) {
+    for (size_t I = 0; I < Adv.size(); ++I)
+      Adv[I] += Opts.StepFraction * Opts.Epsilon * (G[I] > 0.0 ? 1.0 : -1.0);
+    Project(Adv);
+  };
+
+  PgdResult Result;
+  Rng R(Opts.Seed);
+  const int NumClasses = static_cast<int>(Model.outputDim());
+  std::vector<int> Targets;
+  for (int T = 0; T < NumClasses; ++T)
+    if (Opts.TargetAllClasses && T != Label)
+      Targets.push_back(T);
+  if (!Opts.TargetAllClasses)
+    Targets.push_back(-1);
+
+  for (int Restart = 0; Restart < Opts.Restarts; ++Restart)
+    for (int Target : Targets) {
+      Vector Adv = X;
+      for (double &V : Adv)
+        V += R.uniform(-Opts.Epsilon, Opts.Epsilon);
+      Project(Adv);
+      Vector Odi(Model.outputDim());
+      for (double &V : Odi)
+        V = R.uniform(-1.0, 1.0);
+      for (int S = 0; S < Opts.OdiSteps; ++S)
+        StepAlong(Adv,
+                  inputGradient(Model, Solver, Adv, Odi, Opts.NeumannTerms));
+      for (int S = 0; S < Opts.Steps; ++S) {
+        Vector Y = Solver.logits(Adv);
+        int Rival = Target >= 0 ? Target : ArgmaxExcluding(Y, Label);
+        if (ArgmaxExcluding(Y, -1) != Label)
+          break;
+        Vector Coef(Model.outputDim(), 0.0);
+        Coef[Rival] = 1.0;
+        Coef[Label] = -1.0;
+        StepAlong(Adv,
+                  inputGradient(Model, Solver, Adv, Coef, Opts.NeumannTerms));
+      }
+      int Pred = Solver.predict(Adv);
+      if (Pred != Label) {
+        Result.FoundAdversarial = true;
+        Result.Adversarial = Adv;
+        Result.AdversarialClass = Pred;
+        return Result;
+      }
+    }
+  return Result;
+}
+
+class PgdSharedSolveTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(PgdSharedSolveTest, BitwiseMatchesSeparateSolves) {
+  const MonDeq &Model = trainedModel();
+  FixpointSolver Solver(Model, Splitting::PeacemanRachford);
+  Rng R(25);
+  Dataset Test = makeGaussianMixture(R, 12, 5, 3, 0.2);
+  PgdOptions Opts;
+  Opts.Steps = 12;
+  Opts.Restarts = 2;
+  Opts.TargetAllClasses = GetParam();
+  // The untargeted leg also covers the CGNE adjoint solve.
+  Opts.NeumannTerms = GetParam() ? -1 : 20;
+  size_t Found = 0, Missed = 0;
+  // A ball radius per outcome: the small one leaves attacks that run
+  // every step, the large one refutes.
+  for (double Epsilon : {0.02, 0.6}) {
+    Opts.Epsilon = Epsilon;
+    for (size_t I = 0; I < 6; ++I) {
+      const Vector X = Test.input(I);
+      const int Label = Test.Labels[I];
+      PgdResult Got = pgdAttack(Model, Solver, X, Label, Opts);
+      PgdResult Want = referencePgd(Model, Solver, X, Label, Opts);
+      ASSERT_EQ(Got.FoundAdversarial, Want.FoundAdversarial) << I;
+      EXPECT_EQ(Got.AdversarialClass, Want.AdversarialClass);
+      ASSERT_EQ(Got.Adversarial.size(), Want.Adversarial.size());
+      if (Got.FoundAdversarial) {
+        EXPECT_EQ(0, std::memcmp(Got.Adversarial.data(),
+                                 Want.Adversarial.data(),
+                                 Got.Adversarial.size() * sizeof(double)));
+      }
+      (Got.FoundAdversarial ? Found : Missed) += 1;
+    }
+  }
+  EXPECT_GT(Found, 0u);
+  EXPECT_GT(Missed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(TargetAllClasses, PgdSharedSolveTest,
+                         ::testing::Bool());
 
 } // namespace

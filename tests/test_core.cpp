@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 using namespace craft;
 
@@ -148,6 +149,69 @@ TEST_P(AbstractSolverSoundnessTest, ConcreteTrajectoriesStayInside) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AbstractSolverSoundnessTest,
                          ::testing::Range(0, 8));
+
+//===----------------------------------------------------------------------===//
+// Concrete solver: continuing an earlier solve
+//===----------------------------------------------------------------------===//
+
+bool bitEqual(const Vector &A, const Vector &B) {
+  return A.size() == B.size() &&
+         (A.empty() ||
+          std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0);
+}
+
+void expectSameResult(const FixpointResult &A, const FixpointResult &B) {
+  EXPECT_EQ(A.Iterations, B.Iterations);
+  EXPECT_EQ(A.Converged, B.Converged);
+  EXPECT_EQ(0, std::memcmp(&A.Residual, &B.Residual, sizeof(double)));
+  EXPECT_TRUE(bitEqual(A.Z, B.Z));
+  EXPECT_TRUE(bitEqual(A.U, B.U));
+}
+
+class SolveContinuationTest : public ::testing::TestWithParam<Splitting> {
+protected:
+  MonDeq Model = [] {
+    Rng R(45);
+    return MonDeq::randomFc(R, 4, 7, 2, 15.0);
+  }();
+  FixpointSolver Solver{Model, GetParam()};
+  Vector X{0.3, 0.8, 0.1, 0.5};
+};
+
+TEST_P(SolveContinuationTest, FromConvergedLooserSolve) {
+  FixpointResult Res = Solver.solve(X, 1e-6, 2000);
+  ASSERT_TRUE(Res.Converged);
+  ASSERT_GE(Res.Residual, 1e-11) << "fixture must need more iterations";
+  Solver.solve(X, Res, 1e-11, 2000);
+  expectSameResult(Res, Solver.solve(X, 1e-11, 2000));
+}
+
+TEST_P(SolveContinuationTest, FromIterationCappedSolve) {
+  FixpointResult Res = Solver.solve(X, 1e-11, 4);
+  ASSERT_FALSE(Res.Converged);
+  ASSERT_EQ(Res.Iterations, 4);
+  Solver.solve(X, Res, 1e-11, 2000);
+  FixpointResult Fresh = Solver.solve(X, 1e-11, 2000);
+  ASSERT_TRUE(Fresh.Converged);
+  expectSameResult(Res, Fresh);
+}
+
+TEST_P(SolveContinuationTest, LastResidualAlreadyMeetsTighterTolerance) {
+  const double Loose = 1e-6;
+  FixpointResult Res = Solver.solve(X, Loose, 2000);
+  ASSERT_TRUE(Res.Converged);
+  // Strictly between the last residual and the looser tolerance: a
+  // from-zero run at it stops at the very same iterate.
+  const double Tight = 0.5 * (Res.Residual + Loose);
+  const FixpointResult Before = Res;
+  Solver.solve(X, Res, Tight, 2000);
+  expectSameResult(Res, Before);
+  expectSameResult(Res, Solver.solve(X, Tight, 2000));
+}
+
+INSTANTIATE_TEST_SUITE_P(Methods, SolveContinuationTest,
+                         ::testing::Values(Splitting::ForwardBackward,
+                                           Splitting::PeacemanRachford));
 
 //===----------------------------------------------------------------------===//
 // Running example end-to-end (Section 2)

@@ -1,14 +1,16 @@
 //===- tests/test_linalg_kernels.cpp - Kernel/view/workspace tests --------===//
 //
 // Coverage for the allocation-free linalg kernel layer: destination-passing
-// kernels against reference loops, zero-copy view slicing against
-// whole-matrix results, zero-dimension edge cases, aliasing contracts
-// (asserted in debug builds), and workspace reuse across repeated calls.
+// kernels against reference loops, LU's axpy elimination against its old
+// scalar loops, zero-copy view slicing against whole-matrix results,
+// zero-dimension edge cases, aliasing contracts (asserted in debug
+// builds), and workspace reuse across repeated calls.
 //
 //===----------------------------------------------------------------------===//
 
 #include "linalg/KernelBackends.h"
 #include "linalg/Kernels.h"
+#include "linalg/Lu.h"
 #include "linalg/Views.h"
 #include "linalg/Workspace.h"
 
@@ -19,6 +21,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 using namespace craft;
@@ -161,6 +164,57 @@ TEST(GemvAbs, NeverMaterializesAbsMatrix) {
     EXPECT_EQ(Out[I], Expect[I]); // Bitwise: same reduction order.
 }
 
+TEST(GemvTransposed, BitwiseMatchesExplicitTranspose) {
+  Rng R(19);
+  // Odd extents cover the axpy lane remainders; 1 x N and N x 1 the
+  // degenerate sweeps.
+  const struct {
+    size_t Rows, Cols;
+  } Shapes[] = {{1, 1}, {1, 9}, {9, 1}, {5, 3}, {13, 21}, {100, 87}};
+  for (const auto &S : Shapes) {
+    Matrix M = randomMatrix(R, S.Rows, S.Cols);
+    Vector V = randomVector(R, S.Rows);
+    V[0] = 0.0; // A zero coefficient still takes part in the sweep.
+    Vector Out(S.Cols, 1e300); // Poisoned: the kernel must overwrite.
+    kernels::gemvTransposed(Out, M, V);
+    Vector Expect = M.transpose() * V;
+    EXPECT_EQ(0, std::memcmp(Out.data(), Expect.data(),
+                             S.Cols * sizeof(double)))
+        << S.Rows << "x" << S.Cols;
+  }
+}
+
+TEST(GemvTransposed, StridedViews) {
+  Rng R(20);
+  Matrix Parent = randomMatrix(R, 20, 30);
+  ConstMatrixView M = ConstMatrixView(Parent).block(2, 3, 17, 23);
+  Vector V = randomVector(R, 17);
+  Vector Wide(40, -1.0);
+  kernels::gemvTransposed(VectorView(Wide).slice(5, 23), M, V);
+  Matrix Block(17, 23);
+  kernels::copyInto(Block, M);
+  Vector Expect = Block.transpose() * V;
+  EXPECT_EQ(0, std::memcmp(Wide.data() + 5, Expect.data(),
+                           23 * sizeof(double)));
+  EXPECT_EQ(Wide[4], -1.0); // Surroundings untouched.
+  EXPECT_EQ(Wide[28], -1.0);
+}
+
+TEST(GemvTransposed, ZeroDimensions) {
+  // No rows: the empty sum, so zeros (like gemv over zero columns).
+  Vector Out(3, 7.0);
+  kernels::gemvTransposed(Out, Matrix(0, 3), Vector());
+  for (size_t I = 0; I < 3; ++I)
+    EXPECT_EQ(Out[I], 0.0);
+  Vector Expect = Matrix(0, 3).transpose() * Vector();
+  EXPECT_EQ(0, std::memcmp(Out.data(), Expect.data(), 3 * sizeof(double)));
+  // No columns: nothing to write.
+  Vector Empty;
+  kernels::gemvTransposed(Empty, Matrix(4, 0), Vector(4, 1.0));
+  kernels::gemvTransposed(Empty, Matrix(), Vector());
+  SUCCEED();
+}
+
 TEST(AxpyScale, MatchReference) {
   Rng R(13);
   Vector Y = randomVector(R, 17), X = randomVector(R, 17);
@@ -194,6 +248,132 @@ TEST(RowAbsSums, BetaAccumulates) {
   Vector Expect = M.rowAbsSums();
   for (size_t I = 0; I < 6; ++I)
     EXPECT_DOUBLE_EQ(Out[I], Expect[I] + 10.0);
+}
+
+//===----------------------------------------------------------------------===//
+// LU elimination on axpy
+//===----------------------------------------------------------------------===//
+
+/// The scalar elimination loops LuDecomposition ran before they became
+/// axpy calls, kept as the bitwise reference (nonsingular inputs only).
+struct ScalarLu {
+  Matrix F;
+  std::vector<size_t> Pivots;
+  double Sign = 1.0;
+
+  explicit ScalarLu(const Matrix &A) : F(A), Pivots(A.rows()) {
+    const size_t N = A.rows();
+    for (size_t K = 0; K < N; ++K) {
+      size_t Pivot = K;
+      double Best = std::fabs(F(K, K));
+      for (size_t R = K + 1; R < N; ++R)
+        if (std::fabs(F(R, K)) > Best) {
+          Best = std::fabs(F(R, K));
+          Pivot = R;
+        }
+      Pivots[K] = Pivot;
+      if (Pivot != K) {
+        for (size_t C = 0; C < N; ++C)
+          std::swap(F(K, C), F(Pivot, C));
+        Sign = -Sign;
+      }
+      double Inv = 1.0 / F(K, K);
+      for (size_t R = K + 1; R < N; ++R) {
+        double L = F(R, K) * Inv;
+        F(R, K) = L;
+        if (L == 0.0)
+          continue;
+        for (size_t C = K + 1; C < N; ++C)
+          F(R, C) -= L * F(K, C);
+      }
+    }
+  }
+
+  Vector solve(const Vector &B) const {
+    const size_t N = F.rows();
+    Vector X = B;
+    for (size_t K = 0; K < N; ++K) {
+      std::swap(X[K], X[Pivots[K]]);
+      double Sum = X[K];
+      for (size_t C = 0; C < K; ++C)
+        Sum -= F(K, C) * X[C];
+      X[K] = Sum;
+    }
+    for (size_t K = N; K-- > 0;) {
+      double Sum = X[K];
+      for (size_t C = K + 1; C < N; ++C)
+        Sum -= F(K, C) * X[C];
+      X[K] = Sum / F(K, K);
+    }
+    return X;
+  }
+
+  Matrix solve(const Matrix &B) const {
+    const size_t N = F.rows(), M = B.cols();
+    Matrix X = B;
+    for (size_t K = 0; K < N; ++K) {
+      if (Pivots[K] != K)
+        for (size_t J = 0; J < M; ++J)
+          std::swap(X(K, J), X(Pivots[K], J));
+      for (size_t C = 0; C < K; ++C) {
+        double L = F(K, C);
+        if (L == 0.0)
+          continue;
+        for (size_t J = 0; J < M; ++J)
+          X(K, J) -= L * X(C, J);
+      }
+    }
+    for (size_t K = N; K-- > 0;) {
+      for (size_t C = K + 1; C < N; ++C) {
+        double U = F(K, C);
+        if (U == 0.0)
+          continue;
+        for (size_t J = 0; J < M; ++J)
+          X(K, J) -= U * X(C, J);
+      }
+      double Inv = 1.0 / F(K, K);
+      for (size_t J = 0; J < M; ++J)
+        X(K, J) *= Inv;
+    }
+    return X;
+  }
+};
+
+TEST(LuOnAxpy, BitwiseMatchesScalarElimination) {
+  Rng R(21);
+  const size_t N = 37;
+  Matrix A = randomMatrix(R, N, N);
+  // Exact zeros exercise the zero-multiplier skips.
+  for (size_t I = 0; I < N; ++I)
+    A(I, (I * 7) % N) = 0.0;
+  ScalarLu Ref(A);
+  size_t Swaps = 0;
+  for (size_t K = 0; K < N; ++K)
+    Swaps += Ref.Pivots[K] != K;
+  ASSERT_GT(Swaps, 0u) << "fixture must exercise partial pivoting";
+
+  LuDecomposition Lu(A);
+  ASSERT_FALSE(Lu.isSingular());
+  const double Det = Lu.determinant();
+  double DetRef = Ref.Sign;
+  for (size_t K = 0; K < N; ++K)
+    DetRef *= Ref.F(K, K);
+  EXPECT_EQ(0, std::memcmp(&Det, &DetRef, sizeof(double)));
+
+  // The vector solve runs the factors through unchanged substitution
+  // loops, so matching it on several right-hand sides pins the factors.
+  for (int Rhs = 0; Rhs < 4; ++Rhs) {
+    Vector B = randomVector(R, N);
+    Vector X = Lu.solve(B), XRef = Ref.solve(B);
+    EXPECT_EQ(0, std::memcmp(X.data(), XRef.data(), N * sizeof(double)));
+  }
+  Matrix B = randomMatrix(R, N, 11);
+  Matrix X = Lu.solve(B), XRef = Ref.solve(B);
+  EXPECT_EQ(0, std::memcmp(X.rowData(0), XRef.rowData(0),
+                           N * 11 * sizeof(double)));
+  Matrix Inv = Lu.inverse(), InvRef = Ref.solve(Matrix::identity(N));
+  EXPECT_EQ(0, std::memcmp(Inv.rowData(0), InvRef.rowData(0),
+                           N * N * sizeof(double)));
 }
 
 //===----------------------------------------------------------------------===//
