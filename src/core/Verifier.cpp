@@ -9,6 +9,7 @@
 #include <cmath>
 #include <deque>
 #include <memory>
+#include <utility>
 
 using namespace craft;
 
@@ -79,6 +80,13 @@ private:
   IntervalVector BestHull;
 };
 
+/// Dom::consolidate under the Consolidation phase timer, which also
+/// records the craft.consolidate span when tracing is armed.
+template <class Dom, class... Args> auto timedConsolidate(Args &&...A) {
+  telemetry::PhaseTimer ConsolidatePhase(telemetry::Phase::Consolidation);
+  return Dom::consolidate(std::forward<Args>(A)...);
+}
+
 } // namespace
 
 template <class Dom>
@@ -119,11 +127,8 @@ CraftResult CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
     Res.TotalIterations = N;
     if constexpr (Dom::HasConsolidation) {
       if ((N - 1) % Config.ConsolidateEvery == 0) {
-        telemetry::PhaseTimer ConsolidatePhase(
-            telemetry::Phase::Consolidation);
-        TRACE_SPAN("craft.consolidate");
         typename Dom::HistoryEntry PS =
-            Dom::consolidate(S, Basis, WMul, WAdd);
+            timedConsolidate<Dom>(S, Basis, WMul, WAdd);
         S = PS.Z;
         History.push_front(std::move(PS));
         if (History.size() > static_cast<size_t>(Config.HistorySize))
@@ -216,20 +221,14 @@ CraftResult CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
         if (Config.SameIterationContainment) {
           // Ablation: certify only from states contained in their
           // consolidated predecessor.
-          typename Dom::HistoryEntry PS = [&] {
-            telemetry::PhaseTimer ConsolidatePhase(
-                telemetry::Phase::Consolidation);
-            return Dom::consolidate(S2, Basis2, 0.0, 0.0);
-          }();
+          typename Dom::HistoryEntry PS =
+              timedConsolidate<Dom>(S2, Basis2, 0.0, 0.0);
           typename Dom::State Next = Dom::step(Solver2, PS.Z, LambdaScale);
           UsableForCertification = Dom::contains(PS, Next);
           S2 = std::move(Next);
         } else {
-          if (Step > 0 && Step % Config.ConsolidateEvery == 0) {
-            telemetry::PhaseTimer ConsolidatePhase(
-                telemetry::Phase::Consolidation);
-            S2 = Dom::consolidate(S2, Basis2, 0.0, 0.0).Z;
-          }
+          if (Step > 0 && Step % Config.ConsolidateEvery == 0)
+            S2 = timedConsolidate<Dom>(S2, Basis2, 0.0, 0.0).Z;
           S2 = Dom::step(Solver2, S2, LambdaScale);
         }
         if (Dom::widthInf(S2) > Config.AbortWidth)

@@ -2,6 +2,8 @@
 
 #include "serve/Protocol.h"
 
+#include "support/TraceJson.h"
+
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -81,42 +83,16 @@ void Value::set(const std::string &Key, Value V) {
 
 namespace {
 
-void appendEscaped(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\b':
-      Out += "\\b";
-      break;
-    case '\f':
-      Out += "\\f";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  Out += '"';
+/// Reads numeric member \p Key of \p V (0 when absent) into \p Out; false
+/// when negative, non-finite or not below \p Bound (casting such a double
+/// to an integer is undefined behaviour; no duration is negative).
+template <typename T>
+bool readBelow(const Value &V, const char *Key, double Bound, T &Out) {
+  const double N = V.numberOr(Key, 0.0);
+  if (!(N >= 0.0 && N < Bound)) // NaN fails every comparison.
+    return false;
+  Out = static_cast<T>(N);
+  return true;
 }
 
 void serializeInto(const Value &V, std::string &Out) {
@@ -139,7 +115,7 @@ void serializeInto(const Value &V, std::string &Out) {
     break;
   }
   case Value::Kind::String:
-    appendEscaped(Out, V.asString());
+    tracejson::appendJsonString(Out, V.asString());
     break;
   case Value::Kind::Array: {
     Out += '[';
@@ -158,7 +134,7 @@ void serializeInto(const Value &V, std::string &Out) {
     for (size_t I = 0; I < Members.size(); ++I) {
       if (I)
         Out += ',';
-      appendEscaped(Out, Members[I].first);
+      tracejson::appendJsonString(Out, Members[I].first);
       Out += ':';
       serializeInto(Members[I].second, Out);
     }
@@ -610,23 +586,10 @@ Value serve::encodeResult(const WireResult &Result) {
     // telemetry-off envelopes stay byte-identical to earlier releases.
     const PhaseBreakdown &Ph = Out.Phases;
     Value T = Value::object();
-    T.set("queue_wait_ms", Value::number(Ph.QueueWaitMs));
-    T.set("cache_probe_ms", Value::number(Ph.CacheProbeMs));
-    T.set("model_load_ms", Value::number(Ph.ModelLoadMs));
-    T.set("solver_ms", Value::number(Ph.SolverMs));
-    T.set("consolidation_ms", Value::number(Ph.ConsolidationMs));
-    T.set("split_ms", Value::number(Ph.SplitMs));
-    T.set("pgd_ms", Value::number(Ph.PgdMs));
-    T.set("certificate_ms", Value::number(Ph.CertificateMs));
-    // Per-rung cascade slices, present only for cascade walks (same
-    // envelope-stability rule as the cascade_* fields above).
-    if (Ph.RungBoxMs > 0.0)
-      T.set("rung_box_ms", Value::number(Ph.RungBoxMs));
-    if (Ph.RungZonoMs > 0.0)
-      T.set("rung_zono_ms", Value::number(Ph.RungZonoMs));
-    if (Ph.RungChzonoMs > 0.0)
-      T.set("rung_chzono_ms", Value::number(Ph.RungChzonoMs));
-    T.set("solver_iterations",
+    for (const PhaseRow &Row : PhaseRows)
+      if (Row.carried(Ph))
+        T.set(Row.Key, Value::number(Ph.*Row.Ms));
+    T.set(SolverIterationsKey,
           Value::number(static_cast<double>(Ph.SolverIterations)));
     V.set("timings", std::move(T));
   }
@@ -668,26 +631,19 @@ serve::decodeResult(const Value &V) {
   R.Outcome.Detail = V.stringOr("detail", "");
   R.Cached = V.boolOr("cached", false);
   R.Outcome.CascadeRung = V.stringOr("cascade_rung", "");
-  R.Outcome.CascadeEscalations =
-      static_cast<int>(V.numberOr("cascade_escalations", 0.0));
+  if (!readBelow(V, "cascade_escalations", 0x1p31,
+                 R.Outcome.CascadeEscalations))
+    return std::nullopt;
   if (const Value *T = V.find("timings")) {
     if (!T->isObject())
       return std::nullopt;
     PhaseBreakdown &Ph = R.Outcome.Phases;
     Ph.Populated = true;
-    Ph.QueueWaitMs = T->numberOr("queue_wait_ms", 0.0);
-    Ph.CacheProbeMs = T->numberOr("cache_probe_ms", 0.0);
-    Ph.ModelLoadMs = T->numberOr("model_load_ms", 0.0);
-    Ph.SolverMs = T->numberOr("solver_ms", 0.0);
-    Ph.ConsolidationMs = T->numberOr("consolidation_ms", 0.0);
-    Ph.SplitMs = T->numberOr("split_ms", 0.0);
-    Ph.PgdMs = T->numberOr("pgd_ms", 0.0);
-    Ph.CertificateMs = T->numberOr("certificate_ms", 0.0);
-    Ph.RungBoxMs = T->numberOr("rung_box_ms", 0.0);
-    Ph.RungZonoMs = T->numberOr("rung_zono_ms", 0.0);
-    Ph.RungChzonoMs = T->numberOr("rung_chzono_ms", 0.0);
-    Ph.SolverIterations =
-        static_cast<uint64_t>(T->numberOr("solver_iterations", 0.0));
+    for (const PhaseRow &Row : PhaseRows)
+      if (!readBelow(*T, Row.Key, HUGE_VAL, Ph.*Row.Ms))
+        return std::nullopt;
+    if (!readBelow(*T, SolverIterationsKey, 0x1p64, Ph.SolverIterations))
+      return std::nullopt;
   }
   return R;
 }

@@ -34,9 +34,10 @@
 ///       "refuted", "margin_lower", "time_s", "certificate_written",
 ///       "attack_seed" (decimal string: uint64 exceeds double),
 ///       "detail", "cached",
-///       "timings" (optional: the PhaseBreakdown as an object of
-///        *_ms numbers plus "solver_iterations"; absent when the server
-///        runs with CRAFT_TELEMETRY=0)}
+///       "timings" (optional: the PhaseBreakdown, one number per
+///        PhaseRows row of tool/Driver.h in that order — rung_*_ms only
+///        when non-zero — then "solver_iterations"; absent when the
+///        server runs with CRAFT_TELEMETRY=0)}
 ///
 /// Encoding and decoding live here so the server, the client library, and
 /// the tests round-trip through exactly one implementation.
@@ -152,6 +153,8 @@ struct WireResult {
 
 /// RunOutcome <-> JSON result object. Lossless for every field:
 /// doubles travel as %.17g, the uint64 attack seed as a decimal string.
+/// decodeResult rejects (nullopt) a negative, non-finite or out-of-range
+/// timing, solver_iterations or cascade_escalations.
 json::Value encodeResult(const WireResult &Result);
 std::optional<WireResult> decodeResult(const json::Value &V);
 

@@ -259,6 +259,15 @@ void Scheduler::finishJob(std::unique_ptr<Job> JobPtr,
 }
 
 void Scheduler::dispatchLoop() {
+  // Folds the scheduler-side slices of \p J, dispatched (or failed fast)
+  // at \p NowNs, into an outcome's breakdown.
+  auto FoldServeSlices = [](PhaseBreakdown &Ph, const Job &J,
+                            uint64_t NowNs) {
+    Ph.Populated = true;
+    Ph.QueueWaitMs = static_cast<double>(NowNs - J.AdmitNs) / 1e6;
+    Ph.CacheProbeMs = J.CacheProbeMs;
+    Ph.ModelLoadMs = J.ModelLoadMs;
+  };
   // A job deferred out of the previous batch (duplicate certificate
   // path); it leads the next batch.
   std::unique_ptr<Job> Carry;
@@ -319,16 +328,9 @@ void Scheduler::dispatchLoop() {
         Out.ModelLoaded = true;
         Out.DeadlineExceeded = true;
         Out.Detail = "deadline exceeded before dispatch";
-        if (telemetry::timingEnabled()) {
-          // The engine never ran: the whole story is the queue wait.
-          Out.Phases.Populated = true;
-          Out.Phases.QueueWaitMs = static_cast<double>(
-                                       telemetry::monotonicNanos() -
-                                       J->AdmitNs) /
-                                   1e6;
-          Out.Phases.CacheProbeMs = J->CacheProbeMs;
-          Out.Phases.ModelLoadMs = J->ModelLoadMs;
-        }
+        // The engine never ran: the whole story is the queue wait.
+        if (telemetry::timingEnabled())
+          FoldServeSlices(Out.Phases, *J, telemetry::monotonicNanos());
         finishJob(std::move(J), Out);
       }
       Batch.swap(Keep);
@@ -382,17 +384,10 @@ void Scheduler::dispatchLoop() {
         StatDeadlineExpired.increment();
 
     for (size_t I = 0; I < Batch.size(); ++I) {
-      if (Timing) {
-        // Fold the scheduler-side slices into the engine's breakdown.
-        // Cache hits never reach this path — a stored outcome is
-        // returned verbatim, payload byte-identical to the first answer.
-        PhaseBreakdown &Ph = Outcomes[I].Phases;
-        Ph.Populated = true;
-        Ph.QueueWaitMs =
-            static_cast<double>(DispatchNs - Batch[I]->AdmitNs) / 1e6;
-        Ph.CacheProbeMs = Batch[I]->CacheProbeMs;
-        Ph.ModelLoadMs = Batch[I]->ModelLoadMs;
-      }
+      // Cache hits never reach this path — a stored outcome is returned
+      // verbatim, payload byte-identical to the first answer.
+      if (Timing)
+        FoldServeSlices(Outcomes[I].Phases, *Batch[I], DispatchNs);
       finishJob(std::move(Batch[I]), Outcomes[I]);
     }
   }

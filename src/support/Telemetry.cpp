@@ -181,6 +181,21 @@ TraceRing &ring() {
   return *Tls.Ring;
 }
 
+/// Closes the innermost open span of this thread (opened by ++SpanDepth)
+/// and pushes its record into the ring.
+void recordSpan(const char *Name, uint64_t StartNs, uint64_t EndNs) {
+  uint32_t Depth = --Tls.SpanDepth;
+  TraceRing &Rg = ring();
+  std::lock_guard<std::mutex> Lock(Rg.Mu);
+  SpanRecord Rec{Name, StartNs, EndNs - StartNs, Rg.Tid, Depth};
+  if (Rg.Slots.size() < RingCapacity) {
+    Rg.Slots.push_back(Rec);
+  } else {
+    Rg.Slots[Rg.Next] = Rec;
+    Rg.Next = (Rg.Next + 1) % RingCapacity;
+  }
+}
+
 /// -1 = not yet read from the environment.
 std::atomic<int> TimingState{-1};
 std::atomic<int> TraceState{-1};
@@ -440,19 +455,8 @@ TraceSpan::TraceSpan(const char *N) : Name(N) {
 }
 
 TraceSpan::~TraceSpan() {
-  if (!Armed)
-    return;
-  uint64_t EndNs = monotonicNanos();
-  uint32_t Depth = --Tls.SpanDepth;
-  TraceRing &Rg = ring();
-  std::lock_guard<std::mutex> Lock(Rg.Mu);
-  SpanRecord Rec{Name, StartNs, EndNs - StartNs, Rg.Tid, Depth};
-  if (Rg.Slots.size() < RingCapacity) {
-    Rg.Slots.push_back(Rec);
-  } else {
-    Rg.Slots[Rg.Next] = Rec;
-    Rg.Next = (Rg.Next + 1) % RingCapacity;
-  }
+  if (Armed)
+    recordSpan(Name, StartNs, monotonicNanos());
 }
 
 void setCurrentThreadLabel(const std::string &Label) {
@@ -515,13 +519,20 @@ PhaseTimer::PhaseTimer(Phase Ph) : P(Ph) {
   if (!timingEnabled())
     return;
   Armed = true;
+  if (PhaseSpans[static_cast<size_t>(P)] && traceEnabled()) {
+    Traced = true;
+    ++Tls.SpanDepth;
+  }
   StartNs = monotonicNanos();
 }
 
 PhaseTimer::~PhaseTimer() {
   if (!Armed)
     return;
-  Tls.Phases.Ns[static_cast<size_t>(P)] += monotonicNanos() - StartNs;
+  const uint64_t EndNs = monotonicNanos();
+  Tls.Phases.Ns[static_cast<size_t>(P)] += EndNs - StartNs;
+  if (Traced)
+    recordSpan(PhaseSpans[static_cast<size_t>(P)], StartNs, EndNs);
 }
 
 PhaseTotals phaseTotals() { return Tls.Phases; }

@@ -245,7 +245,7 @@ void clearTrace();
 
 /// Phases a query's wall time is attributed to, accumulated per thread.
 /// The driver snapshots phaseTotals() around a query and diffs — see
-/// tool/Driver.cpp.
+/// tool/Driver.cpp. A new phase is one entry here plus one PhaseRows row.
 enum class Phase : unsigned {
   Solver = 0,    ///< Engine run (inclusive of consolidation below).
   Consolidation, ///< consolidateProper inside the engine run.
@@ -255,10 +255,19 @@ enum class Phase : unsigned {
   Count
 };
 
+/// The trace span each phase's PhaseTimer records, indexed by Phase;
+/// null where an engine span already covers the phase (craft.verify for
+/// Solver, split.wave for Split).
+inline constexpr const char *PhaseSpans[] = {
+    nullptr, "craft.consolidate", nullptr, "pgd.attack", "cert.write"};
+static_assert(std::size(PhaseSpans) == static_cast<size_t>(Phase::Count),
+              "one span entry per phase");
+
 /// RAII accumulator: adds the scope's duration to this thread's total for
-/// \p P. Inert (no clock reads) when !timingEnabled(). Nesting different
-/// phases double-attributes the inner time to both, deliberately: Solver
-/// is inclusive, Consolidation is the named slice of it.
+/// \p P and, when tracing is armed, records P's span over the same two
+/// clock reads. Inert (no clock reads) when !timingEnabled(). Nesting
+/// different phases double-attributes the inner time to both, on purpose:
+/// Solver is inclusive, Consolidation is the named slice of it.
 class PhaseTimer {
 public:
   explicit PhaseTimer(Phase P);
@@ -270,6 +279,7 @@ private:
   Phase P;
   uint64_t StartNs = 0;
   bool Armed = false;
+  bool Traced = false;
 };
 
 /// This thread's accumulated nanoseconds per phase since thread start.

@@ -24,16 +24,14 @@
 namespace craft {
 namespace tracejson {
 
-namespace {
-
-void appendEscaped(std::string &Out, const std::string &S) {
-  for (char C : S) {
+void appendJsonString(std::string &Out, std::string_view S) {
+  Out += '"';
+  for (unsigned char C : S) {
     switch (C) {
     case '"':
-      Out += "\\\"";
-      break;
     case '\\':
-      Out += "\\\\";
+      Out += '\\';
+      Out += static_cast<char>(C);
       break;
     case '\n':
       Out += "\\n";
@@ -44,18 +42,26 @@ void appendEscaped(std::string &Out, const std::string &S) {
     case '\t':
       Out += "\\t";
       break;
+    case '\b':
+      Out += "\\b";
+      break;
+    case '\f':
+      Out += "\\f";
+      break;
     default:
-      if (static_cast<unsigned char>(C) < 0x20) {
+      if (C < 0x20) {
         char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
         Out += Buf;
       } else {
-        Out += C;
+        Out += static_cast<char>(C);
       }
     }
   }
+  Out += '"';
 }
+
+namespace {
 
 /// Microsecond timestamp with ns precision, e.g. 12.345.
 std::string microseconds(uint64_t Ns) {
@@ -71,9 +77,9 @@ void appendEvent(std::string &Out, bool &First, char Phase, const char *Name,
   if (!First)
     Out += ",\n";
   First = false;
-  Out += "  {\"name\": \"";
-  appendEscaped(Out, Name);
-  Out += "\", \"ph\": \"";
+  Out += "  {\"name\": ";
+  appendJsonString(Out, Name);
+  Out += ", \"ph\": \"";
   Out += Phase;
   Out += "\", \"pid\": 1, \"tid\": ";
   Out += std::to_string(Tid);
@@ -97,9 +103,9 @@ std::string toChromeTraceJson() {
     Out += "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
            "\"tid\": ";
     Out += std::to_string(Tid);
-    Out += ", \"args\": {\"name\": \"";
-    appendEscaped(Out, Label);
-    Out += "\"}}";
+    Out += ", \"args\": {\"name\": ";
+    appendJsonString(Out, Label);
+    Out += "}}";
   }
 
   // Records are sorted by (tid, start, depth); one open-span stack per

@@ -18,9 +18,15 @@
 #define CRAFT_SUPPORT_TRACEJSON_H
 
 #include <string>
+#include <string_view>
 
 namespace craft {
 namespace tracejson {
+
+/// Appends \p S to \p Out as a quoted JSON string (short escapes for
+/// " \ \n \r \t \b \f, \u00XX for other control characters). The
+/// serve protocol's writer uses it too.
+void appendJsonString(std::string &Out, std::string_view S);
 
 /// Serializes every recorded span as one Chrome trace_event JSON
 /// document. Deterministic for a fixed set of records; an empty ring

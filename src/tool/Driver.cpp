@@ -70,18 +70,18 @@ const telemetry::Counter &rungCertifiedCounter(VerifierDomain D) {
   return CascadeCertifiedChzono;
 }
 
-void addRungMs(PhaseBreakdown &Phases, VerifierDomain D, double Ms) {
-  switch (D) {
-  case VerifierDomain::Box:
-    Phases.RungBoxMs += Ms;
-    break;
-  case VerifierDomain::Zono:
-    Phases.RungZonoMs += Ms;
-    break;
-  case VerifierDomain::CHZono:
-    Phases.RungChzonoMs += Ms;
-    break;
-  }
+/// Milliseconds this thread spent in \p P since \p Before was taken.
+double msSince(const telemetry::PhaseTotals &Before, telemetry::Phase P) {
+  return static_cast<double>(telemetry::phaseTotals().of(P) - Before.of(P)) /
+         1e6;
+}
+
+/// Adds the Solver time since \p Before to the cascade rung slice of \p D.
+void addRungMs(PhaseBreakdown &Phases, VerifierDomain D,
+               const telemetry::PhaseTotals &Before) {
+  for (const PhaseRow &Row : PhaseRows)
+    if (Row.Rung == D)
+      Phases.*Row.Ms += msSince(Before, telemetry::Phase::Solver);
 }
 
 /// Runs \p Spec against an already-loaded model. The model is shared and
@@ -132,9 +132,7 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
   // thread. Observational only — with timing disabled the breakdown
   // stays zero and nothing else changes.
   const bool Timing = telemetry::timingEnabled();
-  telemetry::PhaseTotals PhasesBefore;
-  if (Timing)
-    PhasesBefore = telemetry::phaseTotals();
+  const telemetry::PhaseTotals PhasesBefore = telemetry::phaseTotals();
   uint64_t SolverIterations = 0;
   TRACE_SPAN("driver.query");
 
@@ -166,10 +164,7 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
           break; // Budget gone: a costlier rung would be cut short too.
         CraftConfig RungCfg = Cfg;
         RungCfg.Domain = Rungs[R];
-        const uint64_t RungBefore =
-            Timing && Cascading
-                ? telemetry::phaseTotals().of(telemetry::Phase::Solver)
-                : 0;
+        const telemetry::PhaseTotals RungBefore = telemetry::phaseTotals();
         CraftVerifier Ver(Model, RungCfg);
         CraftResult Res = [&] {
           telemetry::PhaseTimer SolverPhase(telemetry::Phase::Solver);
@@ -177,12 +172,7 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
         }();
         SolverIterations += static_cast<uint64_t>(Res.TotalIterations);
         if (Timing && Cascading)
-          addRungMs(Out.Phases, Rungs[R],
-                    static_cast<double>(
-                        telemetry::phaseTotals().of(
-                            telemetry::Phase::Solver) -
-                        RungBefore) /
-                        1e6);
+          addRungMs(Out.Phases, Rungs[R], RungBefore);
         Out.Containment = Out.Containment || Res.Containment;
         LastContainment = Res.Containment;
         WalkMargin = std::max(WalkMargin, Res.BestMargin);
@@ -326,7 +316,6 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
       !Out.Refuted && !Spec.Center.empty() && Spec.Epsilon > 0.0 &&
       !Control.stopRequested()) {
     telemetry::PhaseTimer PgdPhase(telemetry::Phase::Pgd);
-    TRACE_SPAN("pgd.attack");
     PgdOptions Attack;
     Attack.Epsilon = Spec.Epsilon;
     Attack.InputLo = Spec.ClampLo;
@@ -364,7 +353,6 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
 
   if (Out.Certified && !Spec.CertificatePath.empty()) {
     telemetry::PhaseTimer CertPhase(telemetry::Phase::Certificate);
-    TRACE_SPAN("cert.write");
     if (Spec.Verifier != SpecVerifier::Craft) {
       Out.Detail += "; certificates require the craft engine";
     } else if (Spec.SplitDepth > 0) {
@@ -396,17 +384,10 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
   }
 
   if (Timing) {
-    telemetry::PhaseTotals PhasesAfter = telemetry::phaseTotals();
-    auto DeltaMs = [&](telemetry::Phase P) {
-      return static_cast<double>(PhasesAfter.of(P) - PhasesBefore.of(P)) /
-             1e6;
-    };
     Out.Phases.Populated = true;
-    Out.Phases.SolverMs = DeltaMs(telemetry::Phase::Solver);
-    Out.Phases.ConsolidationMs = DeltaMs(telemetry::Phase::Consolidation);
-    Out.Phases.SplitMs = DeltaMs(telemetry::Phase::Split);
-    Out.Phases.PgdMs = DeltaMs(telemetry::Phase::Pgd);
-    Out.Phases.CertificateMs = DeltaMs(telemetry::Phase::Certificate);
+    for (const PhaseRow &Row : PhaseRows)
+      if (Row.Phase)
+        Out.Phases.*Row.Ms = msSince(PhasesBefore, *Row.Phase);
     Out.Phases.SolverIterations = SolverIterations;
   }
   return Out;

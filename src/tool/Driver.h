@@ -17,9 +17,11 @@
 
 #include "core/DomainSplitting.h"
 #include "support/Deadline.h"
+#include "support/Telemetry.h"
 #include "tool/SpecParser.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,8 +33,8 @@ namespace craft {
 /// never read back by any computation, so verdict fields are
 /// byte-identical either way (pinned by tests/test_telemetry.cpp). The
 /// serve layer adds its queue/cache/model-load slices before a result
-/// crosses the wire as the optional "timings" object; `craft verify
-/// --timings` prints the engine-side slices.
+/// crosses the wire as the optional "timings" object. PhaseRows below is
+/// the one list of its slices.
 struct PhaseBreakdown {
   /// False = timing was disabled (or the outcome predates execution,
   /// e.g. a load failure); every field below is then zero.
@@ -66,6 +68,45 @@ struct PhaseBreakdown {
   /// iteration histograms count regardless.
   uint64_t SolverIterations = 0;
 };
+
+/// One millisecond slice of a PhaseBreakdown: the driver folds it from a
+/// telemetry Phase delta or a cascade Rung's Solver time; rows with
+/// neither are set by the serve scheduler.
+struct PhaseRow {
+  const char *Key; ///< In the wire "timings" object and on `--timings`.
+  double PhaseBreakdown::*Ms;
+  std::optional<telemetry::Phase> Phase;
+  std::optional<VerifierDomain> Rung;
+
+  /// Rung slices are sent only when non-zero, so single-rung envelopes
+  /// keep their historic bytes.
+  bool carried(const PhaseBreakdown &Ph) const {
+    return !Rung || Ph.*Ms > 0.0;
+  }
+};
+
+/// Every slice of a PhaseBreakdown, in wire order. The driver fold, the
+/// wire encoder and decoder, and `craft verify --timings` all loop over
+/// this list, so a new phase is one telemetry::Phase entry plus one row.
+inline constexpr PhaseRow PhaseRows[] = {
+    {"queue_wait_ms", &PhaseBreakdown::QueueWaitMs, {}, {}},
+    {"cache_probe_ms", &PhaseBreakdown::CacheProbeMs, {}, {}},
+    {"model_load_ms", &PhaseBreakdown::ModelLoadMs, {}, {}},
+    {"solver_ms", &PhaseBreakdown::SolverMs, telemetry::Phase::Solver, {}},
+    {"consolidation_ms", &PhaseBreakdown::ConsolidationMs,
+     telemetry::Phase::Consolidation, {}},
+    {"split_ms", &PhaseBreakdown::SplitMs, telemetry::Phase::Split, {}},
+    {"pgd_ms", &PhaseBreakdown::PgdMs, telemetry::Phase::Pgd, {}},
+    {"certificate_ms", &PhaseBreakdown::CertificateMs,
+     telemetry::Phase::Certificate, {}},
+    {"rung_box_ms", &PhaseBreakdown::RungBoxMs, {}, VerifierDomain::Box},
+    {"rung_zono_ms", &PhaseBreakdown::RungZonoMs, {}, VerifierDomain::Zono},
+    {"rung_chzono_ms", &PhaseBreakdown::RungChzonoMs, {},
+     VerifierDomain::CHZono},
+};
+
+/// Key of PhaseBreakdown::SolverIterations, carried after the rows.
+inline constexpr const char *SolverIterationsKey = "solver_iterations";
 
 /// Result of executing one spec.
 struct RunOutcome {

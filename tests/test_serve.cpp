@@ -239,10 +239,29 @@ TEST(ProtocolTest, TimingsStayOptionalAndRoundTrip) {
   ASSERT_TRUE(PlainBack.has_value());
   EXPECT_FALSE(PlainBack->Outcome.Phases.Populated);
 
-  // Populated breakdown round-trips every slice.
+  // Populated breakdown round-trips every row of the table, the rung
+  // slices included.
   WireResult W;
   W.Outcome.ModelLoaded = true;
   PhaseBreakdown &Ph = W.Outcome.Phases;
+  Ph.Populated = true;
+  double Ms = 0.125;
+  for (const PhaseRow &Row : PhaseRows) {
+    Ph.*Row.Ms = Ms;
+    Ms *= 2.0;
+  }
+  Ph.SolverIterations = 123;
+  std::optional<WireResult> Back = decodeResult(encodeResult(W));
+  ASSERT_TRUE(Back.has_value());
+  const PhaseBreakdown &B = Back->Outcome.Phases;
+  EXPECT_TRUE(B.Populated);
+  for (const PhaseRow &Row : PhaseRows)
+    EXPECT_EQ(B.*Row.Ms, Ph.*Row.Ms) << Row.Key;
+  EXPECT_EQ(B.SolverIterations, 123u);
+
+  // Wire pin: key order, number format and the omit-when-zero rule of the
+  // rung slices stay byte-identical to what earlier releases sent.
+  Ph = PhaseBreakdown();
   Ph.Populated = true;
   Ph.QueueWaitMs = 1.5;
   Ph.CacheProbeMs = 0.25;
@@ -252,25 +271,66 @@ TEST(ProtocolTest, TimingsStayOptionalAndRoundTrip) {
   Ph.SplitMs = 3.0;
   Ph.PgdMs = 2.0;
   Ph.CertificateMs = 0.5;
+  Ph.RungBoxMs = 0.125;
+  Ph.RungZonoMs = 4.0;
+  Ph.RungChzonoMs = 35.875;
   Ph.SolverIterations = 123;
-  std::optional<WireResult> Back = decodeResult(encodeResult(W));
-  ASSERT_TRUE(Back.has_value());
-  const PhaseBreakdown &B = Back->Outcome.Phases;
-  EXPECT_TRUE(B.Populated);
-  EXPECT_EQ(B.QueueWaitMs, 1.5);
-  EXPECT_EQ(B.CacheProbeMs, 0.25);
-  EXPECT_EQ(B.ModelLoadMs, 12.0);
-  EXPECT_EQ(B.SolverMs, 40.0);
-  EXPECT_EQ(B.ConsolidationMs, 8.0);
-  EXPECT_EQ(B.SplitMs, 3.0);
-  EXPECT_EQ(B.PgdMs, 2.0);
-  EXPECT_EQ(B.CertificateMs, 0.5);
-  EXPECT_EQ(B.SolverIterations, 123u);
+  EXPECT_EQ(encodeResult(W).find("timings")->serialize(),
+            "{\"queue_wait_ms\":1.5,\"cache_probe_ms\":0.25,"
+            "\"model_load_ms\":12,\"solver_ms\":40,\"consolidation_ms\":8,"
+            "\"split_ms\":3,\"pgd_ms\":2,\"certificate_ms\":0.5,"
+            "\"rung_box_ms\":0.125,\"rung_zono_ms\":4,"
+            "\"rung_chzono_ms\":35.875,\"solver_iterations\":123}");
+  Ph.RungBoxMs = 0.0;
+  Ph.RungChzonoMs = 0.0;
+  EXPECT_EQ(encodeResult(W).find("timings")->serialize(),
+            "{\"queue_wait_ms\":1.5,\"cache_probe_ms\":0.25,"
+            "\"model_load_ms\":12,\"solver_ms\":40,\"consolidation_ms\":8,"
+            "\"split_ms\":3,\"pgd_ms\":2,\"certificate_ms\":0.5,"
+            "\"rung_zono_ms\":4,\"solver_iterations\":123}");
 
   // A non-object "timings" member is a malformed result.
   Value Bad = encodeResult(Plain);
   Bad.set("timings", Value::number(7.0));
   EXPECT_FALSE(decodeResult(Bad).has_value());
+}
+
+TEST(ProtocolTest, OutOfRangeTimingsAndCountsAreMalformed) {
+  WireResult W;
+  W.Outcome.ModelLoaded = true;
+  W.Outcome.Phases.Populated = true;
+  const Value Good = encodeResult(W);
+  ASSERT_TRUE(decodeResult(Good).has_value());
+
+  // Each value would be undefined behaviour to cast to its integer field
+  // (or is a negative or infinite duration): the result is rejected.
+  for (const char *Bad : {"-1", "1e300", "1e999"}) {
+    std::string Error;
+    std::optional<Value> N = json::parse(Bad, Error);
+    ASSERT_TRUE(N.has_value()) << Error;
+
+    Value Escalations = Good;
+    Escalations.set("cascade_escalations", *N);
+    EXPECT_FALSE(decodeResult(Escalations).has_value()) << Bad;
+
+    Value Iterations = Good;
+    Value T = *Good.find("timings");
+    T.set(SolverIterationsKey, *N);
+    Iterations.set("timings", T);
+    EXPECT_FALSE(decodeResult(Iterations).has_value()) << Bad;
+  }
+  for (const char *Bad : {"-1", "1e999"}) {
+    std::string Error;
+    std::optional<Value> N = json::parse(Bad, Error);
+    ASSERT_TRUE(N.has_value()) << Error;
+    for (const PhaseRow &Row : PhaseRows) {
+      Value Timings = Good;
+      Value T = *Good.find("timings");
+      T.set(Row.Key, *N);
+      Timings.set("timings", T);
+      EXPECT_FALSE(decodeResult(Timings).has_value()) << Row.Key << Bad;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

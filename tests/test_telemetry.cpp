@@ -4,9 +4,9 @@
 // math and percentile edge cases (zero samples, single bucket, overflow,
 // monotonicity), counter/gauge handle semantics, the sorted registry
 // snapshot, Chrome-trace export well-formedness (strict JSON, balanced
-// and properly nested B/E pairs per thread), per-query phase breakdowns,
-// and the determinism contract: verification outcomes are byte-identical
-// with timing enabled or disabled.
+// and properly nested B/E pairs per thread), per-query phase breakdowns
+// and their spans, and the determinism contract: verification outcomes
+// are byte-identical with timing enabled or disabled.
 //
 //===----------------------------------------------------------------------===//
 
@@ -224,8 +224,11 @@ TEST(TraceJsonTest, ExportsBalancedProperlyNestedEvents) {
       TRACE_SPAN("test.inner2");
     }
   }
-  std::thread T([] {
-    setCurrentThreadLabel("test worker");
+  // Control characters in a label survive the export: the one JSON
+  // string writer escapes them and json::parse reads them back unchanged.
+  const std::string WorkerLabel = "test\b\f\x01 worker";
+  std::thread T([&] {
+    setCurrentThreadLabel(WorkerLabel);
     TRACE_SPAN("test.thread");
   });
   T.join();
@@ -247,7 +250,7 @@ TEST(TraceJsonTest, ExportsBalancedProperlyNestedEvents) {
     ASSERT_GE(Tid, 0);
     if (Ph == "M") {
       if (E.stringOr("name", "") == "thread_name" && E.find("args") &&
-          E.find("args")->stringOr("name", "") == "test worker")
+          E.find("args")->stringOr("name", "") == WorkerLabel)
         SawWorkerLabel = true;
       continue;
     }
@@ -367,4 +370,43 @@ TEST(PhaseBreakdownTest, OutcomesByteIdenticalWithTimingOnOrOff) {
                           On.Counterexample.size() * sizeof(double)),
               0);
   }
+}
+
+TEST(PhaseBreakdownTest, ConsolidateSpansMatchTheConsolidationPhaseExactly) {
+  // The fixture query reaches phase 2 and runs past its first phase-2
+  // consolidation (step 3), so both phases' consolidations are traced.
+  setTimingEnabledForTest(true);
+  setTraceEnabled(true);
+  clearTrace();
+  const PhaseTotals Before = phaseTotals();
+  RunOutcome Out = runSpec(fixture().Spec);
+  const PhaseTotals After = phaseTotals();
+  const std::vector<SpanRecord> Spans = traceSpans();
+  setTraceEnabled(false);
+  clearTrace();
+  ASSERT_TRUE(Out.ModelLoaded) << Out.Detail;
+  ASSERT_FALSE(Out.Error) << Out.Detail;
+
+  auto Named = [](const SpanRecord &S, const char *Name) {
+    return std::strcmp(S.Name, Name) == 0;
+  };
+  uint64_t SpanNs = 0;
+  size_t UnderPhase2 = 0;
+  for (const SpanRecord &S : Spans) {
+    if (!Named(S, "craft.consolidate"))
+      continue;
+    SpanNs += S.DurNs;
+    for (const SpanRecord &P : Spans)
+      if (Named(P, "craft.phase2") && P.Tid == S.Tid && P.Depth < S.Depth &&
+          P.StartNs <= S.StartNs &&
+          S.StartNs + S.DurNs <= P.StartNs + P.DurNs) {
+        ++UnderPhase2;
+        break;
+      }
+  }
+  // One PhaseTimer feeds both the span and the phase total, so the two
+  // agree to the nanosecond.
+  EXPECT_EQ(SpanNs, After.of(Phase::Consolidation) -
+                        Before.of(Phase::Consolidation));
+  EXPECT_GT(UnderPhase2, 0u) << "no phase-2 consolidation was traced";
 }

@@ -117,9 +117,24 @@ void foldExit(int &Exit, const RunOutcome &Out) {
     Exit = Code;
 }
 
-/// Prints the witness point of a refutation (split refinement and the PGD
-/// refutation pass both carry one).
-void printCounterexample(const RunOutcome &Out) {
+const char *verdictName(const RunOutcome &Out) {
+  return Out.Certified          ? "CERTIFIED"
+         : Out.Refuted          ? "REFUTED"
+         : Out.DeadlineExceeded ? "DEADLINE EXCEEDED"
+                                : "not certified";
+}
+
+/// The closing lines `craft verify` and `craft client` share: cascade
+/// attribution, detail, and the witness point of a refutation (split
+/// refinement and the PGD pass both carry one).
+void printCascadeDetailWitness(const RunOutcome &Out) {
+  if (!Out.CascadeRung.empty() || Out.CascadeEscalations > 0)
+    std::printf("cascade      rung %s, %d escalation%s\n",
+                Out.CascadeRung.empty() ? "(none)" : Out.CascadeRung.c_str(),
+                Out.CascadeEscalations,
+                Out.CascadeEscalations == 1 ? "" : "s");
+  if (!Out.Detail.empty())
+    std::printf("detail       %s\n", Out.Detail.c_str());
   if (!Out.Refuted || Out.Counterexample.empty())
     return;
   std::printf("counterexample");
@@ -134,23 +149,13 @@ void printOutcome(const VerificationSpec &Spec, const RunOutcome &Out) {
               : Spec.Verifier == SpecVerifier::Box      ? "box"
               : Spec.Verifier == SpecVerifier::Crown    ? "crown"
                                                         : "lipschitz");
-  std::printf("verdict      %s\n", Out.Certified          ? "CERTIFIED"
-                                   : Out.Refuted          ? "REFUTED"
-                                   : Out.DeadlineExceeded ? "DEADLINE EXCEEDED"
-                                                          : "not certified");
+  std::printf("verdict      %s\n", verdictName(Out));
   if (Spec.Verifier == SpecVerifier::Craft ||
       Spec.Verifier == SpecVerifier::Box)
     std::printf("containment  %s\n", Out.Containment ? "yes" : "no");
   std::printf("margin       %.6f\n", Out.MarginLower);
   std::printf("time         %.3f ms\n", Out.TimeSeconds * 1e3);
-  if (!Out.CascadeRung.empty() || Out.CascadeEscalations > 0)
-    std::printf("cascade      rung %s, %d escalation%s\n",
-                Out.CascadeRung.empty() ? "(none)" : Out.CascadeRung.c_str(),
-                Out.CascadeEscalations,
-                Out.CascadeEscalations == 1 ? "" : "s");
-  if (!Out.Detail.empty())
-    std::printf("detail       %s\n", Out.Detail.c_str());
-  printCounterexample(Out);
+  printCascadeDetailWitness(Out);
   if (!Spec.CertificatePath.empty() && Out.Certified)
     std::printf("certificate  %s\n",
                 Out.CertificateWritten ? Spec.CertificatePath.c_str()
@@ -158,23 +163,20 @@ void printOutcome(const VerificationSpec &Spec, const RunOutcome &Out) {
                                        : "(construction failed)");
 }
 
-/// `craft verify --timings`: the engine-side PhaseBreakdown of one query
-/// (the serve-only queue/cache/model slices are always zero here). The
-/// solver slice is inclusive of consolidation.
+/// `craft verify --timings`: one line of `key=value` pairs, exactly the
+/// rows and keys of the wire "timings" object (the serve-only
+/// queue/cache/model slices are always zero here).
 void printTimings(const RunOutcome &Out) {
   if (!Out.Phases.Populated) {
     std::printf("timings      (unavailable: CRAFT_TELEMETRY=0)\n");
     return;
   }
   const PhaseBreakdown &Ph = Out.Phases;
-  std::printf("timings      solver %.3f ms (consolidation %.3f ms), "
-              "split %.3f ms, pgd %.3f ms, certificate %.3f ms\n",
-              Ph.SolverMs, Ph.ConsolidationMs, Ph.SplitMs, Ph.PgdMs,
-              Ph.CertificateMs);
-  if (Ph.RungBoxMs > 0.0 || Ph.RungZonoMs > 0.0 || Ph.RungChzonoMs > 0.0)
-    std::printf("rungs        box %.3f ms, zono %.3f ms, chzono %.3f ms\n",
-                Ph.RungBoxMs, Ph.RungZonoMs, Ph.RungChzonoMs);
-  std::printf("iterations   %llu\n",
+  std::printf("timings     ");
+  for (const PhaseRow &Row : PhaseRows)
+    if (Row.carried(Ph))
+      std::printf(" %s=%.3f", Row.Key, Ph.*Row.Ms);
+  std::printf(" %s=%llu\n", SolverIterationsKey,
               static_cast<unsigned long long>(Ph.SolverIterations));
 }
 
@@ -571,23 +573,11 @@ int runClient(int Argc, char **Argv) {
         std::printf("error        %s\n", Out.Detail.c_str());
         continue;
       }
-      std::printf("verdict      %s\n",
-                  Out.Certified          ? "CERTIFIED"
-                  : Out.Refuted          ? "REFUTED"
-                  : Out.DeadlineExceeded ? "DEADLINE EXCEEDED"
-                                         : "not certified");
+      std::printf("verdict      %s\n", verdictName(Out));
       std::printf("margin       %.6f\n", Out.MarginLower);
       std::printf("time         %.3f ms\n", Out.TimeSeconds * 1e3);
       std::printf("cached       %s\n", R.Cached ? "yes" : "no");
-      if (!Out.CascadeRung.empty() || Out.CascadeEscalations > 0)
-        std::printf("cascade      rung %s, %d escalation%s\n",
-                    Out.CascadeRung.empty() ? "(none)"
-                                            : Out.CascadeRung.c_str(),
-                    Out.CascadeEscalations,
-                    Out.CascadeEscalations == 1 ? "" : "s");
-      if (!Out.Detail.empty())
-        std::printf("detail       %s\n", Out.Detail.c_str());
-      printCounterexample(Out);
+      printCascadeDetailWitness(Out);
     }
     std::printf("server time  %.3f ms\n", Reply->ServerMs);
   }
