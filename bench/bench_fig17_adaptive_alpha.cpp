@@ -3,7 +3,9 @@
 // Reproduces Fig. 17 (App. E.1): the distribution of line-searched phase-2
 // step sizes alpha_2 for FB tightening, depending on the phase-1 PR step
 // size alpha_1. Only samples that are not already certified at containment
-// reach the line search.
+// reach the line search. The search stops at its first certifying probe,
+// so for certified samples alpha_2 is the first candidate that certifies;
+// for the others it is the candidate with the best probe margin.
 //
 // Expected shape: the selected alpha_2 varies per sample and shifts with
 // alpha_1 -- the value of choosing alpha_2 adaptively (Thm 5.1 allows any

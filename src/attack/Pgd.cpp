@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 using namespace craft;
 
@@ -49,36 +50,26 @@ int argmaxExcluding(const Vector &Y, int Skip) {
 
 } // namespace
 
-PgdResult craft::pgdAttack(const MonDeq &Model, const FixpointSolver &Solver,
-                           const Vector &X, int Label,
-                           const PgdOptions &Opts) {
-  PgdResult Result;
-  Rng R(Opts.Seed);
-  const size_t Q = X.size();
-  const int NumClasses = static_cast<int>(Model.outputDim());
-  const double Step = Opts.StepFraction * Opts.Epsilon;
-
-  auto checkAdversarial = [&](const Vector &Cand) {
-    int Pred = Solver.predict(Cand);
-    if (Pred != Label) {
-      Result.FoundAdversarial = true;
-      Result.Adversarial = Cand;
-      Result.AdversarialClass = Pred;
-      return true;
-    }
-    return false;
-  };
-
-  std::vector<int> Targets;
+PgdAttack::PgdAttack(const MonDeq &Model, const FixpointSolver &Solver,
+                     Vector X, int Label, const PgdOptions &Opts)
+    : Model(Model), Solver(Solver), X(std::move(X)), Label(Label),
+      Opts(Opts), R(Opts.Seed) {
   if (Opts.TargetAllClasses) {
-    for (int T = 0; T < NumClasses; ++T)
+    for (int T = 0, N = static_cast<int>(Model.outputDim()); T < N; ++T)
       if (T != Label)
         Targets.push_back(T);
   } else {
     Targets.push_back(-1); // Untargeted margin attack.
   }
+}
 
-  for (int Restart = 0; Restart < Opts.Restarts; ++Restart) {
+const PgdResult &PgdAttack::run(int Count) {
+  const size_t Q = X.size();
+  const double Step = Opts.StepFraction * Opts.Epsilon;
+
+  for (; !Result.FoundAdversarial && Count > 0 &&
+         NextRestart < Opts.Restarts;
+       ++NextRestart, --Count) {
     for (int Target : Targets) {
       // Random start inside the ball.
       Vector Adv = X;
@@ -125,9 +116,20 @@ PgdResult craft::pgdAttack(const MonDeq &Model, const FixpointSolver &Solver,
           Adv[I] += Step * (G[I] > 0.0 ? 1.0 : -1.0);
         project(Adv, X, Opts);
       }
-      if (checkAdversarial(Adv))
-        return Result;
+      int Pred = Solver.predict(Adv);
+      if (Pred != Label) {
+        Result.FoundAdversarial = true;
+        Result.Adversarial = std::move(Adv);
+        Result.AdversarialClass = Pred;
+        break;
+      }
     }
   }
   return Result;
+}
+
+PgdResult craft::pgdAttack(const MonDeq &Model, const FixpointSolver &Solver,
+                           const Vector &X, int Label,
+                           const PgdOptions &Opts) {
+  return PgdAttack(Model, Solver, X, Label, Opts).run();
 }

@@ -18,6 +18,9 @@
 #define CRAFT_ATTACK_PGD_H
 
 #include "nn/Solvers.h"
+#include "support/Rng.h"
+
+#include <vector>
 
 namespace craft {
 
@@ -48,8 +51,40 @@ struct PgdResult {
   int AdversarialClass = -1;
 };
 
-/// Attacks the l-inf ball around \p X for a sample of true class \p Label.
-/// \p Solver must be a PR solver bound to \p Model.
+/// One seeded attack on the l-inf ball around \p X for a sample of true
+/// class \p Label, run in installments: every restart draws from the one
+/// Rng the attack carries, so running restart 1 now and the rest later
+/// gives exactly the result (and gradient count) of one whole run. The
+/// verifier's driver runs restart 1 before phase-2 tightening and the
+/// rest only if the query stays uncertified. \p Model and \p Solver (a PR
+/// solver bound to \p Model) must outlive the attack.
+class PgdAttack {
+public:
+  PgdAttack(const MonDeq &Model, const FixpointSolver &Solver, Vector X,
+            int Label, const PgdOptions &Opts);
+
+  /// Runs up to \p Count more restarts, stopping at the first
+  /// counterexample, and returns the result so far.
+  const PgdResult &run(int Count);
+  /// Runs every remaining restart.
+  const PgdResult &run() { return run(Opts.Restarts); }
+
+  const PgdResult &result() const { return Result; }
+
+private:
+  const MonDeq &Model;
+  const FixpointSolver &Solver;
+  Vector X;
+  int Label;
+  PgdOptions Opts;
+  Rng R;
+  std::vector<int> Targets; ///< Rival classes (-1 = untargeted margin).
+  int NextRestart = 0;
+  PgdResult Result;
+};
+
+/// Attacks the l-inf ball around \p X for a sample of true class \p Label
+/// with every restart of \p Opts at once (see PgdAttack).
 PgdResult pgdAttack(const MonDeq &Model, const FixpointSolver &Solver,
                     const Vector &X, int Label, const PgdOptions &Opts);
 

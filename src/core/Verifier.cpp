@@ -9,6 +9,7 @@
 #include <cmath>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <utility>
 
 using namespace craft;
@@ -31,10 +32,12 @@ CraftResult CraftVerifier::verifyRobustness(const Vector &X, int TargetClass,
   return verifyRegion(Lo, Hi, TargetClass);
 }
 
-CraftResult CraftVerifier::verifyRegion(const Vector &InLo, const Vector &InHi,
-                                        int TargetClass) const {
+CraftResult
+CraftVerifier::verifyRegion(const Vector &InLo, const Vector &InHi,
+                            int TargetClass,
+                            const std::function<bool()> &BeforePhase2) const {
   return withDomain(Config.Domain, [&](auto Dom) {
-    return verifyImpl<decltype(Dom)>(InLo, InHi, TargetClass);
+    return verifyImpl<decltype(Dom)>(InLo, InHi, TargetClass, BeforePhase2);
   });
 }
 
@@ -87,11 +90,80 @@ template <class Dom, class... Args> auto timedConsolidate(Args &&...A) {
   return Dom::consolidate(std::forward<Args>(A)...);
 }
 
+/// One phase-2 tightening run (Thm 3.3 / Thm 5.1) from the contained
+/// state, advanced in installments: it holds its state, consolidation
+/// basis, margin tracker and step index, so advancing it to N steps and
+/// then to M is the same run as advancing it to M at once. The line-search
+/// probes, the main run (the best probe, continued) and the lambda runs
+/// are all instances. The solver is borrowed.
+template <class Dom> class Phase2Run {
+public:
+  Phase2Run(const MonDeq &Model, const CraftConfig &Config, int TargetClass,
+            const AbstractSolver &Solver, typename Dom::State Entry,
+            double LambdaScale)
+      : Model(&Model), Config(&Config), TargetClass(TargetClass),
+        Solver(&Solver), S(std::move(Entry)), LambdaScale(LambdaScale),
+        Basis(Solver.stateDim(), Config.PcaRefreshEvery),
+        Track(3 * Config.Phase2Window) {}
+
+  /// Steps until \p MaxSteps steps have run in total, the run has stopped
+  /// (certified, stalled or width abort), or Control fires.
+  void advanceTo(int MaxSteps) {
+    TRACE_SPAN("craft.phase2");
+    for (; !Stopped && Step < MaxSteps; ++Step) {
+      if (Config->Control.stopRequested())
+        break; // Stop tightening; the best margin so far stands.
+      bool UsableForCertification = true;
+      if (Config->SameIterationContainment) {
+        // Ablation: certify only from states contained in their
+        // consolidated predecessor.
+        typename Dom::HistoryEntry PS =
+            timedConsolidate<Dom>(S, Basis, 0.0, 0.0);
+        typename Dom::State Next = Dom::step(*Solver, PS.Z, LambdaScale);
+        UsableForCertification = Dom::contains(PS, Next);
+        S = std::move(Next);
+      } else {
+        if (Step > 0 && Step % Config->ConsolidateEvery == 0)
+          S = timedConsolidate<Dom>(S, Basis, 0.0, 0.0).Z;
+        S = Dom::step(*Solver, S, LambdaScale);
+      }
+      if (Dom::widthInf(S) > Config->AbortWidth) {
+        Stopped = true;
+        break;
+      }
+      if (!UsableForCertification)
+        continue;
+      typename Dom::State Z = Dom::zPart(*Solver, S);
+      if (Track.update(classificationMarginsIn<Dom>(*Model, Z, TargetClass),
+                       Dom::hull(Z))) {
+        Stopped = true;
+        break;
+      }
+    }
+  }
+
+  const MarginTracker &tracker() const { return Track; }
+
+private:
+  const MonDeq *Model;
+  const CraftConfig *Config;
+  int TargetClass;
+  const AbstractSolver *Solver;
+  typename Dom::State S;
+  double LambdaScale;
+  ConsolidationBasis Basis;
+  MarginTracker Track;
+  int Step = 0;
+  bool Stopped = false;
+};
+
 } // namespace
 
 template <class Dom>
-CraftResult CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
-                                      int TargetClass) const {
+CraftResult
+CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
+                          int TargetClass,
+                          const std::function<bool()> &BeforePhase2) const {
   static_assert(AbstractDomain<Dom, AbstractSolver>,
                 "domain traits must satisfy the portfolio concept");
   WallTimer Timer;
@@ -171,8 +243,10 @@ CraftResult CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
     typename Dom::State Z = Dom::zPart(Solver1, S);
     Track.update(classificationMarginsIn<Dom>(Model, Z, TargetClass),
                  Dom::hull(Z));
+    const bool SkipPhase2 =
+        !Track.certified() && BeforePhase2 && BeforePhase2();
 
-    for (int Step = 0; Step < Config.MaxIterations; ++Step) {
+    for (int Step = 0; Step < Config.MaxIterations && !SkipPhase2; ++Step) {
       if (Config.Control.stopRequested())
         break;
       S = Dom::step(Solver1, S, 1.0);
@@ -205,89 +279,77 @@ CraftResult CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
       }
     }
 
+    if (BeforePhase2 && BeforePhase2()) {
+      Res.TimeSeconds = Timer.seconds();
+      return Res;
+    }
+
     // Phase 2: fixpoint-set-preserving tightening (Thm 3.3 / 5.1).
     // PR must keep its phase-1 alpha (preservation only holds for fixed
     // alpha); FB may use any alpha in [0,1] and is line searched.
-    auto runPhase2 = [&](const AbstractSolver &Solver2,
-                         typename Dom::State S2, double LambdaScale,
-                         int MaxSteps) -> MarginTracker {
-      TRACE_SPAN("craft.phase2");
-      MarginTracker Track(3 * Config.Phase2Window);
-      ConsolidationBasis Basis2(Solver2.stateDim(), Config.PcaRefreshEvery);
-      for (int Step = 0; Step < MaxSteps; ++Step) {
-        if (Config.Control.stopRequested())
-          break; // Stop tightening; the best margin so far stands.
-        bool UsableForCertification = true;
-        if (Config.SameIterationContainment) {
-          // Ablation: certify only from states contained in their
-          // consolidated predecessor.
-          typename Dom::HistoryEntry PS =
-              timedConsolidate<Dom>(S2, Basis2, 0.0, 0.0);
-          typename Dom::State Next = Dom::step(Solver2, PS.Z, LambdaScale);
-          UsableForCertification = Dom::contains(PS, Next);
-          S2 = std::move(Next);
-        } else {
-          if (Step > 0 && Step % Config.ConsolidateEvery == 0)
-            S2 = timedConsolidate<Dom>(S2, Basis2, 0.0, 0.0).Z;
-          S2 = Dom::step(Solver2, S2, LambdaScale);
-        }
-        if (Dom::widthInf(S2) > Config.AbortWidth)
-          break;
-        if (!UsableForCertification)
-          continue;
-        typename Dom::State Z = Dom::zPart(Solver2, S2);
-        if (Track.update(classificationMarginsIn<Dom>(Model, Z, TargetClass),
-                         Dom::hull(Z)))
-          break;
-      }
-      return Track;
-    };
-
     bool Phase2IsPr = Config.Phase2Method == Splitting::PeacemanRachford;
     typename Dom::State SEntry = Phase2IsPr ? S : Dom::zPart(Solver1, S);
+    const int MainSteps =
+        std::min(Config.MaxIterations, Config.Phase2MaxIterations);
+    auto startRun = [&](const AbstractSolver &Solver2, double LambdaScale) {
+      return Phase2Run<Dom>(Model, Config, TargetClass, Solver2, SEntry,
+                            LambdaScale);
+    };
 
-    double Alpha2 = Config.Alpha2;
+    // The main run and the solver it uses; the lambda runs share it.
     std::unique_ptr<AbstractSolver> Solver2Storage;
-    const AbstractSolver *Solver2 = nullptr;
-    if (Phase2IsPr && Config.Phase1Method == Splitting::PeacemanRachford) {
-      Solver2 = &Solver1;
-      Alpha2 = Solver1.alpha();
-    } else if (Phase2IsPr) {
-      Solver2 = &Solver1; // Phase 1 was PR too (ctor forbids FB-then-PR).
+    const AbstractSolver *Solver2 = &Solver1; // PR keeps phase 1's solver.
+    std::optional<Phase2Run<Dom>> Main;
+    if (Phase2IsPr) {
+      Res.ChosenAlpha2 = Config.Phase1Method == Splitting::PeacemanRachford
+                             ? Solver1.alpha()
+                             : Config.Alpha2;
     } else {
-      // FB tightening. Adaptive line search over alpha in [0, 1] (Thm 5.1)
-      // when no fixed alpha was configured: probe a short unroll per
-      // candidate and keep the best margin.
-      if (Alpha2 < 0.0) {
+      Res.ChosenAlpha2 = Config.Alpha2;
+      if (Config.Alpha2 < 0.0) {
+        // Adaptive line search over alpha in [0, 1] (Thm 5.1): a 6-step
+        // probe per candidate, in order. Every alpha is sound, so the
+        // first probe that certifies is the phase-2 result. Otherwise the
+        // probe with the best margin is the main run and continues where
+        // it stopped — the run a fresh start at its alpha would repeat.
         static const double Candidates[] = {0.01, 0.02, 0.03, 0.05,
                                             0.08, 0.12, 0.2,  0.35};
         double BestProbe = -1e300;
         for (double Cand : Candidates) {
           if (Config.Control.stopRequested())
             break;
-          AbstractSolver Probe(Model, Splitting::ForwardBackward, Cand, X);
-          MarginTracker Track =
-              runPhase2(Probe, SEntry, 1.0, /*MaxSteps=*/6);
-          if (Track.best() > BestProbe) {
-            BestProbe = Track.best();
-            Alpha2 = Cand;
+          auto Probe = std::make_unique<AbstractSolver>(
+              Model, Splitting::ForwardBackward, Cand, X);
+          Phase2Run<Dom> Run = startRun(*Probe, 1.0);
+          Run.advanceTo(/*MaxSteps=*/6);
+          const bool Certifies = Run.tracker().certified();
+          if (Certifies || Run.tracker().best() > BestProbe) {
+            BestProbe = Run.tracker().best();
+            Main = std::move(Run);
+            Solver2Storage = std::move(Probe);
+            Res.ChosenAlpha2 = Cand;
           }
+          if (Certifies)
+            break;
         }
       }
-      Solver2Storage = std::make_unique<AbstractSolver>(
-          Model, Splitting::ForwardBackward, Alpha2, X);
+      if (!Solver2Storage)
+        Solver2Storage = std::make_unique<AbstractSolver>(
+            Model, Splitting::ForwardBackward, Res.ChosenAlpha2, X);
       Solver2 = Solver2Storage.get();
     }
-    Res.ChosenAlpha2 = Alpha2;
-
-    MarginTracker Main = runPhase2(
-        *Solver2, SEntry, 1.0,
-        std::min(Config.MaxIterations, Config.Phase2MaxIterations));
-    if (Main.best() > Res.BestMargin) {
-      Res.BestMargin = Main.best();
-      Res.FixpointHull = Main.bestHull();
-    }
-    Res.Certified = Main.certified();
+    // A run's best margin replaces the result's when it is higher.
+    auto absorb = [&](const MarginTracker &Track) {
+      if (Track.best() > Res.BestMargin) {
+        Res.BestMargin = Track.best();
+        Res.FixpointHull = Track.bestHull();
+      }
+      return Track.certified();
+    };
+    if (!Main)
+      Main.emplace(startRun(*Solver2, 1.0));
+    Main->advanceTo(MainSteps);
+    Res.Certified = absorb(Main->tracker());
 
     // Lambda optimization (App. C): only for samples close to
     // certification.
@@ -301,12 +363,9 @@ CraftResult CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
       for (double Scale : Scales) {
         if (Config.Control.stopRequested())
           break;
-        MarginTracker Track = runPhase2(*Solver2, SEntry, Scale, Steps);
-        if (Track.best() > Res.BestMargin) {
-          Res.BestMargin = Track.best();
-          Res.FixpointHull = Track.bestHull();
-        }
-        if (Track.certified()) {
+        Phase2Run<Dom> Run = startRun(*Solver2, Scale);
+        Run.advanceTo(Steps);
+        if (absorb(Run.tracker())) {
           Res.Certified = true;
           break;
         }

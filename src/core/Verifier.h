@@ -18,7 +18,12 @@
 ///  (Thm 3.3 / Thm 5.1) -- FB with a line-searched step size by default --
 ///  re-checking the postcondition each step, with the App. C abortion
 ///  heuristics and the optional lambda optimization for near-certified
-///  samples.
+///  samples. Every FB step size in [0,1] is sound, so the line search
+///  stops at its first 6-step probe that certifies; otherwise the best
+///  probe continues as the main run (the run a fresh start at its alpha
+///  would repeat). Phase 2 runs only for contained states that phase 1
+///  did not certify, and a caller hook (verifyRegion's BeforePhase2, where
+///  the driver runs PGD's first restart) can skip it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +34,8 @@
 #include "domains/DomainConcept.h"
 #include "domains/OrderReduction.h"
 #include "support/Deadline.h"
+
+#include <functional>
 
 namespace craft {
 
@@ -59,7 +66,9 @@ struct CraftConfig {
   int Phase2Window = 50; ///< r' (abort after 3 r' steps without progress).
   /// Hard cap on phase-2 tightening steps (<= MaxIterations). Large conv
   /// models set this low: each abstract step is O(p^3)-expensive and the
-  /// no-progress window alone would dominate runtime.
+  /// no-progress window alone would dominate runtime. The main run
+  /// continues the best line-search probe, which has run 6 steps already:
+  /// a cap below 6 returns that probe's result.
   int Phase2MaxIterations = 500;
   /// Check containment against the history every this many iterations
   /// (1 = every iteration, App. C default). Large conv models raise it:
@@ -97,7 +106,10 @@ struct CraftResult {
   int ContainmentIteration = -1;
   int TotalIterations = 0;
   double BestMargin = -1e300; ///< Largest min-margin seen in phase 2.
-  double ChosenAlpha2 = -1.0; ///< Line-search result (Fig. 17).
+  /// Phase-2 step size (Fig. 17): with the line search, the first
+  /// candidate whose 6-step probe certifies, else the candidate with the
+  /// best probe margin; -1 when phase 2 did not run.
+  double ChosenAlpha2 = -1.0;
   IntervalVector FixpointHull; ///< Hull of the certified fixpoint set (z).
   double TimeSeconds = 0.0;
 };
@@ -116,15 +128,23 @@ public:
 
   /// General box precondition against the "class = TargetClass"
   /// postcondition.
+  ///
+  /// \p BeforePhase2, when set, is called once after containment if the
+  /// phase-1 state does not certify (in every domain). Returning true
+  /// skips phase 2 and returns the phase-1 result: the driver runs PGD's
+  /// first restart here, and a counterexample makes tightening moot.
   CraftResult verifyRegion(const Vector &InLo, const Vector &InHi,
-                           int TargetClass) const;
+                           int TargetClass,
+                           const std::function<bool()> &BeforePhase2 = {})
+      const;
 
 private:
   /// Algorithm 1, generic over the abstract domain \p Dom (one of the
   /// \ref AbstractDomain traits types from domains/DomainConcept.h).
   template <class Dom>
   CraftResult verifyImpl(const Vector &InLo, const Vector &InHi,
-                         int TargetClass) const;
+                         int TargetClass,
+                         const std::function<bool()> &BeforePhase2) const;
 
   const MonDeq &Model;
   CraftConfig Config;

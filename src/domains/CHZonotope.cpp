@@ -214,6 +214,44 @@ static void pruneZeroColumns(Matrix &Gens, std::vector<uint64_t> &Ids) {
   Ids = std::move(NewIds);
 }
 
+/// Out = M * G by column scaling when every column of \p G holds at most
+/// one nonzero (a box's diagonal generators): column j is 0.0 + M(:, i) *
+/// G(i, j), the exact sum kernels::gemm accumulates from +0.0, so the bytes
+/// match — +0.0 included where the product is -0.0. Returns false, having
+/// written nothing, at the first column that holds a second nonzero.
+static bool scaleSingleNonzeroColumns(MatrixView Out, const Matrix &M,
+                                      const Matrix &G) {
+  const size_t P = G.rows(), K = G.cols();
+  if (P == 0)
+    return false;
+  // Dense operands exit here, at column 0's second nonzero, before any
+  // scratch is allocated.
+  for (size_t R = 0, Nonzeros = 0; R < P; ++R)
+    if (G(R, 0) != 0.0 && ++Nonzeros == 2)
+      return false;
+  // Entry j is column j's one nonzero; an empty column keeps {0, 0.0},
+  // whose product is a zero the +0.0 start absorbs, as in the gemm.
+  struct Entry {
+    size_t Row = 0;
+    double Value = 0.0;
+  };
+  std::vector<Entry> Entries(K);
+  for (size_t R = 0; R < P; ++R)
+    for (size_t J = 0; J < K; ++J) {
+      if (G(R, J) == 0.0)
+        continue;
+      if (Entries[J].Value != 0.0)
+        return false;
+      Entries[J] = {R, G(R, J)};
+    }
+  for (size_t R = 0, POut = M.rows(); R < POut; ++R) {
+    double *OutRow = Out.row(R);
+    for (size_t J = 0; J < K; ++J)
+      OutRow[J] = 0.0 + M(R, Entries[J].Row) * Entries[J].Value;
+  }
+  return true;
+}
+
 /// Appends the cast Box columns of one term — column B_i * M(:, i) per
 /// nonzero Box entry, with a fresh id — starting at \p NextBoxCol.
 /// \p M == nullptr is the identity map (a single entry at row i).
@@ -275,10 +313,13 @@ CHZonotope CHZonotope::linearCombine(
     MatrixView GensV(Gens);
     if (M) {
       kernels::gemv(Center, *M, Z->Center, 1.0, 1.0);
-      // The affine map is whatever the caller built — dense solver updates
-      // and diagonal/selection maps both land here, so the caller's hint
+      // A box operand (one nonzero per generator column, e.g. the input
+      // region every AbstractSolver maps) needs no gemm. Otherwise the map
+      // is whatever the caller built — dense solver updates and
+      // diagonal/selection maps both land here, so the caller's hint
       // (default: the kernel's density probe) picks the path.
-      if (K > 0)
+      if (K > 0 &&
+          !scaleSingleNonzeroColumns(GensV.colRange(0, K), *M, Z->Generators))
         kernels::gemmAuto(GensV.colRange(0, K), *M, Z->Generators, 1.0, 0.0,
                           Hint);
     } else {

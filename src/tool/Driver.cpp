@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <optional>
 
 using namespace craft;
 
@@ -76,12 +77,14 @@ double msSince(const telemetry::PhaseTotals &Before, telemetry::Phase P) {
          1e6;
 }
 
-/// Adds the Solver time since \p Before to the cascade rung slice of \p D.
+/// Adds the Solver time since \p Before to the cascade rung slice of \p D,
+/// less the PGD restart the rung ran inside it (pgd_ms owns that time).
 void addRungMs(PhaseBreakdown &Phases, VerifierDomain D,
                const telemetry::PhaseTotals &Before) {
   for (const PhaseRow &Row : PhaseRows)
     if (Row.Rung == D)
-      Phases.*Row.Ms += msSince(Before, telemetry::Phase::Solver);
+      Phases.*Row.Ms += msSince(Before, telemetry::Phase::Solver) -
+                        msSince(Before, telemetry::Phase::Pgd);
 }
 
 /// Runs \p Spec against an already-loaded model. The model is shared and
@@ -136,6 +139,56 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
   uint64_t SolverIterations = 0;
   TRACE_SPAN("driver.query");
 
+  // Opt-in whole-ball PGD refutation: an uncertified l-inf query may still
+  // be concretely disproved. The seed comes from the spec or, in a batch,
+  // from the task's index (see runSpecBatch), so outcomes never depend on
+  // which worker thread ran the query. Split runs own their refutation
+  // probes (per-leaf PGD), so the whole-ball pass would only re-attack the
+  // same space at extra cost. The attack's first restart runs inside the
+  // craft engine, between phase 1 and phase 2 (BeforePhase2 below): a
+  // counterexample there makes tightening moot. The remaining restarts
+  // run after the engine, only for a query that stayed uncertified.
+  const bool WholeBallAttack = Spec.Attack && Spec.SplitDepth <= 0 &&
+                               !Spec.Center.empty() && Spec.Epsilon > 0.0;
+  PgdOptions AttackOpts;
+  AttackOpts.Epsilon = Spec.Epsilon;
+  AttackOpts.InputLo = Spec.ClampLo;
+  AttackOpts.InputHi = Spec.ClampHi;
+  AttackOpts.Seed = Spec.AttackSeed != 0
+                        ? Spec.AttackSeed
+                        : taskSeed(BatchOptions().BaseSeed, 0);
+  std::optional<FixpointSolver> Concrete;
+  std::optional<PgdAttack> Attack;
+  // Runs \p Restarts more restarts under the Pgd phase; true once the
+  // attack holds a counterexample.
+  auto attack = [&](int Restarts) {
+    telemetry::PhaseTimer PgdPhase(telemetry::Phase::Pgd);
+    if (!Attack) {
+      Concrete.emplace(Model, Splitting::PeacemanRachford);
+      Attack.emplace(Model, *Concrete, Spec.Center, Spec.TargetClass,
+                     AttackOpts);
+    }
+    const PgdResult &Adv = Attack->run(Restarts);
+    return Adv.FoundAdversarial &&
+           Concrete->predict(Adv.Adversarial) != Spec.TargetClass;
+  };
+  bool AttackRefuted = false;
+  // PGD time spent inside the engine's Solver phase, which solver_ms
+  // excludes.
+  double PgdInSolverMs = 0.0;
+  bool FirstRestartAsked = false;
+  auto BeforePhase2 = [&] {
+    if (!WholeBallAttack || FirstRestartAsked)
+      return false;
+    FirstRestartAsked = true;
+    if (Control.stopRequested())
+      return false;
+    const telemetry::PhaseTotals Before = telemetry::phaseTotals();
+    AttackRefuted = attack(1);
+    PgdInSolverMs += msSince(Before, telemetry::Phase::Pgd);
+    return AttackRefuted;
+  };
+
   WallTimer Clock;
   switch (Spec.Verifier) {
   case SpecVerifier::Craft:
@@ -144,7 +197,8 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
     // in the spec's own domain — a single rung (the historic direct run)
     // when the cascade is off. The craft engine only ever certifies or
     // stays undecided, never refutes, so a rung can end the walk early
-    // only by certifying; anything else escalates, and the final rung
+    // only by certifying — or when PGD's first restart, run inside it,
+    // refutes the query. Anything else escalates, and the final rung
     // (then the split engine, when split-depth engages it) is exactly the
     // direct run — cascade verdicts match direct verdicts by
     // construction.
@@ -154,6 +208,7 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
     const bool SplitRung = Spec.SplitDepth > 0;
 
     bool WalkCertified = false;
+    std::optional<VerifierDomain> RefutedAt;
     bool LastContainment = false;
     double WalkMargin = -1e300;
     // A direct split run (cascade off) skips the whole-box probe and goes
@@ -168,7 +223,8 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
         CraftVerifier Ver(Model, RungCfg);
         CraftResult Res = [&] {
           telemetry::PhaseTimer SolverPhase(telemetry::Phase::Solver);
-          return Ver.verifyRegion(Spec.InLo, Spec.InHi, Spec.TargetClass);
+          return Ver.verifyRegion(Spec.InLo, Spec.InHi, Spec.TargetClass,
+                                  BeforePhase2);
         }();
         SolverIterations += static_cast<uint64_t>(Res.TotalIterations);
         if (Timing && Cascading)
@@ -184,6 +240,10 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
           }
           break;
         }
+        if (AttackRefuted) {
+          RefutedAt = Rungs[R];
+          break;
+        }
         if (Cascading && R + 1 < Rungs.size()) {
           ++Out.CascadeEscalations;
           CascadeEscalated.increment();
@@ -194,15 +254,19 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
       if (!SplitRung || WalkCertified) {
         Out.Detail = LastContainment ? "abstract post-fixpoint found"
                                      : "no containment within budget";
-        if (Cascading)
-          Out.Detail +=
-              WalkCertified
-                  ? "; cascade certified at rung '" + Out.CascadeRung +
-                        "' (" + std::to_string(Out.CascadeEscalations) +
-                        " escalations)"
-                  : "; cascade exhausted after " +
-                        std::to_string(Out.CascadeEscalations) +
-                        " escalations";
+        if (Cascading) {
+          const std::string Escalations =
+              std::to_string(Out.CascadeEscalations) + " escalations";
+          if (WalkCertified)
+            Out.Detail += "; cascade certified at rung '" +
+                          Out.CascadeRung + "' (" + Escalations + ")";
+          else if (RefutedAt)
+            Out.Detail += "; cascade ended at rung '" +
+                          std::string(verifierDomainName(*RefutedAt)) +
+                          "' (" + Escalations + ")";
+          else
+            Out.Detail += "; cascade exhausted after " + Escalations;
+        }
       }
     }
 
@@ -306,37 +370,21 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
   }
   }
 
-  // Opt-in PGD refutation: an uncertified l-inf query may still be
-  // concretely disproved. The seed comes from the spec or, in a batch, from
-  // the task's index (see runSpecBatch), so outcomes never depend on which
-  // worker thread ran the query. Split runs own their refutation probes
-  // (per-leaf PGD above), so the whole-ball pass would only re-attack the
-  // same space at extra cost.
-  if (Spec.Attack && Spec.SplitDepth <= 0 && !Out.Certified &&
-      !Out.Refuted && !Spec.Center.empty() && Spec.Epsilon > 0.0 &&
-      !Control.stopRequested()) {
-    telemetry::PhaseTimer PgdPhase(telemetry::Phase::Pgd);
-    PgdOptions Attack;
-    Attack.Epsilon = Spec.Epsilon;
-    Attack.InputLo = Spec.ClampLo;
-    Attack.InputHi = Spec.ClampHi;
-    Attack.Seed = Spec.AttackSeed != 0
-                      ? Spec.AttackSeed
-                      : taskSeed(BatchOptions().BaseSeed, 0);
-    Out.AttackSeed = Attack.Seed;
-    FixpointSolver Concrete(Model, Splitting::PeacemanRachford);
-    PgdResult Adv =
-        pgdAttack(Model, Concrete, Spec.Center, Spec.TargetClass, Attack);
-    if (Adv.FoundAdversarial &&
-        Concrete.predict(Adv.Adversarial) != Spec.TargetClass) {
+  // The attack's remaining restarts (all of them when the engine never
+  // asked for the first one). A counterexample found inside the engine
+  // stands even if the stop has landed since.
+  if (WholeBallAttack && !Out.Certified && !Out.Refuted &&
+      (AttackRefuted || !Control.stopRequested())) {
+    Out.AttackSeed = AttackOpts.Seed;
+    if (AttackRefuted || attack(AttackOpts.Restarts)) {
       Out.Refuted = true;
-      Out.Counterexample = std::move(Adv.Adversarial);
+      Out.Counterexample = Attack->result().Adversarial;
       Out.Detail += "; refuted by PGD (class " +
-                    std::to_string(Adv.AdversarialClass) + ", seed " +
-                    std::to_string(Attack.Seed) + ")";
+                    std::to_string(Attack->result().AdversarialClass) +
+                    ", seed " + std::to_string(AttackOpts.Seed) + ")";
     } else {
       Out.Detail += "; PGD found no counterexample (seed " +
-                    std::to_string(Attack.Seed) + ")";
+                    std::to_string(AttackOpts.Seed) + ")";
     }
   }
 
@@ -388,6 +436,7 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
     for (const PhaseRow &Row : PhaseRows)
       if (Row.Phase)
         Out.Phases.*Row.Ms = msSince(PhasesBefore, *Row.Phase);
+    Out.Phases.SolverMs -= PgdInSolverMs;
     Out.Phases.SolverIterations = SolverIterations;
   }
   return Out;

@@ -45,7 +45,8 @@ struct PhaseBreakdown {
   double CacheProbeMs = 0.0;
   /// Serve only: model registry fetch (load + warm on a cold hit).
   double ModelLoadMs = 0.0;
-  /// Engine run, inclusive of the consolidation slice below.
+  /// Engine run, inclusive of the consolidation slice below and exclusive
+  /// of the PGD restart the engine runs before phase 2 (see PgdMs).
   double SolverMs = 0.0;
   /// consolidateProper order-reduction inside the engine run (the slice
   /// the paper's Table 4 attributes separately). Accumulated on the
@@ -53,7 +54,8 @@ struct PhaseBreakdown {
   double ConsolidationMs = 0.0;
   /// Split-refinement wave loop (split-depth > 0 runs).
   double SplitMs = 0.0;
-  /// Opt-in PGD refutation pass.
+  /// Opt-in PGD refutation pass, all of it: the first restart (run inside
+  /// the engine, between phase 1 and phase 2) and the rest.
   double PgdMs = 0.0;
   /// Certificate construction + save.
   double CertificateMs = 0.0;
@@ -130,6 +132,7 @@ struct RunOutcome {
   /// The witness point when Refuted (empty only for legacy producers).
   Vector Counterexample;
   /// Best margin lower bound the engine reports (engine-specific scale).
+  /// A query PGD refuted before phase 2 reports its phase-1 margin.
   double MarginLower = -1e300;
   double TimeSeconds = 0.0;
   /// Whether a certificate was requested, built, and written.

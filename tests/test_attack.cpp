@@ -5,6 +5,7 @@
 #include "data/GaussianMixture.h"
 #include "nn/Training.h"
 #include "support/Rng.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -231,5 +232,52 @@ TEST_P(PgdSharedSolveTest, BitwiseMatchesSeparateSolves) {
 
 INSTANTIATE_TEST_SUITE_P(TargetAllClasses, PgdSharedSolveTest,
                          ::testing::Bool());
+
+TEST(PgdTest, ResumedAttackMatchesOneCall) {
+  // Restart 1 now and the rest later (the driver's order around phase 2)
+  // must be the one-call attack: same result bytes, same gradient count.
+  const MonDeq &Model = trainedModel();
+  FixpointSolver Solver(Model, Splitting::PeacemanRachford);
+  const telemetry::Counter Gradients =
+      telemetry::counterMetric("pgd.gradients");
+  Rng R(26);
+  Dataset Test = makeGaussianMixture(R, 4, 5, 3, 0.2);
+  PgdOptions Opts;
+  Opts.Steps = 4;
+  Opts.OdiSteps = 1;
+  Opts.Restarts = 4;
+  size_t InFirst = 0, InLater = 0, None = 0;
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+    Opts.Seed = Seed;
+    for (double Epsilon : {0.05, 0.2, 0.3}) {
+      Opts.Epsilon = Epsilon;
+      for (size_t I = 0; I < Test.size(); ++I) {
+        const Vector X = Test.input(I);
+        const int Label = Solver.predict(X);
+        uint64_t Before = Gradients.value();
+        PgdResult Whole = pgdAttack(Model, Solver, X, Label, Opts);
+        const uint64_t WholeGradients = Gradients.value() - Before;
+
+        Before = Gradients.value();
+        PgdAttack Resumed(Model, Solver, X, Label, Opts);
+        const bool First = Resumed.run(1).FoundAdversarial;
+        PgdResult Got = Resumed.run();
+        EXPECT_EQ(Gradients.value() - Before, WholeGradients);
+        ASSERT_EQ(Got.FoundAdversarial, Whole.FoundAdversarial);
+        EXPECT_EQ(Got.AdversarialClass, Whole.AdversarialClass);
+        ASSERT_EQ(Got.Adversarial.size(), Whole.Adversarial.size());
+        if (Got.FoundAdversarial) {
+          EXPECT_EQ(0, std::memcmp(Got.Adversarial.data(),
+                                   Whole.Adversarial.data(),
+                                   Got.Adversarial.size() * sizeof(double)));
+        }
+        (First ? InFirst : Got.FoundAdversarial ? InLater : None) += 1;
+      }
+    }
+  }
+  EXPECT_GT(InFirst, 0u);
+  EXPECT_GT(InLater, 0u);
+  EXPECT_GT(None, 0u);
+}
 
 } // namespace

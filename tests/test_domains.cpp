@@ -11,12 +11,14 @@
 #include "domains/OrderReduction.h"
 #include "domains/Volume.h"
 #include "domains/ZonotopeContainmentLP.h"
+#include "linalg/Kernels.h"
 #include "linalg/Lu.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 using namespace craft;
 
@@ -196,6 +198,76 @@ TEST(CHZonotopeTest, AffineBoxCastKeepsBounds) {
     EXPECT_LE(Cast.upperBounds()[I], Ivl.upperBounds()[I] + 1e-9);
     EXPECT_GE(Cast.lowerBounds()[I], Ivl.lowerBounds()[I] - 1e-9);
   }
+}
+
+/// Z.affine(M) against kernels::gemm(M, Z's generators) byte for byte,
+/// with the gemm's exactly-zero columns dropped as affine drops them.
+void expectAffineMatchesGemm(const Matrix &M, const CHZonotope &Z) {
+  const CHZonotope Got = Z.affine(M, Vector(M.rows(), 0.0));
+  Matrix Want(M.rows(), Z.numGenerators());
+  if (Z.numGenerators() > 0)
+    kernels::gemm(Want, M, Z.generators());
+  size_t Col = 0;
+  for (size_t J = 0; J < Z.numGenerators(); ++J) {
+    bool Zero = true;
+    for (size_t R = 0; R < M.rows(); ++R)
+      Zero = Zero && Want(R, J) == 0.0;
+    if (Zero)
+      continue;
+    ASSERT_LT(Col, Got.numGenerators());
+    EXPECT_EQ(Got.termIds()[Col], Z.termIds()[J]);
+    for (size_t R = 0; R < M.rows(); ++R) {
+      const double G = Got.generators()(R, Col), W = Want(R, J);
+      EXPECT_EQ(0, std::memcmp(&G, &W, sizeof(double)))
+          << "row " << R << " column " << J << ": " << G << " vs " << W;
+    }
+    ++Col;
+  }
+  EXPECT_EQ(Col, Got.numGenerators());
+}
+
+TEST(CHZonotopeTest, BoxAffineMatchesGemmBytes) {
+  Rng R(77);
+  // A box: dimension 1 has zero width (no generator), M has negative
+  // entries, and M(1, 0) = -0.0 makes a -0.0 product that the gemm, which
+  // sums from +0.0, stores as +0.0. M's last column is zero, so dimension
+  // 4's generator maps to a zero column that affine drops.
+  Vector Lo = {0.1, 0.5, -1.0, 0.3, 0.0}, Hi = {0.4, 0.5, 2.0, 0.7, 1e-3};
+  const CHZonotope Box = CHZonotope::fromBox(Lo, Hi);
+  ASSERT_EQ(Box.numGenerators(), 4u);
+  Matrix M = randomMatrix(R, 4, 5);
+  M(1, 0) = -0.0;
+  M(2, 2) = -3.5;
+  for (size_t I = 0; I < 4; ++I)
+    M(I, 4) = 0.0;
+  expectAffineMatchesGemm(M, Box);
+  EXPECT_FALSE(
+      std::signbit(Box.affine(M, Vector(4, 0.0)).generators()(1, 0)));
+
+  // A wide random box with a quarter of its dimensions degenerate.
+  Vector WideLo = randomVector(R, 60), WideHi = WideLo;
+  for (size_t I = 0; I < 60; ++I)
+    if (I % 4 != 0)
+      WideHi[I] += std::abs(R.gaussian());
+  expectAffineMatchesGemm(randomMatrix(R, 30, 60),
+                          CHZonotope::fromBox(WideLo, WideHi));
+
+  // Empty generator matrix: a point box.
+  const CHZonotope Point = CHZonotope::fromBox(Lo, Lo);
+  ASSERT_EQ(Point.numGenerators(), 0u);
+  expectAffineMatchesGemm(M, Point);
+
+  // Two nonzeros in one (the last) column: the gemm path.
+  Matrix G(5, 3);
+  G(0, 0) = 0.2;
+  G(2, 1) = -0.7;
+  G(1, 2) = 0.3;
+  G(4, 2) = 0.9;
+  const CHZonotope Mixed(Vector(5, 0.0), G,
+                         {freshErrorTermId(), freshErrorTermId(),
+                          freshErrorTermId()},
+                         Vector(5, 0.0));
+  expectAffineMatchesGemm(randomMatrix(R, 4, 5), Mixed);
 }
 
 TEST(CHZonotopeTest, LinearCombineMergesSharedIds) {

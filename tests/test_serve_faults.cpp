@@ -406,7 +406,10 @@ TEST(ServeFaultsTest, DrainFinishesInFlightAndRejectsNew) {
   const int Port = S.Daemon.boundPort();
 
   // Client A: a slow multi-query attack request, handled on its own
-  // connection thread.
+  // connection thread. Its queries are refuted by PGD's first restart,
+  // before phase 2, in well under a millisecond each, so a 25 ms
+  // dispatch stall keeps it in flight while B drains and submits.
+  FaultGuard Guard("sched.dispatch:stall:every=1");
   std::string SlowError;
   std::optional<VerifyReply> SlowReply;
   std::thread A([&] {

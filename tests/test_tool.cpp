@@ -7,14 +7,18 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "attack/Pgd.h"
 #include "cert/Checker.h"
+#include "core/Verifier.h"
 #include "data/GaussianMixture.h"
 #include "nn/Training.h"
 #include "tool/Driver.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 using namespace craft;
@@ -316,14 +320,16 @@ ToolFixture &toolFixture() {
   return *F;
 }
 
-std::string sampleSpec(const ToolFixture &Fix, const std::string &Extra) {
+std::string sampleSpec(const ToolFixture &Fix, const std::string &Extra,
+                       double Epsilon = 0.02) {
   std::string S = "model " + Fix.ModelPath + "\ninput linf\ncenter";
   char Buf[32];
   for (size_t I = 0; I < Fix.Sample.size(); ++I) {
     snprintf(Buf, sizeof(Buf), " %.17g", Fix.Sample[I]);
     S += Buf;
   }
-  S += "\nepsilon 0.02\noutput robust " +
+  snprintf(Buf, sizeof(Buf), "%.17g", Epsilon);
+  S += "\nepsilon " + std::string(Buf) + "\noutput robust " +
        std::to_string(Fix.SampleClass) + "\n" + Extra;
   return S;
 }
@@ -411,4 +417,69 @@ TEST(DriverTest, SplitDepthEngagesBranchAndBound) {
   EXPECT_NE(Out.Detail.find(Out.Certified ? "split verification"
                                           : "e"), // any detail present
             std::string::npos);
+}
+
+TEST(DriverTest, FirstPgdRestartRefutesBeforePhase2AndIsTimedOnce) {
+  telemetry::setTimingEnabledForTest(true);
+  ToolFixture &Fix = toolFixture();
+  ASSERT_GE(Fix.SampleClass, 0);
+  std::optional<MonDeq> Model = MonDeq::load(Fix.ModelPath);
+  ASSERT_TRUE(Model);
+  FixpointSolver Concrete(*Model, Splitting::PeacemanRachford);
+  PgdOptions Opts;
+  Opts.Seed = 7;
+
+  // The first radius (fixed model and seed, so always the same one) at
+  // which phase 1 reaches containment without certifying and PGD's first
+  // restart refutes. Its phase-1 result is what the driver must report.
+  double Epsilon = -1.0;
+  CraftResult Phase1;
+  for (double E : {0.2, 0.3, 0.4, 0.5, 0.6}) {
+    Vector Lo(Fix.Sample.size()), Hi(Fix.Sample.size());
+    for (size_t I = 0; I < Fix.Sample.size(); ++I) {
+      Lo[I] = std::max(Fix.Sample[I] - E, 0.0);
+      Hi[I] = std::min(Fix.Sample[I] + E, 1.0);
+    }
+    CraftConfig Cfg;
+    Cfg.Alpha1 = 0.5;
+    bool Asked = false;
+    CraftResult Res = CraftVerifier(*Model, Cfg).verifyRegion(
+        Lo, Hi, Fix.SampleClass, [&] { return Asked = true; });
+    Opts.Epsilon = E;
+    if (Asked && PgdAttack(*Model, Concrete, Fix.Sample, Fix.SampleClass,
+                           Opts)
+                     .run(1)
+                     .FoundAdversarial) {
+      Epsilon = E;
+      Phase1 = Res;
+      break;
+    }
+  }
+  ASSERT_GT(Epsilon, 0.0) << "no radius refutes in PGD's first restart";
+
+  SpecParseResult R = parseSpec(
+      sampleSpec(Fix, "alpha1 0.5\nattack on\nseed 7\n", Epsilon));
+  ASSERT_TRUE(R.ok());
+  RunOutcome Out = runSpec(*R.Spec);
+  ASSERT_TRUE(Out.Refuted) << Out.Detail;
+  EXPECT_TRUE(Out.Containment);
+  EXPECT_FALSE(Out.Certified);
+  EXPECT_EQ(Out.AttackSeed, 7u);
+  EXPECT_EQ(0, std::memcmp(&Out.MarginLower, &Phase1.BestMargin,
+                           sizeof(double)))
+      << "a refuted query reports its phase-1 margin";
+
+  // The restart ran inside the engine's Solver phase; pgd_ms owns it.
+  ASSERT_TRUE(Out.Phases.Populated);
+  EXPECT_GT(Out.Phases.PgdMs, 0.0);
+  EXPECT_LE(Out.Phases.SolverMs + Out.Phases.PgdMs, Out.TimeSeconds * 1e3);
+
+  // The counterexample is the one-shot attack's, byte for byte.
+  PgdResult OneShot =
+      pgdAttack(*Model, Concrete, Fix.Sample, Fix.SampleClass, Opts);
+  ASSERT_TRUE(OneShot.FoundAdversarial);
+  ASSERT_EQ(Out.Counterexample.size(), OneShot.Adversarial.size());
+  EXPECT_EQ(0, std::memcmp(Out.Counterexample.data(),
+                           OneShot.Adversarial.data(),
+                           OneShot.Adversarial.size() * sizeof(double)));
 }

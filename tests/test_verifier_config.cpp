@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 using namespace craft;
 
 namespace {
@@ -116,6 +118,65 @@ TEST(ConfigTest, FixedAlpha2SkipsLineSearch) {
       EXPECT_DOUBLE_EQ(Res.ChosenAlpha2, 0.04);
     }
   }
+}
+
+bool sameBytes(const Vector &A, const Vector &B) {
+  return A.size() == B.size() &&
+         std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0;
+}
+
+TEST(ConfigTest, LineSearchIsTheFirstCertifyingProbeContinued) {
+  // For every query that reaches containment, the line-searched result is
+  // a fixed-alpha run at the alpha it chose: same verdict, byte-identical
+  // margin and hull. No earlier candidate certifies in a 6-step run.
+  static const double Candidates[] = {0.01, 0.02, 0.03, 0.05,
+                                      0.08, 0.12, 0.2,  0.35};
+  CraftConfig Search;
+  Search.Alpha1 = 0.05;
+  CraftVerifier SearchV(model(), Search);
+  size_t Phase1Certified = 0, Phase2Certified = 0, Undecided = 0;
+  for (double Eps : {0.07, 0.2}) {
+    for (const Sample &S : samples(12)) {
+      CraftResult Got = SearchV.verifyRobustness(S.X, S.Label, Eps);
+      if (!Got.Containment)
+        continue;
+      // A phase-1 certification never reaches phase 2, so any alpha will do.
+      CraftConfig Fixed = Search;
+      Fixed.Alpha2 = Got.ChosenAlpha2 >= 0.0 ? Got.ChosenAlpha2 : 0.05;
+      CraftResult Want =
+          CraftVerifier(model(), Fixed).verifyRobustness(S.X, S.Label, Eps);
+      EXPECT_EQ(Got.Certified, Want.Certified) << Eps;
+      EXPECT_EQ(0, std::memcmp(&Got.BestMargin, &Want.BestMargin,
+                               sizeof(double)))
+          << Got.BestMargin << " vs " << Want.BestMargin;
+      EXPECT_TRUE(sameBytes(Got.FixpointHull.lowerBounds(),
+                            Want.FixpointHull.lowerBounds()));
+      EXPECT_TRUE(sameBytes(Got.FixpointHull.upperBounds(),
+                            Want.FixpointHull.upperBounds()));
+      if (Got.ChosenAlpha2 < 0.0) {
+        ++Phase1Certified;
+        continue;
+      }
+      ++(Got.Certified ? Phase2Certified : Undecided);
+
+      CraftConfig Probe = Search;
+      Probe.Phase2MaxIterations = 6;
+      Probe.LambdaOptLevel = 0;
+      for (double Cand : Candidates) {
+        if (Cand >= Got.ChosenAlpha2)
+          break;
+        Probe.Alpha2 = Cand;
+        EXPECT_FALSE(CraftVerifier(model(), Probe)
+                         .verifyRobustness(S.X, S.Label, Eps)
+                         .Certified)
+            << "candidate " << Cand << " certifies before "
+            << Got.ChosenAlpha2;
+      }
+    }
+  }
+  EXPECT_GT(Phase1Certified, 0u);
+  EXPECT_GT(Phase2Certified, 0u);
+  EXPECT_GT(Undecided, 0u);
 }
 
 TEST(ConfigTest, Phase2BudgetBoundsIterations) {
