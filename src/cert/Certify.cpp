@@ -14,7 +14,7 @@ using namespace craft;
 namespace {
 
 /// Runs the verifier's phase 1 (containment search) and returns the state
-/// at containment, or nullopt.
+/// at containment, or nullopt (also when Config.Control stops it).
 std::optional<CHZonotope> findContainedState(const MonDeq &Model,
                                              const CraftConfig &Config,
                                              const CHZonotope &X,
@@ -29,6 +29,8 @@ std::optional<CHZonotope> findContainedState(const MonDeq &Model,
                                                             : 0.0;
   int Consolidations = 0;
   for (int N = 1; N <= Config.MaxIterations; ++N) {
+    if (Config.Control.stopRequested())
+      return std::nullopt;
     if ((N - 1) % Config.ConsolidateEvery == 0) {
       ProperState PS = consolidateProper(S, Basis, WMul, WAdd);
       S = PS.Z;
@@ -108,6 +110,8 @@ craft::certifyRegion(const MonDeq &Model, const Vector &InLo,
     for (double Alpha2 : Alpha2Candidates) {
       Cert.Alpha2 = Alpha2;
       Cert.Phase2Steps = std::min(Config.Phase2MaxIterations, 120);
+      if (Config.Control.stopRequested())
+        return std::nullopt;
       CheckReport Report = checkCertificate(Model, Cert);
       if (Report.Ok) {
         // Trim the recipe to the certifying step for cheap re-checks.

@@ -29,7 +29,8 @@ namespace craft {
 /// Epsilon-ball around \p X is classified as \p TargetClass. Returns
 /// nullopt when verification or witness construction fails (the query may
 /// still be verifiable by CraftVerifier with other schedules; a missing
-/// certificate is not a refutation).
+/// certificate is not a refutation), or when Config.Control fires: the
+/// search polls it every phase-1 iteration and before each self-check.
 std::optional<RobustnessCertificate>
 certifyRobustness(const MonDeq &Model, const Vector &X, int TargetClass,
                   double Epsilon, const CraftConfig &Config = {});

@@ -29,49 +29,34 @@ AbstractSolver::AbstractSolver(const MonDeq &Model, Splitting Method,
     this->Alpha = FixpointSolver(Model, Method, -1.0).alpha();
   const double A = this->Alpha;
 
-  Matrix InputMatrix; // stateDim x q.
+  Matrix InputMatrix; // p x q.
   if (Method == Splitting::ForwardBackward) {
     // s' = ReLU(((1-a) I + a W) s + a U x + a b).
     StateMatrix = stateMatrixFb(Model, A);
     InputMatrix = A * Model.weightU();
     Offset = A * Model.biasZ();
   } else {
-    // u_next = T (2 z - u) + 2 a M^{-1} (U x + b), T = 2 M^{-1} - I.
+    // u_next = T (2 z - u) + 2 a M^{-1} (U x + b), T = 2 M^{-1} - I,
+    // applied to s = [z; u] as the row block [2T, -T].
     Matrix M = Matrix::identity(P) +
                A * (Matrix::identity(P) - Model.weightW());
     Matrix MInv = LuDecomposition(M).inverse();
     Matrix T = 2.0 * MInv - Matrix::identity(P);
-    // Row block applied to s = [z; u]: [2T, -T].
-    Matrix RowBlock(P, 2 * P);
+    StateMatrix = Matrix(P, 2 * P);
     for (size_t I = 0; I < P; ++I)
       for (size_t J = 0; J < P; ++J) {
-        RowBlock(I, J) = 2.0 * T(I, J);
-        RowBlock(I, P + J) = -T(I, J);
+        StateMatrix(I, J) = 2.0 * T(I, J);
+        StateMatrix(I, P + J) = -T(I, J);
       }
-    StateMatrix = Matrix(2 * P, 2 * P);
-    Matrix InputHalf = (2.0 * A) * (MInv * Model.weightU());
-    Vector OffsetHalf = (2.0 * A) * (MInv * Model.biasZ());
-    InputMatrix = Matrix(2 * P, Model.inputDim());
-    Offset = Vector(2 * P);
-    for (size_t I = 0; I < P; ++I) {
-      for (size_t J = 0; J < 2 * P; ++J) {
-        StateMatrix(I, J) = RowBlock(I, J);
-        StateMatrix(P + I, J) = RowBlock(I, J);
-      }
-      for (size_t J = 0; J < Model.inputDim(); ++J) {
-        InputMatrix(I, J) = InputHalf(I, J);
-        InputMatrix(P + I, J) = InputHalf(I, J);
-      }
-      Offset[I] = OffsetHalf[I];
-      Offset[P + I] = OffsetHalf[I];
-    }
+    InputMatrix = (2.0 * A) * (MInv * Model.weightU());
+    Offset = (2.0 * A) * (MInv * Model.biasZ());
   }
 
-  // Map the input region into state space once; every step reuses it with
-  // shared ids (see file comment).
-  InputContrib = InputAbs.affine(InputMatrix, Vector(stateDim(), 0.0));
+  // Map the input region into the p pre-activation rows once; every step
+  // reuses it with shared ids (see file comment).
+  InputContrib = InputAbs.affine(InputMatrix, Vector(P, 0.0));
   InputContribIv =
-      InputAbs.intervalHull().affine(InputMatrix, Vector(stateDim(), 0.0));
+      InputAbs.intervalHull().affine(InputMatrix, Vector(P, 0.0));
 }
 
 CHZonotope AbstractSolver::initialState(const Vector &ZStar) const {
@@ -100,16 +85,22 @@ IntervalVector AbstractSolver::initialStateInterval(const Vector &ZStar) const {
 CHZonotope AbstractSolver::step(const CHZonotope &State, double LambdaScale,
                                 bool AbsorbBox) const {
   assert(State.dim() == stateDim() && "state dimension mismatch");
-  // The input contribution is already in state space: combine it under the
-  // identity map (null matrix — shared-id merge is what matters here, and
-  // materializing a stateDim x stateDim identity every iteration would put
-  // a p^2 k multiply on the hot path for nothing).
+  // The input contribution is already in pre-activation space: combine it
+  // under the identity map (null matrix — shared-id merge is what matters
+  // here, and materializing a p x p identity every iteration would put a
+  // p^2 k multiply on the hot path for nothing).
   std::pair<const Matrix *, const CHZonotope *> Terms[] = {
       {&StateMatrix, &State}, {nullptr, &InputContrib}};
   // The only map here is the dense monDEQ state matrix: skip the density
   // probe so the gemm goes straight to the dense kernel.
   CHZonotope Pre = CHZonotope::linearCombine(
       Terms, Offset, BoxPolicy::CastToGenerators, kernels::DensityHint::Dense);
+  // PR: s' = [ReLU(u_next); u_next]. Both halves are the one u_next, so
+  // stacking it on itself is the image of the 2p-row map [2T, -T; 2T, -T]
+  // bit for bit: same ids in the same order, and a column is zero in the
+  // stack exactly when it is zero in u_next.
+  if (Method == Splitting::PeacemanRachford)
+    Pre = CHZonotope::stack(Pre, Pre);
   switch (Act) {
   case ActivationKind::ReLU:
     return Pre.reluPrefix(LatentDim, Vector(), AbsorbBox, LambdaScale);
@@ -127,6 +118,8 @@ CHZonotope AbstractSolver::step(const CHZonotope &State, double LambdaScale,
 
 IntervalVector AbstractSolver::stepInterval(const IntervalVector &State) const {
   IntervalVector Pre = State.affine(StateMatrix, Offset) + InputContribIv;
+  if (Method == Splitting::PeacemanRachford)
+    Pre = IntervalVector::stack(Pre, Pre);
   if (Act == ActivationKind::ReLU)
     return Pre.reluPrefix(LatentDim);
   // Smooth resolvents are monotone: endpoint images are exact bounds.

@@ -16,6 +16,8 @@
 /// map followed by a partial ReLU on the z-half:
 ///   u_next = (2 M^{-1} - I)(2 z - u) + 2 a M^{-1} (U x + b),
 ///   s'     = [ReLU(u_next); u_next],         M = I + a (I - W).
+/// Both halves of s' start from the one u_next, so the solver keeps only
+/// its p rows (the p x 2p map [2T, -T]) and stacks the image on itself.
 ///
 /// Composing the affine steps before abstraction keeps the transformer
 /// exact up to the single ReLU relaxation per iteration.
@@ -49,7 +51,7 @@ public:
   double alpha() const { return Alpha; }
 
   /// State dimension: p for FB, 2p for PR.
-  size_t stateDim() const { return StateMatrix.rows(); }
+  size_t stateDim() const { return StateMatrix.cols(); }
   size_t latentDim() const { return LatentDim; }
 
   /// Initial abstract state from the concrete center fixpoint (Alg. 1
@@ -71,16 +73,15 @@ public:
   CHZonotope zPart(const CHZonotope &State) const;
   IntervalVector zPartInterval(const IntervalVector &State) const;
 
-  const Matrix &stateMatrix() const { return StateMatrix; }
-  const Vector &offset() const { return Offset; }
-
 private:
   size_t LatentDim;
   Splitting Method;
   double Alpha;
   ActivationKind Act; ///< Equilibrium activation (App. B.6 dispatch).
-  Matrix StateMatrix;          ///< stateDim x stateDim affine map.
-  Vector Offset;               ///< Constant part (biases).
+  /// p x stateDim affine map onto the pre-activation: the FB state matrix,
+  /// or PR's u_next row block [2T, -T].
+  Matrix StateMatrix;
+  Vector Offset;               ///< Constant part (biases), p rows.
   CHZonotope InputContrib;     ///< InputMatrix * X, shared ids, mapped once.
   IntervalVector InputContribIv;
 };

@@ -13,6 +13,11 @@
 ///  last HistorySize consolidated proper states and checking the current
 ///  state against all of them (s-step containment, Thm B.1). Once contained,
 ///  the state provably over-approximates the true fixpoint set (Thm 3.1).
+///  Phase 1 starts from a point, so it consolidates in the identity basis
+///  until the first PCA refresh over a non-empty generator matrix (the
+///  first PcaRefreshEvery consolidations); containment checks against
+///  those diag(1/c) inverses skip the dense gemm (absProductRowSums). That
+///  is speed, not soundness: any basis consolidates soundly (Thm 4.1).
 ///
 ///  Phase 2 (tightening): apply fixpoint-set-preserving iterations
 ///  (Thm 3.3 / Thm 5.1) -- FB with a line-searched step size by default --

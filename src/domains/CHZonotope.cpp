@@ -487,16 +487,9 @@ CHZonotope CHZonotope::consolidate(const Matrix &Basis, const Matrix &BasisInv,
          "basis inverse must be p x p");
 
   // Consolidation coefficients c = |Basis^{-1} A| 1 (Thm 4.1), with the
-  // expansion of Eq. 10 applied on top. The mapped generator matrix is
-  // workspace scratch — consolidation runs every few Kleene iterations and
-  // its p x k temporary dominated the heap traffic here.
-  WorkspaceScope WS;
-  Vector C(P, 0.0);
-  if (numGenerators() > 0) {
-    MatrixView Mapped = WS.matrix(P, numGenerators());
-    kernels::gemm(Mapped, BasisInv, Generators);
-    kernels::rowAbsSumsInto(C, Mapped);
-  }
+  // expansion of Eq. 10 applied on top.
+  Vector C(P);
+  absProductRowSums(C, BasisInv, Generators);
   for (size_t I = 0; I < P; ++I) {
     C[I] = (1.0 + WMul) * C[I] + WAdd;
     // Floor zero coefficients: enlarging a generator is sound, and a
@@ -652,6 +645,43 @@ CHZonotope CHZonotope::join(const CHZonotope &A, const CHZonotope &B) {
                     std::move(Box));
 }
 
+/// True when the square matrix \p M has no nonzero off its diagonal. The
+/// scan stops at the first off-diagonal nonzero.
+static bool isDiagonal(const Matrix &M) {
+  for (size_t I = 0, P = M.rows(); I < P; ++I)
+    for (size_t J = 0; J < P; ++J)
+      if (I != J && M(I, J) != 0.0)
+        return false;
+  return true;
+}
+
+void craft::absProductRowSums(VectorView Out, const Matrix &L,
+                              const Matrix &R) {
+  assert(L.rows() == L.cols() && L.cols() == R.rows() &&
+         Out.size() == L.rows() && "absProductRowSums shape mismatch");
+  const size_t P = R.rows(), K = R.cols();
+  if (K == 0) {
+    kernels::fill(Out, 0.0);
+    return;
+  }
+  if (isDiagonal(L)) {
+    for (size_t I = 0; I < P; ++I) {
+      const double S = L(I, I);
+      double Acc = 0.0;
+      for (size_t J = 0; J < K; ++J)
+        Acc = Acc + std::fabs(S * R(I, J));
+      Out[I] = Acc;
+    }
+    return;
+  }
+  // The p x k product is workspace scratch: both callers run every few
+  // Kleene iterations, and this temporary dominated their heap traffic.
+  WorkspaceScope WS;
+  MatrixView Mapped = WS.matrix(P, K);
+  kernels::gemm(Mapped, L, R);
+  kernels::rowAbsSumsInto(Out, Mapped);
+}
+
 ContainmentResult craft::containsCH(const CHZonotope &Outer,
                                     const Matrix &OuterInvGens,
                                     const CHZonotope &Inner) {
@@ -666,13 +696,7 @@ ContainmentResult craft::containsCH(const CHZonotope &Outer,
   // history state.
   WorkspaceScope WS;
   VectorView Lhs = WS.vector(P);
-  if (Inner.numGenerators() > 0) {
-    MatrixView Mapped = WS.matrix(P, Inner.numGenerators());
-    kernels::gemm(Mapped, OuterInvGens, Inner.generators());
-    kernels::rowAbsSumsInto(Lhs, Mapped);
-  } else {
-    kernels::fill(Lhs, 0.0);
-  }
+  absProductRowSums(Lhs, OuterInvGens, Inner.generators());
 
   VectorView D = WS.vector(P);
   for (size_t I = 0; I < P; ++I)

@@ -174,6 +174,16 @@ struct ContainmentResult {
   double Slack = 0.0;
 };
 
+/// Out[i] = sum_j |(L R)(i, j)|, the |A^{-1} A'| 1 that consolidation
+/// (Thm 4.1) and the containment check (Thm 4.2) both reduce. A diagonal
+/// \p L skips the gemm: row i is sum_j |L(i,i) R(i,j)| in ascending j from
+/// +0.0, the bytes kernels::gemm then kernels::rowAbsSumsInto produce on
+/// finite data (every other product of the dense row is an exact zero).
+/// Identity-basis consolidations and their diag(1/c) inverses take this
+/// path (see ConsolidationBasis); the scan for it stops at the first
+/// off-diagonal nonzero, so dense (PCA) operands pay almost nothing.
+void absProductRowSums(VectorView Out, const Matrix &L, const Matrix &R);
+
 /// CH-Zonotope containment check (Thm 4.2): is \p Inner contained in the
 /// proper CH-Zonotope \p Outer? \p OuterInvGens must be the inverse of
 /// Outer's generator matrix. Sound but incomplete; O(p^2 (p + k)).

@@ -2,7 +2,6 @@
 
 #include "domains/OrderReduction.h"
 
-#include "linalg/Kernels.h"
 #include "linalg/Pca.h"
 #include "linalg/Workspace.h"
 
@@ -33,18 +32,10 @@ ProperState craft::consolidateProper(const CHZonotope &Z,
   const Matrix &BInv = Basis.basisInv();
 
   // Consolidation coefficients (Thm 4.1) with expansion (Eq. 10) and the
-  // positivity floor that keeps the result proper. The p x k mapped
-  // generator matrix is workspace scratch: consolidateProper runs every
-  // few Kleene iterations and this temporary dominated its heap traffic.
+  // positivity floor that keeps the result proper.
   WorkspaceScope WS;
   VectorView C = WS.vector(P);
-  if (Z.numGenerators() > 0) {
-    MatrixView Mapped = WS.matrix(P, Z.numGenerators());
-    kernels::gemm(Mapped, BInv, Z.generators());
-    kernels::rowAbsSumsInto(C, Mapped);
-  } else {
-    kernels::fill(C, 0.0);
-  }
+  absProductRowSums(C, BInv, Z.generators());
   for (size_t I = 0; I < P; ++I)
     C[I] = std::max((1.0 + WMul) * C[I] + WAdd, 1e-12);
 

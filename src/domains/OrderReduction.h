@@ -22,7 +22,11 @@ namespace craft {
 
 /// Caches the PCA consolidation basis and its inverse, refreshing it every
 /// \c RefreshEvery requests. PCA bases are orthogonal, so the inverse is the
-/// transpose.
+/// transpose. The PCA of an empty generator matrix is the identity, so a
+/// run that starts from a point consolidates in the identity basis until
+/// the first refresh over a non-empty generator matrix; consolidateProper
+/// and containsCH then take absProductRowSums' diagonal path. That is a
+/// speed-up only: soundness holds for any basis (Thm 4.1).
 class ConsolidationBasis {
 public:
   /// \p Dim is the state dimensionality p; \p RefreshEvery the number of

@@ -40,11 +40,13 @@ constexpr uint32_t InvalidId = ~0u;
 constexpr size_t MaxCounters = 192;
 constexpr size_t MaxGauges = 64;
 constexpr size_t MaxHistograms = 48;
-/// Span records kept per thread; older spans are evicted whole.
-constexpr size_t RingCapacity = 8192;
+/// Span records kept per thread; older spans are evicted whole. One traced
+/// split-gmm certification records ~20k spans on a thread between drains.
+constexpr size_t RingCapacity = 1 << 16;
 /// Cap on spans carried over from exited threads (keeps long-lived
 /// daemons with worker churn bounded; oldest retired spans drop first).
-constexpr size_t MaxRetiredSpans = 1 << 16;
+/// Holds ~75k spans, one certification's worth across 4 workers, with room.
+constexpr size_t MaxRetiredSpans = 1 << 18;
 
 /// Per-thread metric storage. Atomic so readers can fold while the owner
 /// keeps writing; the owner only ever uses relaxed fetch_add.
@@ -171,7 +173,6 @@ CounterShard &shard() {
 TraceRing &ring() {
   if (!Tls.Ring) {
     auto *Rg = new TraceRing();
-    Rg->Slots.reserve(RingCapacity);
     Registry &R = reg();
     std::lock_guard<std::mutex> Lock(R.Mu);
     Rg->Tid = R.NextTid++;
@@ -189,6 +190,10 @@ void recordSpan(const char *Name, uint64_t StartNs, uint64_t EndNs) {
   std::lock_guard<std::mutex> Lock(Rg.Mu);
   SpanRecord Rec{Name, StartNs, EndNs - StartNs, Rg.Tid, Depth};
   if (Rg.Slots.size() < RingCapacity) {
+    // Sized on the first span, not at ring creation: labelled threads of
+    // an untraced run never pay for the slots.
+    if (Rg.Slots.empty())
+      Rg.Slots.reserve(RingCapacity);
     Rg.Slots.push_back(Rec);
   } else {
     Rg.Slots[Rg.Next] = Rec;

@@ -414,7 +414,9 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
       // domain. The witness machinery is zonotope-based, so a Box
       // certification re-proves in CH-Zonotope (the certificate records
       // the domain the proof actually used).
-      CraftConfig CertCfg = configFor(Spec);
+      // Cfg carries the query's RunControl: a deadline that lands during
+      // the witness search stops it.
+      CraftConfig CertCfg = Cfg;
       if (!Out.CascadeRung.empty())
         if (std::optional<VerifierDomain> Rung =
                 parseVerifierDomain(Out.CascadeRung))
@@ -425,6 +427,8 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
             saveCertificate(*Cert, Spec.CertificatePath);
         if (!Out.CertificateWritten)
           Out.Detail += "; failed to write certificate";
+      } else if (Control.stopRequested()) {
+        Out.Detail += "; certificate skipped: deadline exceeded";
       } else {
         Out.Detail += "; witness construction failed";
       }

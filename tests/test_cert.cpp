@@ -205,6 +205,33 @@ TEST(CertifyTest, EmittedCertificatesAlwaysCheck) {
   EXPECT_GE(Emitted, 3) << "pipeline should certify easy GMM samples";
 }
 
+TEST(CertifyTest, StoppedSearchEmitsNothing) {
+  // A query whose deadline has passed must not run the witness search:
+  // the same sample certifies with a live RunControl and yields nothing
+  // once the control has fired.
+  TrainedFixture &Fix = trainedModel();
+  FixpointSolver Solver(Fix.Model, Splitting::PeacemanRachford);
+  CraftConfig Cfg;
+  Cfg.Alpha1 = 0.5;
+  CancelToken Stop;
+  Stop.cancel();
+  for (size_t I = 0; I < Fix.Test.size(); ++I) {
+    Vector X = Fix.Test.input(I);
+    int Cls = Solver.predict(X);
+    if (Cls != Fix.Test.Labels[I] ||
+        !certifyRobustness(Fix.Model, X, Cls, 0.03, Cfg))
+      continue;
+    CraftConfig Stopped = Cfg;
+    Stopped.Control.Cancel = &Stop;
+    EXPECT_FALSE(certifyRobustness(Fix.Model, X, Cls, 0.03, Stopped));
+    Stopped.Control = RunControl{};
+    Stopped.Control.DeadlineAt = Deadline(0.0);
+    EXPECT_FALSE(certifyRobustness(Fix.Model, X, Cls, 0.03, Stopped));
+    return;
+  }
+  FAIL() << "no certifiable sample";
+}
+
 TEST(CertifyTest, CertificatesSurviveSerialization) {
   TrainedFixture &Fix = trainedModel();
   FixpointSolver Solver(Fix.Model, Splitting::PeacemanRachford);

@@ -12,6 +12,7 @@
 #include "core/LipschitzCert.h"
 #include "core/Verifier.h"
 #include "data/GaussianMixture.h"
+#include "linalg/Lu.h"
 #include "nn/Training.h"
 #include "support/Rng.h"
 
@@ -88,6 +89,98 @@ TEST_P(AbstractSolverExactnessTest, PointInputMatchesConcreteSolver) {
 INSTANTIATE_TEST_SUITE_P(Methods, AbstractSolverExactnessTest,
                          ::testing::Values(Splitting::ForwardBackward,
                                            Splitting::PeacemanRachford));
+
+bool sameBytes(const Vector &A, const Vector &B) {
+  return A.size() == B.size() &&
+         std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0;
+}
+
+bool sameBytes(const Matrix &A, const Matrix &B) {
+  return A.rows() == B.rows() && A.cols() == B.cols() &&
+         (A.rows() * A.cols() == 0 ||
+          std::memcmp(A.rowData(0), B.rowData(0),
+                      A.rows() * A.cols() * sizeof(double)) == 0);
+}
+
+/// Sets the error-term id counter so the next fresh id is \p Next.
+void rewindErrorTermIds(uint64_t Next) {
+  resetErrorTermIds();
+  while (Next-- > 1)
+    freshErrorTermId();
+}
+
+TEST(AbstractSolverTest, PrStepMatchesExplicitStackedMap) {
+  // The PR step keeps only u_next's p rows and stacks them; the reference
+  // applies Eq. 9's full 2p x 2p map [2T, -T; 2T, -T] to the stacked
+  // state. Every step must agree bit for bit — centre, generators, ids
+  // (fresh ones included) and box — on CH-Zonotope and Zonotope states,
+  // at lambda scales 1 and 1.1, and on the Box domain.
+  Rng R(44);
+  const size_t Q = 4, P = 7;
+  MonDeq Model = MonDeq::randomFc(R, Q, P, 2, 15.0);
+  const double Alpha = 0.15;
+  Vector Lo(Q, 0.35), Hi(Q, 0.45);
+  Lo[2] = Hi[2] = 0.4; // A degenerate input dimension.
+  const CHZonotope X = CHZonotope::fromBox(Lo, Hi);
+  AbstractSolver Abs(Model, Splitting::PeacemanRachford, Alpha, X);
+  ASSERT_EQ(Abs.stateDim(), 2 * P);
+
+  Matrix M = Matrix::identity(P) +
+             Alpha * (Matrix::identity(P) - Model.weightW());
+  Matrix MInv = LuDecomposition(M).inverse();
+  Matrix T = 2.0 * MInv - Matrix::identity(P);
+  Matrix InputHalf = (2.0 * Alpha) * (MInv * Model.weightU());
+  Vector OffsetHalf = (2.0 * Alpha) * (MInv * Model.biasZ());
+  Matrix Full(2 * P, 2 * P), Input(2 * P, Q);
+  Vector Offset(2 * P);
+  for (size_t I = 0; I < 2 * P; ++I) {
+    for (size_t J = 0; J < P; ++J) {
+      Full(I, J) = 2.0 * T(I % P, J);
+      Full(I, P + J) = -T(I % P, J);
+    }
+    for (size_t J = 0; J < Q; ++J)
+      Input(I, J) = InputHalf(I % P, J);
+    Offset[I] = OffsetHalf[I % P];
+  }
+  const CHZonotope InputContrib = X.affine(Input, Vector(2 * P, 0.0));
+  const IntervalVector InputContribIv =
+      X.intervalHull().affine(Input, Vector(2 * P, 0.0));
+  const Vector ZStar =
+      FixpointSolver(Model, Splitting::PeacemanRachford).solve(Lo).Z;
+
+  for (bool AbsorbBox : {true, false})
+    for (double LambdaScale : {1.0, 1.1}) {
+      CHZonotope S = Abs.initialState(ZStar);
+      for (int Step = 0; Step < 8; ++Step) {
+        const uint64_t Next = freshErrorTermId() + 1;
+        CHZonotope Got = Abs.step(S, LambdaScale, AbsorbBox);
+        rewindErrorTermIds(Next);
+        std::pair<const Matrix *, const CHZonotope *> Terms[] = {
+            {&Full, &S}, {nullptr, &InputContrib}};
+        CHZonotope Want =
+            CHZonotope::linearCombine(Terms, Offset,
+                                      BoxPolicy::CastToGenerators,
+                                      kernels::DensityHint::Dense)
+                .reluPrefix(P, Vector(), AbsorbBox, LambdaScale);
+        EXPECT_TRUE(sameBytes(Got.center(), Want.center())) << Step;
+        EXPECT_TRUE(sameBytes(Got.generators(), Want.generators())) << Step;
+        EXPECT_EQ(Got.termIds(), Want.termIds()) << Step;
+        EXPECT_TRUE(sameBytes(Got.boxRadius(), Want.boxRadius())) << Step;
+        S = std::move(Got);
+      }
+      EXPECT_GT(S.numGenerators(), 0u);
+    }
+
+  IntervalVector S = Abs.initialStateInterval(ZStar);
+  for (int Step = 0; Step < 8; ++Step) {
+    IntervalVector Got = Abs.stepInterval(S);
+    IntervalVector Want =
+        (S.affine(Full, Offset) + InputContribIv).reluPrefix(P);
+    EXPECT_TRUE(sameBytes(Got.center(), Want.center())) << Step;
+    EXPECT_TRUE(sameBytes(Got.radius(), Want.radius())) << Step;
+    S = std::move(Got);
+  }
+}
 
 class AbstractSolverSoundnessTest : public ::testing::TestWithParam<int> {};
 

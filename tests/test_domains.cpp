@@ -468,6 +468,74 @@ TEST(ContainmentTest, DetectsContainedAndNot) {
   EXPECT_FALSE(containsCH(Outer, OuterInv, Shifted).Contained);
 }
 
+/// The Thm 4.2 slack the dense way: gemm, then rowAbsSumsInto, then
+/// gemvAbs for the centre/box term — the reference containsCH must match
+/// byte for byte whichever path it takes.
+double denseContainmentSlack(const CHZonotope &Outer, const Matrix &Inv,
+                             const CHZonotope &Inner) {
+  const size_t P = Outer.dim();
+  Vector Lhs(P, 0.0);
+  if (Inner.numGenerators() > 0) {
+    Matrix Mapped(P, Inner.numGenerators());
+    kernels::gemm(Mapped, Inv, Inner.generators());
+    kernels::rowAbsSumsInto(Lhs, Mapped);
+  }
+  Vector D(P);
+  for (size_t I = 0; I < P; ++I)
+    D[I] = std::max(std::fabs(Inner.center()[I] - Outer.center()[I]) +
+                        Inner.boxRadius()[I] - Outer.boxRadius()[I],
+                    0.0);
+  kernels::gemvAbs(Lhs, Inv, D, 1.0, 1.0);
+  return kernels::normInf(Lhs);
+}
+
+void expectSameSlackBytes(const CHZonotope &Outer, const Matrix &Inv,
+                          const CHZonotope &Inner) {
+  const double Got = containsCH(Outer, Inv, Inner).Slack;
+  const double Want = denseContainmentSlack(Outer, Inv, Inner);
+  EXPECT_EQ(0, std::memcmp(&Got, &Want, sizeof(double)))
+      << Got << " vs " << Want;
+}
+
+TEST(ContainmentTest, DiagonalInverseMatchesDenseGemmBytes) {
+  Rng R(74);
+  const size_t P = 9;
+  // A diagonal inverse with negative entries and -0.0 off the diagonal
+  // (still diagonal: -0.0 is a zero), against an inner zonotope whose
+  // generators carry negative entries and -0.0s.
+  Matrix Inv(P, P);
+  Matrix Gens(P, P);
+  for (size_t I = 0; I < P; ++I) {
+    Inv(I, I) = (I % 2 ? -1.0 : 1.0) * (0.5 + R.uniform(0.0, 2.0));
+    Gens(I, I) = 1.0 / Inv(I, I);
+  }
+  Inv(0, 3) = -0.0;
+  Inv(5, 2) = -0.0;
+  std::vector<uint64_t> Ids(P);
+  for (uint64_t &Id : Ids)
+    Id = freshErrorTermId();
+  const CHZonotope Outer(randomVector(R, P), Gens, Ids, Vector(P, 0.05));
+  CHZonotope Inner = randomZonotope(R, P, 23, /*WithBox=*/true);
+  Matrix InnerGens = Inner.generators();
+  InnerGens(2, 4) = -0.0;
+  InnerGens(7, 0) = -0.0;
+  InnerGens(1, 22) = 0.0;
+  Inner = CHZonotope(Inner.center(), InnerGens, Inner.termIds(),
+                     Inner.boxRadius());
+  expectSameSlackBytes(Outer, Inv, Inner);
+
+  // An inner zonotope with no generators: only the centre/box term.
+  expectSameSlackBytes(Outer, Inv,
+                       CHZonotope(Inner.center(), Matrix(P, 0), {},
+                                  Inner.boxRadius()));
+
+  // Diagonal in row 0 only: the scan must fall through to the gemm.
+  Matrix RowZeroDiagonal = randomMatrix(R, P, P);
+  for (size_t J = 1; J < P; ++J)
+    RowZeroDiagonal(0, J) = 0.0;
+  expectSameSlackBytes(Outer, RowZeroDiagonal, Inner);
+}
+
 TEST(ContainmentTest, SoundOnSampledPoints) {
   // When the check succeeds, every sampled inner point must lie in the
   // outer set (verified exactly via the proper representation, b = 0).
@@ -779,6 +847,42 @@ TEST(OrderReductionTest, BasisRefreshScheduleHonored) {
   Basis.invalidate();
   Basis.refresh(A1);
   EXPECT_LT((Basis.basis() - First).maxAbs(), 1e-12);
+}
+
+TEST(OrderReductionTest, IdentityBasisConsolidationMatchesGemmBytes) {
+  // Phase 1 starts from a point: the first refresh sees no generators and
+  // keeps the identity basis, which the next consolidations reuse.
+  Rng R(907);
+  const size_t P = 8;
+  ConsolidationBasis Basis(P, /*RefreshEvery=*/30);
+  consolidateProper(CHZonotope::point(randomVector(R, P)), Basis);
+  ASSERT_EQ((Basis.basisInv() - Matrix::identity(P)).maxAbs(), 0.0);
+
+  CHZonotope Z = randomZonotope(R, P, 31, /*WithBox=*/true);
+  Matrix G = Z.generators();
+  G(3, 5) = -0.0;
+  Z = CHZonotope(Z.center(), G, Z.termIds(), Z.boxRadius());
+  const double WMul = 0.1, WAdd = 0.01;
+  ProperState Got = consolidateProper(Z, Basis, WMul, WAdd);
+
+  // The gemm path: c = (1 + WMul) |B^{-1} A| 1 + WAdd, floored.
+  Matrix Mapped(P, Z.numGenerators());
+  kernels::gemm(Mapped, Basis.basisInv(), Z.generators());
+  Vector C(P);
+  kernels::rowAbsSumsInto(C, Mapped);
+  for (size_t I = 0; I < P; ++I)
+    C[I] = std::max((1.0 + WMul) * C[I] + WAdd, 1e-12);
+  for (size_t I = 0; I < P; ++I)
+    for (size_t J = 0; J < P; ++J) {
+      const double GotGen = Got.Z.generators()(I, J);
+      const double WantGen = Basis.basis()(I, J) * C[J];
+      const double GotInv = Got.InvGens(J, I);
+      const double WantInv = Basis.basisInv()(J, I) / C[J];
+      EXPECT_EQ(0, std::memcmp(&GotGen, &WantGen, sizeof(double)))
+          << I << "," << J;
+      EXPECT_EQ(0, std::memcmp(&GotInv, &WantInv, sizeof(double)))
+          << J << "," << I;
+    }
 }
 
 } // namespace

@@ -272,6 +272,34 @@ TEST(TraceJsonTest, ExportsBalancedProperlyNestedEvents) {
   clearTrace();
 }
 
+TEST(TraceJsonTest, RingHoldsOneSplitCertificationOfSpans) {
+  // A traced split-gmm certification records ~20k spans on one thread
+  // between drains; none of them may be evicted, live or retired.
+  setTimingEnabledForTest(true);
+  setTraceEnabled(true);
+  clearTrace();
+  constexpr size_t Spans = 20000;
+  auto record = [] {
+    for (size_t I = 0; I < Spans; ++I) {
+      TRACE_SPAN("test.ring");
+    }
+  };
+  auto countRecorded = [] {
+    size_t N = 0;
+    for (const SpanRecord &Rec : traceSpans())
+      N += std::strcmp(Rec.Name, "test.ring") == 0;
+    return N;
+  };
+  record();
+  EXPECT_EQ(countRecorded(), Spans) << "live ring";
+  clearTrace();
+  std::thread T(record);
+  T.join();
+  EXPECT_EQ(countRecorded(), Spans) << "retired ring";
+  setTraceEnabled(false);
+  clearTrace();
+}
+
 TEST(TraceJsonTest, SpansAreInertWhenTracingIsOff) {
   setTraceEnabled(false);
   clearTrace();
