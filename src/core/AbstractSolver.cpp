@@ -103,7 +103,8 @@ CHZonotope AbstractSolver::step(const CHZonotope &State, double LambdaScale,
     Pre = CHZonotope::stack(Pre, Pre);
   switch (Act) {
   case ActivationKind::ReLU:
-    return Pre.reluPrefix(LatentDim, Vector(), AbsorbBox, LambdaScale);
+    return std::move(Pre).reluPrefix(LatentDim, Vector(), AbsorbBox,
+                                     LambdaScale);
   case ActivationKind::Sigmoid:
     // Lambda optimization is a ReLU-relaxation knob; smooth resolvents use
     // their own secant/tangent relaxation (App. B.6).

@@ -40,14 +40,15 @@ public:
   ~IdColumnMap() { inUse() = false; }
 #endif
 
-  /// Inserts Id -> Col if absent; returns true when newly inserted.
-  bool emplace(uint64_t Id, size_t Col) {
+  /// Inserts Id -> Col if absent; returns the id's column (\p Col when
+  /// newly inserted).
+  size_t emplace(uint64_t Id, size_t Col) {
     assert(Id != 0 && "error-term ids start at 1");
     size_t Slot = probe(Id);
     if (Table[Slot].first == Id)
-      return false;
+      return Table[Slot].second;
     Table[Slot] = {Id, Col};
-    return true;
+    return Col;
   }
 
   /// Column of a present id.
@@ -86,6 +87,14 @@ private:
   std::vector<std::pair<uint64_t, size_t>> &Table;
   size_t Mask;
 };
+
+/// Output column of every operand generator column of one linearCombine
+/// call, reused across calls like IdColumnMap's table (linearCombine is
+/// its only user and does not nest).
+std::vector<size_t> &generatorColumnBuffer() {
+  static thread_local std::vector<size_t> TLS;
+  return TLS;
+}
 
 } // namespace
 
@@ -274,6 +283,31 @@ static void castBoxColumns(Matrix &Gens, std::vector<uint64_t> &OutIds,
   }
 }
 
+/// Gens(:, Cols[j]) += Src(:, j) for every column j of \p Src, row by row
+/// over Src's contiguous rows. Each element still receives one addition
+/// per column, in ascending j, as a column-at-a-time scatter would give
+/// it. Columns that land on one ascending run of output columns (the
+/// solver step's input term) add each row segment with one axpy, whose
+/// y + 1.0 * x is the same y + x.
+static void addColumns(MatrixView Gens, ConstMatrixView Src,
+                       std::span<const size_t> Cols) {
+  const size_t K = Src.cols();
+  bool OneRun = true;
+  for (size_t J = 1; J < K && OneRun; ++J)
+    OneRun = Cols[J] == Cols[0] + J;
+  for (size_t R = 0, P = Src.rows(); R < P; ++R) {
+    const double *SrcRow = Src.row(R);
+    double *DstRow = Gens.row(R);
+    if (OneRun) {
+      kernels::axpy(VectorView(DstRow + Cols[0], K), 1.0,
+                    ConstVectorView(SrcRow, K));
+      continue;
+    }
+    for (size_t J = 0; J < K; ++J)
+      DstRow[Cols[J]] += SrcRow[J];
+  }
+}
+
 CHZonotope CHZonotope::linearCombine(
     std::span<const std::pair<const Matrix *, const CHZonotope *>> Terms,
     const Vector &Offset, BoxPolicy Policy, kernels::DensityHint Hint) {
@@ -341,57 +375,79 @@ CHZonotope CHZonotope::linearCombine(
                       std::move(Box));
   }
 
-  // General path: assign output columns to distinct error-term ids (in
-  // first occurrence order, for determinism).
-  size_t TotalCols = NumBoxCols;
+  // General path: assign output columns to distinct error-term ids in
+  // first-occurrence order (for determinism), recording each operand
+  // column's output column as it is assigned.
+  size_t NumTermCols = 0;
   for (const auto &[M, Z] : Terms) {
     (void)M;
-    TotalCols += Z->numGenerators();
+    NumTermCols += Z->numGenerators();
   }
-  IdColumnMap ColumnOf(TotalCols);
+  IdColumnMap ColumnOf(NumTermCols);
+  std::vector<size_t> &ColumnOfGen = generatorColumnBuffer();
+  ColumnOfGen.resize(NumTermCols);
   std::vector<uint64_t> OutIds;
-  OutIds.reserve(TotalCols);
+  OutIds.reserve(NumTermCols + NumBoxCols);
+  size_t Pos = 0;
   for (const auto &[M, Z] : Terms) {
     (void)M;
-    for (uint64_t Id : Z->TermIds)
-      if (ColumnOf.emplace(Id, OutIds.size()))
+    for (uint64_t Id : Z->TermIds) {
+      const size_t Col = ColumnOf.emplace(Id, OutIds.size());
+      if (Col == OutIds.size())
         OutIds.push_back(Id);
+      ColumnOfGen[Pos++] = Col;
+    }
   }
+  // A first term with distinct ids owns output columns [0, K) in its own
+  // order (the first-occurrence rule), so its product needs no scatter.
+  // Its last column lands at K - 1 exactly when every id before it was
+  // new.
+  const size_t FirstK = Terms.front().second->numGenerators();
+  const bool FirstOwnsPrefix =
+      FirstK > 0 && ColumnOfGen[FirstK - 1] == FirstK - 1;
 
   const size_t NumShared = OutIds.size();
   Matrix Gens(POut, NumShared + NumBoxCols);
+  MatrixView GensV(Gens);
   Vector Center = Offset;
   Vector Box(POut, 0.0);
   size_t NextBoxCol = NumShared;
 
   WorkspaceScope WS;
-  for (const auto &[M, Z] : Terms) {
+  Pos = 0;
+  for (size_t T = 0; T < Terms.size(); ++T) {
+    const auto &[M, Z] = Terms[T];
     const size_t K = Z->numGenerators();
     if (M)
       kernels::gemv(Center, *M, Z->Center, 1.0, 1.0);
     else
       kernels::axpy(Center, 1.0, Z->Center);
 
-    // Generator contribution: scatter columns of M * A_i into the
-    // id-mapped output columns. The mapped matrix is workspace scratch —
-    // amortized to zero heap traffic across solver iterations. Structured
-    // maps (diagonal/selection) are common here but dense combinations
-    // land here too, so the caller's hint (default: the kernel's density
-    // probe) picks the path; an identity term scatters its columns
-    // directly.
+    // Generator contribution. A mapped first term that owns the column
+    // prefix is multiplied straight into it: the gemm sums from +0.0 and
+    // never stores -0.0, so its y equals the 0.0 + y an add into the
+    // zeroed result would leave. Every other term adds its (mapped)
+    // columns into their id-mapped output columns. Structured maps
+    // (diagonal/selection) are common here but dense combinations land
+    // here too, so the caller's hint (default: the kernel's density probe)
+    // picks the gemm path.
     if (K > 0) {
-      ConstMatrixView Mapped = Z->Generators;
-      if (M) {
-        MatrixView Scratch = WS.matrix(POut, K);
-        kernels::gemmAuto(Scratch, *M, Z->Generators, 1.0, 0.0, Hint);
-        Mapped = Scratch;
-      }
-      for (size_t J = 0; J < K; ++J) {
-        size_t Col = ColumnOf.at(Z->TermIds[J]);
-        for (size_t R = 0; R < POut; ++R)
-          Gens(R, Col) += Mapped(R, J);
+      if (T == 0 && M && FirstOwnsPrefix) {
+        kernels::gemmAuto(GensV.colRange(0, K), *M, Z->Generators, 1.0, 0.0,
+                          Hint);
+      } else {
+        ConstMatrixView Mapped = Z->Generators;
+        if (M) {
+          // Workspace scratch: amortized to zero heap traffic across
+          // solver iterations.
+          MatrixView Scratch = WS.matrix(POut, K);
+          kernels::gemmAuto(Scratch, *M, Z->Generators, 1.0, 0.0, Hint);
+          Mapped = Scratch;
+        }
+        addColumns(GensV, Mapped, {ColumnOfGen.data() + Pos, K});
       }
     }
+    Pos += K;
 
     // Box contribution.
     if (Policy == BoxPolicy::CastToGenerators) {
@@ -411,7 +467,13 @@ CHZonotope CHZonotope::linearCombine(
 
 CHZonotope CHZonotope::reluPrefix(size_t Count, const Vector &LambdaOverride,
                                   bool AbsorbIntoBox,
-                                  double LambdaScale) const {
+                                  double LambdaScale) const & {
+  return CHZonotope(*this).reluPrefix(Count, LambdaOverride, AbsorbIntoBox,
+                                      LambdaScale);
+}
+
+CHZonotope CHZonotope::reluPrefix(size_t Count, const Vector &LambdaOverride,
+                                  bool AbsorbIntoBox, double LambdaScale) && {
   assert(Count <= dim() && "relu prefix out of range");
   assert((LambdaOverride.empty() || LambdaOverride.size() >= Count) &&
          "lambda override must cover all rectified dimensions");
@@ -425,23 +487,21 @@ CHZonotope CHZonotope::reluPrefix(size_t Count, const Vector &LambdaOverride,
     Lo[I] = Center[I] - Radius[I];
     Hi[I] = Center[I] + Radius[I];
   }
-  Vector NewCenter = Center;
-  Matrix NewGens = Generators;
-  std::vector<uint64_t> NewIds = TermIds;
-  Vector NewBox = BoxRadius;
 
   // Fresh columns for the classic Zonotope transformer (one per unstable
   // dimension), appended at the end.
   std::vector<std::pair<size_t, double>> FreshCols;
 
+  // Row I is rewritten in place: each update reads only row I's old
+  // values, and the bounds above were taken before any update.
   for (size_t I = 0; I < Count; ++I) {
     double L = Lo[I], U = Hi[I];
     if (U <= 0.0) {
       // Definitely inactive: the dimension collapses to 0.
-      NewCenter[I] = 0.0;
-      NewBox[I] = 0.0;
-      for (size_t J = 0, K = NewGens.cols(); J < K; ++J)
-        NewGens(I, J) = 0.0;
+      Center[I] = 0.0;
+      BoxRadius[I] = 0.0;
+      for (size_t J = 0, K = Generators.cols(); J < K; ++J)
+        Generators(I, J) = 0.0;
       continue;
     }
     if (L >= 0.0)
@@ -454,13 +514,13 @@ CHZonotope CHZonotope::reluPrefix(size_t Count, const Vector &LambdaOverride,
       Lambda = std::clamp(LambdaOverride[I], 0.0, 1.0);
     double Mu = Lambda <= LambdaMin ? 0.5 * (1.0 - Lambda) * U
                                     : -0.5 * Lambda * L;
-    NewCenter[I] = Lambda * Center[I] + Mu;
-    for (size_t J = 0, K = NewGens.cols(); J < K; ++J)
-      NewGens(I, J) *= Lambda;
+    Center[I] = Lambda * Center[I] + Mu;
+    for (size_t J = 0, K = Generators.cols(); J < K; ++J)
+      Generators(I, J) *= Lambda;
     if (AbsorbIntoBox) {
-      NewBox[I] = Lambda * BoxRadius[I] + Mu;
+      BoxRadius[I] = Lambda * BoxRadius[I] + Mu;
     } else {
-      NewBox[I] = Lambda * BoxRadius[I];
+      BoxRadius[I] = Lambda * BoxRadius[I];
       if (Mu > 0.0)
         FreshCols.push_back({I, Mu});
     }
@@ -470,13 +530,11 @@ CHZonotope CHZonotope::reluPrefix(size_t Count, const Vector &LambdaOverride,
     Matrix Extra(dim(), FreshCols.size());
     for (size_t J = 0; J < FreshCols.size(); ++J) {
       Extra(FreshCols[J].first, J) = FreshCols[J].second;
-      NewIds.push_back(freshErrorTermId());
+      TermIds.push_back(freshErrorTermId());
     }
-    NewGens = Matrix::hcat(NewGens, Extra);
+    Generators = Matrix::hcat(Generators, Extra);
   }
-
-  return CHZonotope(std::move(NewCenter), std::move(NewGens),
-                    std::move(NewIds), std::move(NewBox));
+  return std::move(*this);
 }
 
 CHZonotope CHZonotope::consolidate(const Matrix &Basis, const Matrix &BasisInv,
@@ -546,26 +604,40 @@ CHZonotope CHZonotope::slice(size_t First, size_t Count) const {
 
 CHZonotope CHZonotope::stack(const CHZonotope &Top, const CHZonotope &Bottom) {
   const size_t PT = Top.dim(), PB = Bottom.dim();
-  IdColumnMap ColumnOf(Top.TermIds.size() + Bottom.TermIds.size());
   std::vector<uint64_t> Ids;
-  Ids.reserve(Top.TermIds.size() + Bottom.TermIds.size());
-  for (uint64_t Id : Top.TermIds)
-    if (ColumnOf.emplace(Id, Ids.size()))
-      Ids.push_back(Id);
-  for (uint64_t Id : Bottom.TermIds)
-    if (ColumnOf.emplace(Id, Ids.size()))
-      Ids.push_back(Id);
+  Matrix Gens;
+  if (Top.TermIds == Bottom.TermIds) {
+    // Same ids in the same order (the PR step stacks u_next on itself):
+    // ids are unique, so the merged columns are the operands' own and the
+    // generator matrix is their two row blocks.
+    Ids = Top.TermIds;
+    Gens = Matrix(PT + PB, Ids.size());
+    if (!Ids.empty()) {
+      MatrixView GensV(Gens);
+      kernels::copyInto(GensV.rowRange(0, PT), Top.Generators);
+      kernels::copyInto(GensV.rowRange(PT, PB), Bottom.Generators);
+    }
+  } else {
+    IdColumnMap ColumnOf(Top.TermIds.size() + Bottom.TermIds.size());
+    Ids.reserve(Top.TermIds.size() + Bottom.TermIds.size());
+    for (uint64_t Id : Top.TermIds)
+      if (ColumnOf.emplace(Id, Ids.size()) == Ids.size())
+        Ids.push_back(Id);
+    for (uint64_t Id : Bottom.TermIds)
+      if (ColumnOf.emplace(Id, Ids.size()) == Ids.size())
+        Ids.push_back(Id);
 
-  Matrix Gens(PT + PB, Ids.size());
-  for (size_t J = 0; J < Top.numGenerators(); ++J) {
-    size_t Col = ColumnOf.at(Top.TermIds[J]);
-    for (size_t R = 0; R < PT; ++R)
-      Gens(R, Col) = Top.Generators(R, J);
-  }
-  for (size_t J = 0; J < Bottom.numGenerators(); ++J) {
-    size_t Col = ColumnOf.at(Bottom.TermIds[J]);
-    for (size_t R = 0; R < PB; ++R)
-      Gens(PT + R, Col) = Bottom.Generators(R, J);
+    Gens = Matrix(PT + PB, Ids.size());
+    for (size_t J = 0; J < Top.numGenerators(); ++J) {
+      size_t Col = ColumnOf.at(Top.TermIds[J]);
+      for (size_t R = 0; R < PT; ++R)
+        Gens(R, Col) = Top.Generators(R, J);
+    }
+    for (size_t J = 0; J < Bottom.numGenerators(); ++J) {
+      size_t Col = ColumnOf.at(Bottom.TermIds[J]);
+      for (size_t R = 0; R < PB; ++R)
+        Gens(PT + R, Col) = Bottom.Generators(R, J);
+    }
   }
 
   Vector Center(PT + PB), Box(PT + PB);

@@ -100,6 +100,15 @@ public:
   /// the key precision-preserving operation of the abstract solver step
   /// g#(X, S) = ... W S + U X ...
   ///
+  /// Column order: output columns are assigned to distinct ids in first
+  /// occurrence order across the terms, followed by the cast Box columns
+  /// of each term in term order. A first term with distinct ids (every
+  /// CH-Zonotope's) therefore owns columns [0, k) in its own order, and
+  /// its product is written straight into them; later terms add their
+  /// columns into the shared result row by row. Each output element
+  /// receives its contributions in term order, as one column-at-a-time
+  /// accumulation from +0.0 would give them.
+  ///
   /// A null matrix pointer denotes the identity map (the operand must
   /// already have the output dimension): the hot solver step adds its
   /// precomputed input contribution this way without materializing — or
@@ -107,8 +116,8 @@ public:
   ///
   /// \p Hint describes the density of the map matrices and is forwarded
   /// to the generator gemms. The abstract solver step passes Dense — its
-  /// maps are the monDEQ state matrices, and skipping the probe keeps the
-  /// hot gemms eligible for batch fusion without a per-call density scan.
+  /// maps are the monDEQ state matrices, and skipping the probe saves a
+  /// per-call density scan.
   static CHZonotope
   linearCombine(std::span<const std::pair<const Matrix *, const CHZonotope *>>
                     Terms,
@@ -126,7 +135,15 @@ public:
   /// generator column (the classic Zonotope transformer).
   CHZonotope reluPrefix(size_t Count, const Vector &LambdaOverride = Vector(),
                         bool AbsorbIntoBox = true,
-                        double LambdaScale = 1.0) const;
+                        double LambdaScale = 1.0) const &;
+  /// The same transformer rectifying this value's storage in place (the
+  /// solver step hands over its pre-activation value, whose p x k
+  /// generator matrix would otherwise be copied only to be dropped). The
+  /// const & overload copies its operand and calls this one, so both give
+  /// the same bytes.
+  CHZonotope reluPrefix(size_t Count, const Vector &LambdaOverride = Vector(),
+                        bool AbsorbIntoBox = true,
+                        double LambdaScale = 1.0) &&;
 
   /// Error consolidation (Thm 4.1) with expansion (Eq. 10): replaces the
   /// generator matrix by Basis * diag(c) with
@@ -147,6 +164,8 @@ public:
   CHZonotope slice(size_t First, size_t Count) const;
 
   /// Vertical concatenation with id alignment (shared ids stay shared).
+  /// Operands with identical id lists (the PR step stacks u_next on
+  /// itself) skip the alignment and copy their generator row blocks.
   static CHZonotope stack(const CHZonotope &Top, const CHZonotope &Bottom);
 
   /// This value with the Box error vector replaced (rvalue-only: reuses the

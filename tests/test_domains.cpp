@@ -17,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 
 using namespace craft;
 
@@ -883,6 +885,304 @@ TEST(OrderReductionTest, IdentityBasisConsolidationMatchesGemmBytes) {
       EXPECT_EQ(0, std::memcmp(&GotInv, &WantInv, sizeof(double)))
           << J << "," << I;
     }
+}
+
+//===----------------------------------------------------------------------===//
+// Byte identity of the solver step's layout: linearCombine, ReLU, stack
+//===----------------------------------------------------------------------===//
+
+bool sameBytes(const Vector &A, const Vector &B) {
+  return A.size() == B.size() &&
+         std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0;
+}
+
+bool sameBytes(const Matrix &A, const Matrix &B) {
+  return A.rows() == B.rows() && A.cols() == B.cols() &&
+         (A.rows() * A.cols() == 0 ||
+          std::memcmp(A.rowData(0), B.rowData(0),
+                      A.rows() * A.cols() * sizeof(double)) == 0);
+}
+
+void expectSameBytes(const CHZonotope &Got, const CHZonotope &Want) {
+  EXPECT_TRUE(sameBytes(Got.center(), Want.center()));
+  EXPECT_TRUE(sameBytes(Got.generators(), Want.generators()));
+  EXPECT_EQ(Got.termIds(), Want.termIds());
+  EXPECT_TRUE(sameBytes(Got.boxRadius(), Want.boxRadius()));
+}
+
+/// Sets the error-term id counter so the next fresh id is \p Next.
+void rewindErrorTermIds(uint64_t Next) {
+  resetErrorTermIds();
+  while (Next-- > 1)
+    freshErrorTermId();
+}
+
+using Term = std::pair<const Matrix *, const CHZonotope *>;
+
+/// linearCombine spelled out naively: each mapped term is a gemm into
+/// scratch whose columns are added one at a time into the column of their
+/// id (columns in first-occurrence order), then the cast Box columns, then
+/// the exactly-zero columns are pruned.
+CHZonotope naiveLinearCombine(std::span<const Term> Terms,
+                              const Vector &Offset, BoxPolicy Policy) {
+  const size_t POut = Terms.front().first ? Terms.front().first->rows()
+                                          : Terms.front().second->dim();
+  std::vector<uint64_t> Ids;
+  for (const auto &[M, Z] : Terms)
+    for (uint64_t Id : Z->termIds())
+      if (std::find(Ids.begin(), Ids.end(), Id) == Ids.end())
+        Ids.push_back(Id);
+  size_t NumBox = 0;
+  if (Policy == BoxPolicy::CastToGenerators)
+    for (const auto &[M, Z] : Terms)
+      for (double B : Z->boxRadius())
+        NumBox += B > 0.0;
+  const size_t NumShared = Ids.size();
+  Matrix Gens(POut, NumShared + NumBox);
+  Vector Center = Offset, Box(POut, 0.0);
+  size_t NextBox = NumShared;
+  for (const auto &[M, Z] : Terms) {
+    const size_t K = Z->numGenerators();
+    Matrix Mapped = Z->generators();
+    if (M) {
+      kernels::gemv(Center, *M, Z->center(), 1.0, 1.0);
+      Mapped = Matrix(POut, K);
+      if (K > 0)
+        kernels::gemm(Mapped, *M, Z->generators());
+    } else {
+      kernels::axpy(Center, 1.0, Z->center());
+    }
+    for (size_t J = 0; J < K; ++J) {
+      const size_t Col =
+          std::find(Ids.begin(), Ids.end(), Z->termIds()[J]) - Ids.begin();
+      for (size_t R = 0; R < POut; ++R)
+        Gens(R, Col) += Mapped(R, J);
+    }
+    if (Policy == BoxPolicy::IntervalMap) {
+      if (M)
+        kernels::gemvAbs(Box, *M, Z->boxRadius(), 1.0, 1.0);
+      else
+        kernels::axpy(Box, 1.0, Z->boxRadius());
+      continue;
+    }
+    for (size_t I = 0; I < Z->dim(); ++I) {
+      const double B = Z->boxRadius()[I];
+      if (B <= 0.0)
+        continue;
+      for (size_t R = 0; R < POut; ++R)
+        Gens(R, NextBox) = M ? B * (*M)(R, I) : (R == I ? B : 0.0);
+      Ids.push_back(freshErrorTermId());
+      ++NextBox;
+    }
+  }
+  std::vector<size_t> Kept;
+  for (size_t J = 0; J < Gens.cols(); ++J)
+    for (size_t R = 0; R < POut; ++R)
+      if (Gens(R, J) != 0.0) {
+        Kept.push_back(J);
+        break;
+      }
+  Matrix Pruned(POut, Kept.size());
+  std::vector<uint64_t> PrunedIds;
+  for (size_t J = 0; J < Kept.size(); ++J) {
+    PrunedIds.push_back(Ids[Kept[J]]);
+    for (size_t R = 0; R < POut; ++R)
+      Pruned(R, J) = Gens(R, Kept[J]);
+  }
+  return CHZonotope(std::move(Center), std::move(Pruned), std::move(PrunedIds),
+                    std::move(Box));
+}
+
+/// linearCombine against the naive reference, bit for bit, under both Box
+/// policies (fresh ids included: the id counter is rewound in between).
+void expectCombineMatchesNaive(std::span<const Term> Terms,
+                               const Vector &Offset) {
+  for (BoxPolicy Policy :
+       {BoxPolicy::CastToGenerators, BoxPolicy::IntervalMap}) {
+    const uint64_t Next = freshErrorTermId() + 1;
+    const CHZonotope Got = CHZonotope::linearCombine(
+        Terms, Offset, Policy, kernels::DensityHint::Dense);
+    rewindErrorTermIds(Next);
+    const CHZonotope Want = naiveLinearCombine(Terms, Offset, Policy);
+    SCOPED_TRACE(Policy == BoxPolicy::CastToGenerators ? "cast" : "interval");
+    expectSameBytes(Got, Want);
+  }
+}
+
+/// A zonotope of dimension \p P over the ids \p Ids, with a box.
+CHZonotope zonotopeOverIds(Rng &R, size_t P, std::vector<uint64_t> Ids) {
+  Vector Center = randomVector(R, P);
+  Matrix Gens = randomMatrix(R, P, Ids.size(), 0.5);
+  Vector Box = randomVector(R, P, 0.3).abs();
+  return CHZonotope(std::move(Center), std::move(Gens), std::move(Ids),
+                    std::move(Box));
+}
+
+TEST(CHZonotopeTest, LinearCombineLayoutMatchesNaiveScatterBytes) {
+  Rng R(910);
+  const size_t Q = 5, P = 6;
+  Matrix M = randomMatrix(R, P, Q);
+  const CHZonotope First = randomZonotope(R, Q, 9, /*WithBox=*/true);
+  const std::vector<uint64_t> &FirstIds = First.termIds();
+  const Vector Offset = randomVector(R, P);
+
+  // An identity second term over a contiguous run of the first's ids (one
+  // axpy per row).
+  {
+    const CHZonotope Input = zonotopeOverIds(
+        R, P, std::vector<uint64_t>(FirstIds.begin() + 2, FirstIds.end() - 3));
+    const Term Terms[] = {{&M, &First}, {nullptr, &Input}};
+    SCOPED_TRACE("contiguous run");
+    expectCombineMatchesNaive(Terms, Offset);
+  }
+  // The same ids permuted and interleaved with fresh ones (indexed add).
+  {
+    const CHZonotope Input = zonotopeOverIds(
+        R, P,
+        {FirstIds[5], freshErrorTermId(), FirstIds[2], FirstIds[4],
+         freshErrorTermId(), FirstIds[3]});
+    const Term Terms[] = {{&M, &First}, {nullptr, &Input}};
+    SCOPED_TRACE("permuted and interleaved");
+    expectCombineMatchesNaive(Terms, Offset);
+  }
+  // Three terms: two mapped operands sharing ids, then an identity term.
+  {
+    Matrix M2 = randomMatrix(R, P, P);
+    const CHZonotope Second = zonotopeOverIds(
+        R, P, {freshErrorTermId(), FirstIds[1], FirstIds[0]});
+    const CHZonotope Third = zonotopeOverIds(
+        R, P, {FirstIds[8], freshErrorTermId(), FirstIds[7]});
+    const Term Terms[] = {{&M, &First}, {&M2, &Second}, {nullptr, &Third}};
+    SCOPED_TRACE("three terms");
+    expectCombineMatchesNaive(Terms, Offset);
+  }
+}
+
+TEST(CHZonotopeTest, LinearCombineNegativeZerosMatchNaiveScatterBytes) {
+  Rng R(911);
+  const size_t Q = 4, P = 5;
+  // The first operand holds -0.0 (a whole column of it, too) under a map
+  // with negative entries: -0.0 products that the gemm, summing from
+  // +0.0, stores as +0.0, and a zero column that is pruned.
+  Matrix M = randomMatrix(R, P, Q);
+  M(0, 1) = -2.0;
+  M(3, 1) = -0.5;
+  CHZonotope First = randomZonotope(R, Q, 6, /*WithBox=*/true);
+  Matrix G = First.generators();
+  G(1, 0) = -0.0;
+  for (size_t I = 0; I < Q; ++I)
+    G(I, 3) = -0.0;
+  First = CHZonotope(First.center(), G, First.termIds(), First.boxRadius());
+  const CHZonotope Input = zonotopeOverIds(
+      R, P, {First.termIds()[4], First.termIds()[5], freshErrorTermId()});
+  const Vector Offset = randomVector(R, P);
+  {
+    const Term Terms[] = {{&M, &First}, {nullptr, &Input}};
+    SCOPED_TRACE("mapped first term");
+    expectCombineMatchesNaive(Terms, Offset);
+    const CHZonotope Got = CHZonotope::linearCombine(Terms, Offset);
+    const std::vector<uint64_t> &GotIds = Got.termIds();
+    EXPECT_EQ(std::find(GotIds.begin(), GotIds.end(), First.termIds()[3]),
+              GotIds.end()); // The -0.0 column maps to zeros and is pruned.
+  }
+
+  // An identity first term holding -0.0 still stores 0.0 + -0.0 = +0.0
+  // (column 2, a fresh id, receives nothing from the mapped term).
+  Matrix IG = Input.generators();
+  IG(2, 2) = -0.0;
+  const CHZonotope IdentityFirst(Input.center(), IG, Input.termIds(),
+                                 Input.boxRadius());
+  {
+    const Term Terms[] = {{nullptr, &IdentityFirst}, {&M, &First}};
+    SCOPED_TRACE("identity first term");
+    expectCombineMatchesNaive(Terms, Offset);
+    const CHZonotope Got = CHZonotope::linearCombine(Terms, Offset);
+    EXPECT_EQ(Got.termIds()[2], Input.termIds()[2]);
+    EXPECT_EQ(Got.generators()(2, 2), 0.0);
+    EXPECT_FALSE(std::signbit(Got.generators()(2, 2)));
+  }
+}
+
+/// Rvalue reluPrefix against the const & overload, which must also leave
+/// its operand untouched.
+void expectReluOverloadsAgree(const CHZonotope &Z, size_t Count,
+                              const Vector &Override, bool Absorb,
+                              double Scale) {
+  const CHZonotope Before = Z;
+  const uint64_t Next = freshErrorTermId() + 1;
+  const CHZonotope Want = Z.reluPrefix(Count, Override, Absorb, Scale);
+  expectSameBytes(Z, Before);
+  rewindErrorTermIds(Next);
+  CHZonotope Moved = Z;
+  const CHZonotope Got =
+      std::move(Moved).reluPrefix(Count, Override, Absorb, Scale);
+  expectSameBytes(Got, Want);
+}
+
+TEST(CHZonotopeTest, RvalueReluMatchesConstReluBytes) {
+  Rng R(912);
+  const size_t P = 7;
+  CHZonotope Z = randomZonotope(R, P, 5, /*WithBox=*/true);
+  // Row 0 dead, row 1 stable, rows 2..5 unstable, row 6 passes through.
+  Vector C = Z.center();
+  C[0] = -50.0;
+  C[1] = 50.0;
+  for (size_t I = 2; I < P; ++I)
+    C[I] = 0.1 * static_cast<double>(I) - 0.3;
+  Z = CHZonotope(C, Z.generators(), Z.termIds(), Z.boxRadius());
+  Vector Override(P - 1);
+  for (size_t I = 0; I < P - 1; ++I)
+    Override[I] = 0.2 * static_cast<double>(I) - 0.1;
+  for (bool Absorb : {true, false}) {
+    SCOPED_TRACE(Absorb ? "chzono" : "zono");
+    expectReluOverloadsAgree(Z, P - 1, Vector(), Absorb, 1.0);
+    expectReluOverloadsAgree(Z, P - 1, Override, Absorb, 1.0);
+    expectReluOverloadsAgree(Z, P - 1, Vector(), Absorb, 1.1);
+  }
+  // The zono transformer appends a fresh column per unstable row.
+  EXPECT_GT(Z.reluPrefix(P - 1, Vector(), false).numGenerators(),
+            Z.numGenerators());
+}
+
+TEST(CHZonotopeTest, StackOnItselfMatchesBlockCopyBytes) {
+  Rng R(913);
+  const CHZonotope Z = randomZonotope(R, 4, 6, /*WithBox=*/true);
+  const CHZonotope S = CHZonotope::stack(Z, Z);
+  const size_t P = Z.dim(), K = Z.numGenerators();
+  Matrix G(2 * P, K);
+  Vector C(2 * P), B(2 * P);
+  for (size_t I = 0; I < 2 * P; ++I) {
+    C[I] = Z.center()[I % P];
+    B[I] = Z.boxRadius()[I % P];
+    for (size_t J = 0; J < K; ++J)
+      G(I, J) = Z.generators()(I % P, J);
+  }
+  expectSameBytes(S, CHZonotope(C, G, Z.termIds(), B));
+
+  // Different id lists still merge by id, in first-occurrence order.
+  const std::vector<uint64_t> &Ids = Z.termIds();
+  const CHZonotope Bottom =
+      zonotopeOverIds(R, 3, {Ids[2], freshErrorTermId(), Ids[0]});
+  const CHZonotope Merged = CHZonotope::stack(Z, Bottom);
+  ASSERT_EQ(Merged.numGenerators(), K + 1);
+  std::vector<uint64_t> WantIds = Ids;
+  WantIds.push_back(Bottom.termIds()[1]);
+  Matrix WantG(P + 3, K + 1);
+  Vector WantC(P + 3), WantB(P + 3);
+  for (size_t I = 0; I < P; ++I) {
+    WantC[I] = Z.center()[I];
+    WantB[I] = Z.boxRadius()[I];
+    for (size_t J = 0; J < K; ++J)
+      WantG(I, J) = Z.generators()(I, J);
+  }
+  const size_t BottomCol[] = {2, K, 0};
+  for (size_t I = 0; I < 3; ++I) {
+    WantC[P + I] = Bottom.center()[I];
+    WantB[P + I] = Bottom.boxRadius()[I];
+    for (size_t J = 0; J < 3; ++J)
+      WantG(P + I, BottomCol[J]) = Bottom.generators()(I, J);
+  }
+  expectSameBytes(Merged, CHZonotope(WantC, WantG, WantIds, WantB));
 }
 
 } // namespace
