@@ -6,7 +6,9 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 using namespace craft;
@@ -15,6 +17,8 @@ namespace {
 
 const telemetry::Counter PgdGradients =
     telemetry::counterMetric("pgd.gradients");
+const telemetry::Counter PgdAdjointFactorizations =
+    telemetry::counterMetric("pgd.adjoint_factorizations");
 
 // A margin step takes its gradient at the InputGradientTol solve and its
 // logits at the DefaultLogitsTol one. Both are prefixes of one run only if
@@ -23,14 +27,38 @@ static_assert(InputGradientTol >= DefaultLogitsTol &&
                   InputGradientMaxIter <= DefaultSolveMaxIter,
               "the gradient solve must be a prefix of the logits solve");
 
+/// \p V clamped to the l-inf ball around \p C intersected with the valid
+/// input range (one coordinate).
+double projectEntry(double V, double C, const PgdOptions &Opts) {
+  return std::clamp(V, std::max(C - Opts.Epsilon, Opts.InputLo),
+                    std::min(C + Opts.Epsilon, Opts.InputHi));
+}
+
 /// Projects \p X onto the l-inf ball around \p Center intersected with the
 /// valid input range.
 void project(Vector &X, const Vector &Center, const PgdOptions &Opts) {
+  for (size_t I = 0; I < X.size(); ++I)
+    X[I] = projectEntry(X[I], Center[I], Opts);
+}
+
+/// One signed step of size \p Step along \p G followed by the projection
+/// around \p Center; bitwise `X += Step * sign(G); project(X)`. Returns
+/// whether some entry of \p X changed bitwise.
+bool stepAndProject(Vector &X, const Vector &G, double Step,
+                    const Vector &Center, const PgdOptions &Opts) {
+  bool Moved = false;
   for (size_t I = 0; I < X.size(); ++I) {
-    double Lo = std::max(Center[I] - Opts.Epsilon, Opts.InputLo);
-    double Hi = std::min(Center[I] + Opts.Epsilon, Opts.InputHi);
-    X[I] = std::clamp(X[I], Lo, Hi);
+    double Next = projectEntry(X[I] + Step * (G[I] > 0.0 ? 1.0 : -1.0),
+                               Center[I], Opts);
+    Moved |= std::bit_cast<uint64_t>(Next) != std::bit_cast<uint64_t>(X[I]);
+    X[I] = Next;
   }
+  return Moved;
+}
+
+/// FixpointSolver::predict's argmax, for logits already at hand.
+int argmax(const Vector &Y) {
+  return static_cast<int>(std::max_element(Y.begin(), Y.end()) - Y.begin());
 }
 
 /// Argmax over logits excluding \p Skip (pass -1 to consider all).
@@ -70,6 +98,9 @@ const PgdResult &PgdAttack::run(int Count) {
   for (; !Result.FoundAdversarial && Count > 0 &&
          NextRestart < Opts.Restarts;
        ++NextRestart, --Count) {
+    // Restart-scoped, so running restarts in installments factorizes
+    // exactly as one whole run does.
+    AdjointSolver Adjoint(Model.weightW());
     for (int Target : Targets) {
       // Random start inside the ball.
       Vector Adv = X;
@@ -78,15 +109,17 @@ const PgdResult &PgdAttack::run(int Count) {
       project(Adv, X, Opts);
 
       // Output diversified initialization: ascend a random output direction.
+      // A step is a function of Adv alone, so once one leaves Adv unchanged
+      // every later one would too, and the loop stops there.
       Vector Odi(Model.outputDim());
       for (double &V : Odi)
         V = R.uniform(-1.0, 1.0);
       for (int S = 0; S < Opts.OdiSteps; ++S) {
-        Vector G = inputGradient(Model, Solver, Adv, Odi, Opts.NeumannTerms);
+        Vector G = inputGradient(Model, Solver, Adv, Odi, Opts.NeumannTerms,
+                                 &Adjoint);
         PgdGradients.increment();
-        for (size_t I = 0; I < Q; ++I)
-          Adv[I] += Step * (G[I] > 0.0 ? 1.0 : -1.0);
-        project(Adv, X, Opts);
+        if (!stepAndProject(Adv, G, Step, X, Opts))
+          break;
       }
 
       // Margin-loss PGD: ascend y_target - y_label (targeted) or
@@ -95,8 +128,12 @@ const PgdResult &PgdAttack::run(int Count) {
       // per step) instead of reallocated. Each step runs one forward solve:
       // to the gradient's tolerance first, then the same run continues to
       // the logits' tolerance — bitwise what separate logits() and
-      // inputGradient() solves would give.
+      // inputGradient() solves would give. The loop ends early when a
+      // step's logits Y (bitwise Solver.logits(Adv)) are adversarial, or
+      // when a step leaves Adv unchanged (a fixed point: every later step
+      // would redo it); either way the closing prediction is argmax(Y).
       Vector Coef(Model.outputDim(), 0.0);
+      int Pred = -1;
       for (int S = 0; S < Opts.Steps; ++S) {
         FixpointResult Fix =
             Solver.solve(Adv, InputGradientTol, InputGradientMaxIter);
@@ -104,19 +141,24 @@ const PgdResult &PgdAttack::run(int Count) {
         Solver.solve(Adv, Fix, DefaultLogitsTol, DefaultSolveMaxIter);
         Vector Y = Model.output(Fix.Z);
         int Rival = Target >= 0 ? Target : argmaxExcluding(Y, Label);
-        if (argmaxExcluding(Y, -1) != Label)
-          break; // Already adversarial; stop refining.
+        if (argmaxExcluding(Y, -1) != Label) {
+          Pred = argmax(Y); // Already adversarial; stop refining.
+          break;
+        }
         Coef[Rival] = 1.0;
         Coef[Label] = -1.0;
-        Vector G = inputGradient(Model, Adv, ZGrad, Coef, Opts.NeumannTerms);
+        Vector G = inputGradient(Model, Adv, ZGrad, Coef, Opts.NeumannTerms,
+                                 &Adjoint);
         PgdGradients.increment();
         Coef[Rival] = 0.0;
         Coef[Label] = 0.0;
-        for (size_t I = 0; I < Q; ++I)
-          Adv[I] += Step * (G[I] > 0.0 ? 1.0 : -1.0);
-        project(Adv, X, Opts);
+        if (!stepAndProject(Adv, G, Step, X, Opts)) {
+          Pred = argmax(Y);
+          break;
+        }
       }
-      int Pred = Solver.predict(Adv);
+      if (Pred < 0)
+        Pred = Solver.predict(Adv);
       if (Pred != Label) {
         Result.FoundAdversarial = true;
         Result.Adversarial = std::move(Adv);
@@ -124,6 +166,7 @@ const PgdResult &PgdAttack::run(int Count) {
         break;
       }
     }
+    PgdAdjointFactorizations.add(Adjoint.factorizations());
   }
   return Result;
 }

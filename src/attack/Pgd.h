@@ -12,6 +12,15 @@
 /// no restart finds a misclassified point inside the l-inf ball. Gradients
 /// flow through the fixpoint via the implicit function theorem.
 ///
+/// The sign-step-and-project loop is itself a fixpoint iterator: each ODI
+/// or margin step is a function of the current iterate alone (the Rng is
+/// drawn only when a target starts), so a step that leaves the iterate
+/// bitwise unchanged would be repeated unchanged by every later step, and
+/// the loop stops there. The Rng sequence, and so every result, is that of
+/// the loop that runs all steps; only the `pgd.gradients` count drops.
+/// Within a restart, exact (LU) adjoint solves share one AdjointSolver,
+/// which factorizes again only when the activation pattern changes.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CRAFT_ATTACK_PGD_H
@@ -53,11 +62,12 @@ struct PgdResult {
 
 /// One seeded attack on the l-inf ball around \p X for a sample of true
 /// class \p Label, run in installments: every restart draws from the one
-/// Rng the attack carries, so running restart 1 now and the rest later
-/// gives exactly the result (and gradient count) of one whole run. The
-/// verifier's driver runs restart 1 before phase-2 tightening and the
-/// rest only if the query stays uncertified. \p Model and \p Solver (a PR
-/// solver bound to \p Model) must outlive the attack.
+/// Rng the attack carries and factorizes on its own, so running restart 1
+/// now and the rest later gives exactly the result (and the gradient and
+/// factorization counts) of one whole run. The verifier's driver runs
+/// restart 1 before phase-2 tightening and the rest only if the query
+/// stays uncertified. \p Model and \p Solver (a PR solver bound to
+/// \p Model) must outlive the attack.
 class PgdAttack {
 public:
   PgdAttack(const MonDeq &Model, const FixpointSolver &Solver, Vector X,

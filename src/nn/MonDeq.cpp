@@ -188,16 +188,24 @@ bool writeMatrix(std::FILE *F, const Matrix &M) {
   return true;
 }
 
-bool readMatrix(std::FILE *F, Matrix &M) {
-  uint64_t Dims[2];
-  if (std::fread(Dims, sizeof(Dims), 1, F) != 1)
+/// Doubles that fit in the bytes \p F has left of its \p FileSize. The
+/// readers bound every size from the file by it before allocating, so a
+/// corrupt header cannot size an allocation the file cannot fill.
+uint64_t doublesLeft(std::FILE *F, uint64_t FileSize) {
+  long Pos = std::ftell(F);
+  if (Pos < 0 || static_cast<uint64_t>(Pos) > FileSize)
+    return 0;
+  return (FileSize - static_cast<uint64_t>(Pos)) / sizeof(double);
+}
+
+bool readMatrix(std::FILE *F, uint64_t FileSize, Matrix &M) {
+  uint64_t Dims[2] = {0, 0};
+  if (std::fread(Dims, sizeof(Dims), 1, F) != 1 ||
+      (Dims[0] != 0 && Dims[1] > doublesLeft(F, FileSize) / Dims[0]))
     return false;
   M = Matrix(Dims[0], Dims[1]);
-  for (size_t R = 0; R < M.rows(); ++R)
-    if (M.cols() > 0 &&
-        std::fread(M.rowData(R), sizeof(double), M.cols(), F) != M.cols())
-      return false;
-  return true;
+  const size_t N = M.rows() * M.cols();
+  return N == 0 || std::fread(M.rowData(0), sizeof(double), N, F) == N;
 }
 
 bool writeVector(std::FILE *F, const Vector &V) {
@@ -207,12 +215,30 @@ bool writeVector(std::FILE *F, const Vector &V) {
   return V.empty() || std::fwrite(V.data(), sizeof(double), N, F) == N;
 }
 
-bool readVector(std::FILE *F, Vector &V) {
-  uint64_t N;
-  if (std::fread(&N, sizeof(N), 1, F) != 1)
+bool readVector(std::FILE *F, uint64_t FileSize, Vector &V) {
+  uint64_t N = 0;
+  if (std::fread(&N, sizeof(N), 1, F) != 1 || N > doublesLeft(F, FileSize))
     return false;
   V = Vector(N);
   return V.empty() || std::fread(V.data(), sizeof(double), N, F) == N;
+}
+
+/// The shapes and monotonicity a loaded model must have: W p x p, U p x q,
+/// b_z of length p, V r x p, b_y of length r with p, q, r >= 1; P and Q
+/// p x p or both empty; m finite and positive.
+bool wellFormed(double M, const Matrix &P, const Matrix &Q, const Matrix &W,
+                const Matrix &U, const Vector &BZ, const Matrix &V,
+                const Vector &BY) {
+  const size_t Latent = W.rows();
+  auto IsLatentSquare = [&](const Matrix &A) {
+    return A.rows() == Latent && A.cols() == Latent;
+  };
+  auto IsEmpty = [](const Matrix &A) { return A.rows() == 0 && A.cols() == 0; };
+  return std::isfinite(M) && M > 0.0 && Latent > 0 && IsLatentSquare(W) &&
+         U.rows() == Latent && U.cols() > 0 && BZ.size() == Latent &&
+         V.rows() > 0 && V.cols() == Latent && BY.size() == V.rows() &&
+         ((IsLatentSquare(P) && IsLatentSquare(Q)) ||
+          (IsEmpty(P) && IsEmpty(Q)));
 }
 } // namespace
 
@@ -236,6 +262,14 @@ std::optional<MonDeq> MonDeq::load(const std::string &Path) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F)
     return std::nullopt;
+  long End = -1;
+  if (std::fseek(F, 0, SEEK_END) == 0)
+    End = std::ftell(F);
+  if (End < 0 || std::fseek(F, 0, SEEK_SET) != 0) {
+    std::fclose(F);
+    return std::nullopt;
+  }
+  const uint64_t Size = static_cast<uint64_t>(End);
   MonDeq Model;
   uint32_t Magic = 0, Version = 0;
   bool Ok = std::fread(&Magic, sizeof(Magic), 1, F) == 1 &&
@@ -247,12 +281,13 @@ std::optional<MonDeq> MonDeq::load(const std::string &Path) {
     Ok = std::fread(&ActByte, sizeof(ActByte), 1, F) == 1 && ActByte <= 2;
     Model.Act = static_cast<ActivationKind>(ActByte);
   }
-  Ok = Ok && readMatrix(F, Model.P) && readMatrix(F, Model.Q) &&
-       readMatrix(F, Model.W) && readMatrix(F, Model.U) &&
-       readVector(F, Model.BZ) && readMatrix(F, Model.V) &&
-       readVector(F, Model.BY);
+  Ok = Ok && readMatrix(F, Size, Model.P) && readMatrix(F, Size, Model.Q) &&
+       readMatrix(F, Size, Model.W) && readMatrix(F, Size, Model.U) &&
+       readVector(F, Size, Model.BZ) && readMatrix(F, Size, Model.V) &&
+       readVector(F, Size, Model.BY);
   std::fclose(F);
-  if (!Ok)
+  if (!Ok || !wellFormed(Model.M, Model.P, Model.Q, Model.W, Model.U,
+                         Model.BZ, Model.V, Model.BY))
     return std::nullopt;
   return Model;
 }

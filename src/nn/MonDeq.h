@@ -103,6 +103,10 @@ public:
 
   /// Serialization (binary, versioned). Returns false on I/O failure.
   bool save(const std::string &Path) const;
+  /// Loads a model file, or nothing if it is unreadable, truncated, sizes
+  /// a matrix larger than the bytes it has left, or has inconsistent
+  /// shapes (W p x p, U p x q, b_z p, V r x p, b_y r, P and Q p x p or
+  /// empty) or a monotonicity m that is not finite and positive.
   static std::optional<MonDeq> load(const std::string &Path);
 
 private:

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 
 using namespace craft;
@@ -75,21 +76,25 @@ Vector activationDerivativeAt(const MonDeq &Model, const Vector &Pre) {
   return D;
 }
 
-/// Solves (I - W^T D) Lambda = DeltaZ for the adjoint, with D the diagonal
-/// activation derivative at the fixpoint.
-Vector solveAdjoint(const Matrix &W, const Vector &D, const Vector &DeltaZ) {
-  const size_t P = W.rows();
-  Matrix A = Matrix::identity(P);
-  for (size_t I = 0; I < P; ++I)
-    for (size_t J = 0; J < P; ++J)
-      if (D[J] != 0.0)
-        A(I, J) -= W(J, I) * D[J]; // (W^T D)_{ij} = W_{ji} D_j.
-  LuDecomposition Lu(A);
-  assert(!Lu.isSingular() && "adjoint system singular despite monotonicity");
-  return Lu.solve(DeltaZ);
-}
-
 } // namespace
+
+Vector AdjointSolver::solve(const Vector &D, const Vector &DeltaZ) {
+  const size_t P = W.rows();
+  assert(D.size() == P && DeltaZ.size() == P);
+  if (!Lu || std::memcmp(LastD.data(), D.data(), P * sizeof(double)) != 0) {
+    Matrix A = Matrix::identity(P);
+    for (size_t I = 0; I < P; ++I)
+      for (size_t J = 0; J < P; ++J)
+        if (D[J] != 0.0)
+          A(I, J) -= W(J, I) * D[J]; // (W^T D)_{ij} = W_{ji} D_j.
+    Lu.emplace(A);
+    assert(!Lu->isSingular() &&
+           "adjoint system singular despite monotonicity");
+    LastD = D;
+    ++Factorizations;
+  }
+  return Lu->solve(DeltaZ);
+}
 
 namespace {
 
@@ -165,8 +170,10 @@ TrainStats craft::trainMonDeq(MonDeq &Model, const Dataset &Train,
       size_t End = std::min(Train.size(), Start + Opts.BatchSize);
       size_t Batch = End - Start;
 
-      // PR solver for the current weights (W changes after every update).
+      // PR and adjoint solvers for the current weights (W changes after
+      // every update).
       FixpointSolver Solver(Model, Splitting::PeacemanRachford);
+      AdjointSolver Adjoint(Model.weightW());
 
       Matrix GradW(P, P), GradU(P, Q), GradV(R, P);
       Vector GradBZ(P), GradBY(R);
@@ -193,9 +200,8 @@ TrainStats craft::trainMonDeq(MonDeq &Model, const Dataset &Train,
         GradBY += DY;
 
         Vector DeltaZ = transposeTimes(Model.weightV(), DY);
-        Vector Lambda = Opts.JacobianFree
-                            ? DeltaZ
-                            : solveAdjoint(Model.weightW(), DAct, DeltaZ);
+        Vector Lambda =
+            Opts.JacobianFree ? DeltaZ : Adjoint.solve(DAct, DeltaZ);
         for (size_t I = 0; I < P; ++I)
           Lambda[I] *= DAct[I]; // u = D lambda.
 
@@ -245,14 +251,14 @@ double craft::evaluateAccuracy(const MonDeq &Model, const Dataset &Data) {
 
 Vector craft::inputGradient(const MonDeq &Model, const FixpointSolver &Solver,
                             const Vector &X, const Vector &OutCoef,
-                            int NeumannTerms) {
+                            int NeumannTerms, AdjointSolver *Adjoint) {
   FixpointResult Fix = Solver.solve(X, InputGradientTol, InputGradientMaxIter);
-  return inputGradient(Model, X, Fix.Z, OutCoef, NeumannTerms);
+  return inputGradient(Model, X, Fix.Z, OutCoef, NeumannTerms, Adjoint);
 }
 
 Vector craft::inputGradient(const MonDeq &Model, const Vector &X,
                             const Vector &Z, const Vector &OutCoef,
-                            int NeumannTerms) {
+                            int NeumannTerms, AdjointSolver *Adjoint) {
   const size_t P = Model.latentDim();
   Vector Pre = Model.weightW() * Z + Model.weightU() * X + Model.biasZ();
   Vector DAct = activationDerivativeAt(Model, Pre);
@@ -260,7 +266,10 @@ Vector craft::inputGradient(const MonDeq &Model, const Vector &X,
   Vector DeltaZ = transposeTimes(Model.weightV(), OutCoef);
   Vector Lambda;
   if (NeumannTerms < 0) {
-    Lambda = solveAdjoint(Model.weightW(), DAct, DeltaZ);
+    assert((!Adjoint || &Adjoint->weight() == &Model.weightW()) &&
+           "adjoint solver bound to another model");
+    Lambda = Adjoint ? Adjoint->solve(DAct, DeltaZ)
+                     : AdjointSolver(Model.weightW()).solve(DAct, DeltaZ);
   } else {
     // Iterative solve of A lambda = dz with A = I - W^T D via CG on the
     // normal equations (A^T A lambda = A^T dz). A plain Neumann series

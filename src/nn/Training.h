@@ -24,6 +24,9 @@
 #include "data/Dataset.h"
 #include "nn/Solvers.h"
 
+#include <cstdint>
+#include <optional>
+
 namespace craft {
 
 /// Knobs for \ref trainMonDeq.
@@ -39,8 +42,8 @@ struct TrainOptions {
   uint64_t Seed = 1234;
   bool Verbose = false;
   /// Jacobian-free backprop (Fung et al. 2022): approximates the implicit
-  /// solve (I - W^T D)^{-1} by the identity. Exact gradients need one O(p^3)
-  /// LU per sample, which is prohibitive for the conv-sized latents (p ~ 800)
+  /// solve (I - W^T D)^{-1} by the identity. Exact gradients need an O(p^3)
+  /// LU per activation pattern (about one per sample), which is prohibitive for the conv-sized latents (p ~ 800)
   /// on this single-core substrate; JFB trains DEQs well in practice and is
   /// used for the conv models only (see DESIGN.md substitution 2).
   bool JacobianFree = false;
@@ -59,6 +62,31 @@ TrainStats trainMonDeq(MonDeq &Model, const Dataset &Train,
 /// Fraction of samples in \p Data classified correctly.
 double evaluateAccuracy(const MonDeq &Model, const Dataset &Data);
 
+/// The adjoint system (I - W^T D) Lambda = DeltaZ of the implicit function
+/// theorem, for one weight matrix W and a diagonal activation derivative D
+/// per solve. It keeps the LU factorization of the last D it was given and
+/// factorizes again only when a solve's D differs from that one bitwise; a
+/// kept factorization solves bitwise as a fresh one would. Holds a
+/// reference to W, which must outlive it and must not change while it is
+/// in use (training builds one per batch, the PGD attack one per restart).
+class AdjointSolver {
+public:
+  explicit AdjointSolver(const Matrix &W) : W(W) {}
+
+  /// Solves (I - W^T diag(\p D)) Lambda = \p DeltaZ.
+  Vector solve(const Vector &D, const Vector &DeltaZ);
+
+  const Matrix &weight() const { return W; }
+  /// LU factorizations run so far: solves minus reuses.
+  uint64_t factorizations() const { return Factorizations; }
+
+private:
+  const Matrix &W;
+  Vector LastD; ///< The D behind Lu.
+  std::optional<LuDecomposition> Lu;
+  uint64_t Factorizations = 0;
+};
+
 /// Tolerance and iteration cap of the fixpoint solve behind the
 /// solver-taking \ref inputGradient.
 inline constexpr double InputGradientTol = 1e-8;
@@ -69,18 +97,21 @@ inline constexpr int InputGradientMaxIter = 500;
 /// \p Solver must be a PR solver for \p Model (reused across calls for its
 /// cached factorization); it solves to InputGradientTol within
 /// InputGradientMaxIter iterations. \p NeumannTerms < 0 solves the adjoint
-/// system exactly (one O(p^3) LU); otherwise the inverse is approximated
-/// by that many CGNE iterations (cheap matvecs; adequate for attack
-/// gradients on the conv-sized latents).
+/// system exactly by LU: through \p Adjoint (bound to \p Model's W), which
+/// factorizes only when the activation pattern changes, or, without one,
+/// with one fresh O(p^3) factorization. Otherwise the inverse is
+/// approximated by that many CGNE iterations (cheap matvecs; adequate for
+/// attack gradients on the conv-sized latents) and \p Adjoint is unused.
 Vector inputGradient(const MonDeq &Model, const FixpointSolver &Solver,
                      const Vector &X, const Vector &OutCoef,
-                     int NeumannTerms = -1);
+                     int NeumannTerms = -1, AdjointSolver *Adjoint = nullptr);
 
 /// The same gradient at a fixpoint estimate \p Z for \p X that the caller
 /// already solved for (e.g. to share one solve between the gradient and
 /// the logits).
 Vector inputGradient(const MonDeq &Model, const Vector &X, const Vector &Z,
-                     const Vector &OutCoef, int NeumannTerms = -1);
+                     const Vector &OutCoef, int NeumannTerms = -1,
+                     AdjointSolver *Adjoint = nullptr);
 
 } // namespace craft
 

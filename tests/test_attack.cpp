@@ -123,10 +123,14 @@ TEST(PgdTest, UntargetedModeAlsoWorks) {
 }
 
 /// pgdAttack as composed from separate Solver.logits and solver-taking
-/// inputGradient calls, i.e. two forward solves per margin step. The
-/// attack shares one solve per step and must match this bitwise.
+/// inputGradient calls, i.e. two forward solves per margin step, a fresh
+/// adjoint factorization per gradient, and every step run even when it
+/// leaves the iterate unchanged. The attack shares one solve per step,
+/// reuses factorizations and stops at a fixed point, and must match this
+/// bitwise. Adds the gradients it takes to \p Gradients.
 PgdResult referencePgd(const MonDeq &Model, const FixpointSolver &Solver,
-                       const Vector &X, int Label, const PgdOptions &Opts) {
+                       const Vector &X, int Label, const PgdOptions &Opts,
+                       uint64_t &Gradients) {
   auto Project = [&](Vector &V) {
     for (size_t I = 0; I < V.size(); ++I)
       V[I] = std::clamp(V[I], std::max(X[I] - Opts.Epsilon, Opts.InputLo),
@@ -143,6 +147,7 @@ PgdResult referencePgd(const MonDeq &Model, const FixpointSolver &Solver,
     return Best;
   };
   auto StepAlong = [&](Vector &Adv, const Vector &G) {
+    ++Gradients;
     for (size_t I = 0; I < Adv.size(); ++I)
       Adv[I] += Opts.StepFraction * Opts.Epsilon * (G[I] > 0.0 ? 1.0 : -1.0);
     Project(Adv);
@@ -192,6 +197,17 @@ PgdResult referencePgd(const MonDeq &Model, const FixpointSolver &Solver,
   return Result;
 }
 
+/// Asserts that \p Got and \p Want are the same result, bytes included.
+void expectSameResult(const PgdResult &Got, const PgdResult &Want) {
+  ASSERT_EQ(Got.FoundAdversarial, Want.FoundAdversarial);
+  EXPECT_EQ(Got.AdversarialClass, Want.AdversarialClass);
+  ASSERT_EQ(Got.Adversarial.size(), Want.Adversarial.size());
+  if (Got.FoundAdversarial) {
+    EXPECT_EQ(0, std::memcmp(Got.Adversarial.data(), Want.Adversarial.data(),
+                             Got.Adversarial.size() * sizeof(double)));
+  }
+}
+
 class PgdSharedSolveTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(PgdSharedSolveTest, BitwiseMatchesSeparateSolves) {
@@ -214,15 +230,10 @@ TEST_P(PgdSharedSolveTest, BitwiseMatchesSeparateSolves) {
       const Vector X = Test.input(I);
       const int Label = Test.Labels[I];
       PgdResult Got = pgdAttack(Model, Solver, X, Label, Opts);
-      PgdResult Want = referencePgd(Model, Solver, X, Label, Opts);
-      ASSERT_EQ(Got.FoundAdversarial, Want.FoundAdversarial) << I;
-      EXPECT_EQ(Got.AdversarialClass, Want.AdversarialClass);
-      ASSERT_EQ(Got.Adversarial.size(), Want.Adversarial.size());
-      if (Got.FoundAdversarial) {
-        EXPECT_EQ(0, std::memcmp(Got.Adversarial.data(),
-                                 Want.Adversarial.data(),
-                                 Got.Adversarial.size() * sizeof(double)));
-      }
+      uint64_t Gradients = 0;
+      PgdResult Want = referencePgd(Model, Solver, X, Label, Opts, Gradients);
+      SCOPED_TRACE(I);
+      expectSameResult(Got, Want);
       (Got.FoundAdversarial ? Found : Missed) += 1;
     }
   }
@@ -230,16 +241,52 @@ TEST_P(PgdSharedSolveTest, BitwiseMatchesSeparateSolves) {
   EXPECT_GT(Missed, 0u);
 }
 
+TEST_P(PgdSharedSolveTest, FixedPointExitSkipsGradients) {
+  // Many steps in small balls: the sign steps pin the iterate to a corner
+  // of the ball where the gradient keeps pointing outward, so a step
+  // leaves it unchanged. The attack stops there and the reference runs on;
+  // the results must still match bitwise.
+  const MonDeq &Model = trainedModel();
+  FixpointSolver Solver(Model, Splitting::PeacemanRachford);
+  const telemetry::Counter Gradients =
+      telemetry::counterMetric("pgd.gradients");
+  Rng R(27);
+  Dataset Test = makeGaussianMixture(R, 6, 5, 3, 0.2);
+  PgdOptions Opts;
+  Opts.Epsilon = 0.02;
+  Opts.Steps = 30;
+  Opts.Restarts = 2;
+  Opts.TargetAllClasses = GetParam();
+  Opts.NeumannTerms = GetParam() ? -1 : 20;
+  uint64_t Taken = 0, ReferenceTaken = 0;
+  for (size_t I = 0; I < Test.size(); ++I) {
+    const Vector X = Test.input(I);
+    const int Label = Solver.predict(X);
+    const uint64_t Before = Gradients.value();
+    PgdResult Got = pgdAttack(Model, Solver, X, Label, Opts);
+    Taken += Gradients.value() - Before;
+    PgdResult Want =
+        referencePgd(Model, Solver, X, Label, Opts, ReferenceTaken);
+    SCOPED_TRACE(I);
+    EXPECT_FALSE(Want.FoundAdversarial) << "every step should run";
+    expectSameResult(Got, Want);
+  }
+  EXPECT_LT(Taken, ReferenceTaken);
+}
+
 INSTANTIATE_TEST_SUITE_P(TargetAllClasses, PgdSharedSolveTest,
                          ::testing::Bool());
 
 TEST(PgdTest, ResumedAttackMatchesOneCall) {
   // Restart 1 now and the rest later (the driver's order around phase 2)
-  // must be the one-call attack: same result bytes, same gradient count.
+  // must be the one-call attack: same result bytes, same gradient and
+  // adjoint factorization counts.
   const MonDeq &Model = trainedModel();
   FixpointSolver Solver(Model, Splitting::PeacemanRachford);
   const telemetry::Counter Gradients =
       telemetry::counterMetric("pgd.gradients");
+  const telemetry::Counter Factorizations =
+      telemetry::counterMetric("pgd.adjoint_factorizations");
   Rng R(26);
   Dataset Test = makeGaussianMixture(R, 4, 5, 3, 0.2);
   PgdOptions Opts;
@@ -255,22 +302,19 @@ TEST(PgdTest, ResumedAttackMatchesOneCall) {
         const Vector X = Test.input(I);
         const int Label = Solver.predict(X);
         uint64_t Before = Gradients.value();
+        uint64_t BeforeLu = Factorizations.value();
         PgdResult Whole = pgdAttack(Model, Solver, X, Label, Opts);
         const uint64_t WholeGradients = Gradients.value() - Before;
+        const uint64_t WholeLu = Factorizations.value() - BeforeLu;
 
         Before = Gradients.value();
+        BeforeLu = Factorizations.value();
         PgdAttack Resumed(Model, Solver, X, Label, Opts);
         const bool First = Resumed.run(1).FoundAdversarial;
         PgdResult Got = Resumed.run();
         EXPECT_EQ(Gradients.value() - Before, WholeGradients);
-        ASSERT_EQ(Got.FoundAdversarial, Whole.FoundAdversarial);
-        EXPECT_EQ(Got.AdversarialClass, Whole.AdversarialClass);
-        ASSERT_EQ(Got.Adversarial.size(), Whole.Adversarial.size());
-        if (Got.FoundAdversarial) {
-          EXPECT_EQ(0, std::memcmp(Got.Adversarial.data(),
-                                   Whole.Adversarial.data(),
-                                   Got.Adversarial.size() * sizeof(double)));
-        }
+        EXPECT_EQ(Factorizations.value() - BeforeLu, WholeLu);
+        expectSameResult(Got, Whole);
         (First ? InFirst : Got.FoundAdversarial ? InLater : None) += 1;
       }
     }

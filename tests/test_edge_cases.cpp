@@ -206,6 +206,98 @@ TEST(EdgeSerializationTest, BitFlipInHeaderIsRejected) {
   std::remove(Path);
 }
 
+TEST(EdgeSerializationTest, HugeHeaderDimIsRejected) {
+  // A dimension of 2^40 must be refused before it sizes an allocation.
+  const char *Path = "/tmp/craft_hugedim.bin";
+  const uint64_t Huge = uint64_t{1} << 40;
+  // P's dimensions follow the 17-byte header (magic, version, m, act).
+  const uint64_t Patches[][2] = {{Huge, 3}, {3, Huge}, {Huge, Huge}, {Huge, 0}};
+  MonDeq Model = smallModel();
+  for (const auto &Dims : Patches) {
+    ASSERT_TRUE(Model.save(Path));
+    std::FILE *F = std::fopen(Path, "rb+");
+    ASSERT_EQ(std::fseek(F, 17, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(Dims, sizeof(Dims), 1, F), 1u);
+    std::fclose(F);
+    EXPECT_FALSE(MonDeq::load(Path).has_value())
+        << Dims[0] << " x " << Dims[1];
+  }
+  std::remove(Path);
+}
+
+namespace {
+
+/// Writes a version-2 ReLU model file from raw parts, consistent or not.
+void writeRawModel(const char *Path, double M, const Matrix &P,
+                   const Matrix &Q, const Matrix &W, const Matrix &U,
+                   const Vector &BZ, const Matrix &V, const Vector &BY) {
+  std::FILE *F = std::fopen(Path, "wb");
+  ASSERT_NE(F, nullptr);
+  auto Put = [&](const void *Data, size_t Bytes) {
+    if (Bytes > 0)
+      std::fwrite(Data, 1, Bytes, F);
+  };
+  auto PutMatrix = [&](const Matrix &A) {
+    const uint64_t Dims[2] = {A.rows(), A.cols()};
+    Put(Dims, sizeof(Dims));
+    Put(A.rowData(0), A.rows() * A.cols() * sizeof(double));
+  };
+  auto PutVector = [&](const Vector &A) {
+    const uint64_t N = A.size();
+    Put(&N, sizeof(N));
+    Put(A.data(), N * sizeof(double));
+  };
+  const uint32_t Header[2] = {0x43524654, 2}; // "CRFT", version 2.
+  const uint8_t Act = 0;
+  Put(Header, sizeof(Header));
+  Put(&M, sizeof(M));
+  Put(&Act, sizeof(Act));
+  PutMatrix(P);
+  PutMatrix(Q);
+  PutMatrix(W);
+  PutMatrix(U);
+  PutVector(BZ);
+  PutMatrix(V);
+  PutVector(BY);
+  std::fclose(F);
+}
+
+} // namespace
+
+TEST(EdgeSerializationTest, InconsistentShapesAreRejected) {
+  const char *Path = "/tmp/craft_shapes.bin";
+  const Matrix P(3, 3, 0.1), Q(3, 3, 0.2), W(3, 3, -0.5), U(3, 4, 1.0);
+  const Matrix V(2, 3, 1.0);
+  const Vector BZ(3, 0.0), BY(2, 0.0);
+  // The well-formed file loads, so each rejection below is its one defect.
+  writeRawModel(Path, 1.0, P, Q, W, U, BZ, V, BY);
+  auto Loaded = MonDeq::load(Path);
+  ASSERT_TRUE(Loaded.has_value());
+  EXPECT_EQ(Loaded->latentDim(), 3u);
+  writeRawModel(Path, 1.0, Matrix(), Matrix(), W, U, BZ, V, BY);
+  EXPECT_TRUE(MonDeq::load(Path).has_value()) << "a fromW model";
+
+  writeRawModel(Path, 1.0, P, Q, Matrix(3, 4, -0.5), U, BZ, V, BY);
+  EXPECT_FALSE(MonDeq::load(Path).has_value()) << "3x4 W";
+  writeRawModel(Path, 1.0, P, Q, W, Matrix(2, 4, 1.0), BZ, V, BY);
+  EXPECT_FALSE(MonDeq::load(Path).has_value()) << "U rows";
+  writeRawModel(Path, 1.0, P, Q, W, U, Vector(2, 0.0), V, BY);
+  EXPECT_FALSE(MonDeq::load(Path).has_value()) << "b_z length";
+  writeRawModel(Path, 1.0, P, Q, W, U, BZ, Matrix(2, 4, 1.0), BY);
+  EXPECT_FALSE(MonDeq::load(Path).has_value()) << "V cols";
+  writeRawModel(Path, 1.0, P, Q, W, U, BZ, V, Vector(3, 0.0));
+  EXPECT_FALSE(MonDeq::load(Path).has_value()) << "b_y length";
+  writeRawModel(Path, 1.0, Matrix(2, 2, 0.1), Q, W, U, BZ, V, BY);
+  EXPECT_FALSE(MonDeq::load(Path).has_value()) << "P shape";
+  writeRawModel(Path, 1.0, P, Matrix(), W, U, BZ, V, BY);
+  EXPECT_FALSE(MonDeq::load(Path).has_value()) << "Q alone empty";
+  for (double M : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    writeRawModel(Path, M, P, Q, W, U, BZ, V, BY);
+    EXPECT_FALSE(MonDeq::load(Path).has_value()) << "m = " << M;
+  }
+  std::remove(Path);
+}
+
 //===----------------------------------------------------------------------===//
 // Degenerate abstract values
 //===----------------------------------------------------------------------===//

@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 using namespace craft;
 
@@ -246,6 +247,37 @@ TEST(ImplicitGradTest, NeumannApproximatesExact) {
   Vector Exact = inputGradient(Model, Solver, X, Coef, -1);
   Vector Approx = inputGradient(Model, Solver, X, Coef, 40);
   EXPECT_LT((Exact - Approx).normInf(), 1e-6);
+}
+
+TEST(ImplicitGradTest, AdjointReuseMatchesFreshLuBytes) {
+  // Masks A, A, B, A (ReLU 0/1), then a non-binary tanh derivative: every
+  // solve is bitwise a fresh LU of I - W^T D, and only the repeated A
+  // reuses the kept factorization.
+  Rng R(12);
+  MonDeq Model = MonDeq::randomFc(R, 4, 9, 3, 20.0);
+  const Matrix &W = Model.weightW();
+  const size_t P = W.rows();
+  Vector MaskA(P), MaskB(P), TanhD(P), DeltaZ(P);
+  for (size_t I = 0; I < P; ++I) {
+    MaskA[I] = I % 3 == 0 ? 0.0 : 1.0;
+    MaskB[I] = I % 2 == 0 ? 0.0 : 1.0;
+    TanhD[I] = 1.0 - std::pow(std::tanh(R.uniform(-2.0, 2.0)), 2);
+    DeltaZ[I] = R.uniform(-1.0, 1.0);
+  }
+
+  AdjointSolver Adjoint(W);
+  const Vector *Sequence[] = {&MaskA, &MaskA, &MaskB, &MaskA, &TanhD};
+  for (const Vector *D : Sequence) {
+    Matrix A = Matrix::identity(P);
+    for (size_t I = 0; I < P; ++I)
+      for (size_t J = 0; J < P; ++J)
+        A(I, J) -= W(J, I) * (*D)[J];
+    const Vector Want = LuDecomposition(A).solve(DeltaZ);
+    const Vector Got = Adjoint.solve(*D, DeltaZ);
+    ASSERT_EQ(Got.size(), P);
+    EXPECT_EQ(0, std::memcmp(Got.data(), Want.data(), P * sizeof(double)));
+  }
+  EXPECT_EQ(Adjoint.factorizations(), 4u) << "five solves, one reuse";
 }
 
 //===----------------------------------------------------------------------===//
