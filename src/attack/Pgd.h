@@ -29,6 +29,7 @@
 #include "nn/Solvers.h"
 #include "support/Rng.h"
 
+#include <atomic>
 #include <vector>
 
 namespace craft {
@@ -61,13 +62,17 @@ struct PgdResult {
 };
 
 /// One seeded attack on the l-inf ball around \p X for a sample of true
-/// class \p Label, run in installments: every restart draws from the one
-/// Rng the attack carries and factorizes on its own, so running restart 1
-/// now and the rest later gives exactly the result (and the gradient and
-/// factorization counts) of one whole run. The verifier's driver runs
-/// restart 1 before phase-2 tightening and the rest only if the query
-/// stays uncertified. \p Model and \p Solver (a PR solver bound to
-/// \p Model) must outlive the attack.
+/// class \p Label, run in installments: every restart draws a fixed count
+/// from the one Rng the attack carries, up front and in restart order, and
+/// factorizes on its own, so running restart 1 now and the rest later
+/// gives exactly the result (and the gradient and factorization counts)
+/// of one whole run. The verifier's driver runs restart 1 before phase-2
+/// tightening and the rest only if the query stays uncertified. The
+/// restarts of one installment are a helped section (helpedForIndex,
+/// support/ThreadPool.h): on a batch worker, idle workers may run later
+/// restarts while this one folds them in order; only folded restarts add
+/// to `pgd.gradients` and `pgd.adjoint_factorizations`. \p Model and
+/// \p Solver (a PR solver bound to \p Model) must outlive the attack.
 class PgdAttack {
 public:
   PgdAttack(const MonDeq &Model, const FixpointSolver &Solver, Vector X,
@@ -82,6 +87,11 @@ public:
   const PgdResult &result() const { return Result; }
 
 private:
+  struct Restart;
+  /// Runs one restart from its pre-drawn randomness; ends at the next
+  /// target once \p Cut is set.
+  void runRestart(Restart &Rs, const std::atomic<bool> &Cut) const;
+
   const MonDeq &Model;
   const FixpointSolver &Solver;
   Vector X;

@@ -3,11 +3,15 @@
 #include "core/Verifier.h"
 
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cassert>
 #include <cmath>
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -83,6 +87,35 @@ private:
   IntervalVector BestHull;
 };
 
+/// Error-term ids one item of a helped section may mint: an item is at
+/// most 40 abstract steps, each minting a few times the state dimension.
+constexpr uint64_t ItemIdRange = uint64_t(1) << 26;
+
+/// helpedForIndex (support/ThreadPool.h) for items that mint error-term
+/// ids. Item I mints from (Base + I R, Base + (I + 1) R], Base being the
+/// caller's counter at entry and R = ItemIdRange, on whichever thread runs
+/// it, and the caller resumes past every range. So ids order as in the
+/// plain loop: an item's ids follow every id it inherits, and the
+/// caller's later ids follow every item's.
+void helpedWithIdRanges(size_t N, const std::function<void(size_t)> &Fn,
+                        const std::function<bool(size_t)> &StopAfter) {
+  const uint64_t Base = errorTermIdMark();
+  helpedForIndex(
+      N,
+      [&](size_t I) {
+        struct Restore {
+          uint64_t Mark = errorTermIdMark();
+          ~Restore() { setErrorTermIdMark(Mark); }
+        } Own;
+        setErrorTermIdMark(Base + I * ItemIdRange);
+        Fn(I);
+        assert(errorTermIdMark() <= Base + (I + 1) * ItemIdRange &&
+               "a helped item overran its error-term id range");
+      },
+      StopAfter);
+  setErrorTermIdMark(Base + N * ItemIdRange);
+}
+
 /// Dom::consolidate under the Consolidation phase timer, which also
 /// records the craft.consolidate span when tracing is armed.
 template <class Dom, class... Args> auto timedConsolidate(Args &&...A) {
@@ -107,11 +140,12 @@ public:
         Track(3 * Config.Phase2Window) {}
 
   /// Steps until \p MaxSteps steps have run in total, the run has stopped
-  /// (certified, stalled or width abort), or Control fires.
-  void advanceTo(int MaxSteps) {
+  /// (certified, stalled or width abort), Control fires, or \p Cut is set
+  /// (the run is an item past the stop of a helped section's fold).
+  void advanceTo(int MaxSteps, const std::atomic<bool> *Cut = nullptr) {
     TRACE_SPAN("craft.phase2");
     for (; !Stopped && Step < MaxSteps; ++Step) {
-      if (Config->Control.stopRequested())
+      if (Config->Control.stopRequested() || (Cut && *Cut))
         break; // Stop tightening; the best margin so far stands.
       bool UsableForCertification = true;
       if (Config->SameIterationContainment) {
@@ -308,30 +342,44 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
       Res.ChosenAlpha2 = Config.Alpha2;
       if (Config.Alpha2 < 0.0) {
         // Adaptive line search over alpha in [0, 1] (Thm 5.1): a 6-step
-        // probe per candidate, in order. Every alpha is sound, so the
-        // first probe that certifies is the phase-2 result. Otherwise the
-        // probe with the best margin is the main run and continues where
-        // it stopped — the run a fresh start at its alpha would repeat.
+        // probe per candidate, folded in order. Every alpha is sound, so
+        // the first probe that certifies is the phase-2 result. Otherwise
+        // the probe with the best margin is the main run and continues
+        // where it stopped — the run a fresh start at its alpha would
+        // repeat. Idle batch workers may run later probes ahead of the
+        // fold; one past the certifying probe stops at its next step.
         static const double Candidates[] = {0.01, 0.02, 0.03, 0.05,
                                             0.08, 0.12, 0.2,  0.35};
+        struct Probe {
+          std::unique_ptr<AbstractSolver> Solver;
+          std::optional<Phase2Run<Dom>> Run;
+        };
+        std::vector<Probe> Probes(std::size(Candidates));
+        std::atomic<bool> Cut{false};
         double BestProbe = -1e300;
-        for (double Cand : Candidates) {
-          if (Config.Control.stopRequested())
-            break;
-          auto Probe = std::make_unique<AbstractSolver>(
-              Model, Splitting::ForwardBackward, Cand, X);
-          Phase2Run<Dom> Run = startRun(*Probe, 1.0);
-          Run.advanceTo(/*MaxSteps=*/6);
-          const bool Certifies = Run.tracker().certified();
-          if (Certifies || Run.tracker().best() > BestProbe) {
-            BestProbe = Run.tracker().best();
-            Main = std::move(Run);
-            Solver2Storage = std::move(Probe);
-            Res.ChosenAlpha2 = Cand;
-          }
-          if (Certifies)
-            break;
-        }
+        helpedWithIdRanges(
+            Probes.size(),
+            [&](size_t I) {
+              Probe &P = Probes[I];
+              P.Solver = std::make_unique<AbstractSolver>(
+                  Model, Splitting::ForwardBackward, Candidates[I], X);
+              P.Run.emplace(startRun(*P.Solver, 1.0));
+              P.Run->advanceTo(/*MaxSteps=*/6, &Cut);
+            },
+            [&](size_t I) {
+              Probe &P = Probes[I];
+              const bool Certifies = P.Run->tracker().certified();
+              if (Certifies || P.Run->tracker().best() > BestProbe) {
+                BestProbe = P.Run->tracker().best();
+                Main.emplace(std::move(*P.Run));
+                Solver2Storage = std::move(P.Solver);
+                Res.ChosenAlpha2 = Candidates[I];
+              }
+              P = Probe(); // Free it; a chosen probe has moved out.
+              const bool Stop = Certifies || Config.Control.stopRequested();
+              Cut = Stop;
+              return Stop;
+            });
       }
       if (!Solver2Storage)
         Solver2Storage = std::make_unique<AbstractSolver>(
@@ -360,16 +408,24 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
               ? std::vector<double>{0.8, 0.9, 0.95, 1.05, 1.1, 1.25}
               : std::vector<double>{0.9, 1.1};
       int Steps = Config.LambdaOptLevel >= 2 ? 40 : 20;
-      for (double Scale : Scales) {
-        if (Config.Control.stopRequested())
-          break;
-        Phase2Run<Dom> Run = startRun(*Solver2, Scale);
-        Run.advanceTo(Steps);
-        if (absorb(Run.tracker())) {
-          Res.Certified = true;
-          break;
-        }
-      }
+      // The scales fold in order and the first that certifies ends the
+      // search; idle batch workers may run later scales ahead of the
+      // fold, and one past the certifying scale stops at its next step.
+      std::vector<std::optional<MarginTracker>> Tracks(Scales.size());
+      std::atomic<bool> Cut{false};
+      helpedWithIdRanges(
+          Scales.size(),
+          [&](size_t I) {
+            Phase2Run<Dom> Run = startRun(*Solver2, Scales[I]);
+            Run.advanceTo(Steps, &Cut);
+            Tracks[I] = Run.tracker();
+          },
+          [&](size_t I) {
+            Res.Certified = absorb(*Tracks[I]);
+            const bool Stop = Res.Certified || Config.Control.stopRequested();
+            Cut = Stop;
+            return Stop;
+          });
     }
 
     Res.TimeSeconds = Timer.seconds();

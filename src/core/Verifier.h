@@ -30,6 +30,14 @@
 ///  did not certify, and a caller hook (verifyRegion's BeforePhase2, where
 ///  the driver runs PGD's first restart) can skip it.
 ///
+///  The line-search probes and the lambda scales are helped sections
+///  (helpedForIndex, support/ThreadPool.h): on a batch worker, idle
+///  workers of the same pool run later probes or scales while the query
+///  folds them in order, and a run past the first certifying one stops at
+///  its next step. Each item mints error-term ids from its own range past
+///  the query's counter, so the result is byte-identical to the plain
+///  loop's on any thread and for any worker count.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CRAFT_CORE_VERIFIER_H

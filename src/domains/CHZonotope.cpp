@@ -100,13 +100,17 @@ std::vector<size_t> &generatorColumnBuffer() {
 
 // thread_local: the batch-verification subsystem runs independent analyses
 // on worker threads. Ids only need to be unique among zonotopes that are
-// combined with each other, and an analysis never mixes zonotopes across
-// threads, so per-thread counters are race-free and keep each analysis's id
-// stream identical regardless of what other workers do.
+// combined with each other. One analysis may run items of a helped section
+// on other threads (core/Verifier.cpp): each item mints from its own range
+// past the owner's counter, and the owner resumes past every range, so
+// per-thread counters stay race-free, ids stay unique within the analysis,
+// and each item's id stream is the same on any thread. Results depend on
+// which ids are equal and on their order, never on their values.
 static thread_local uint64_t ErrorTermCounter = 0;
 
 uint64_t craft::freshErrorTermId() { return ++ErrorTermCounter; }
-void craft::resetErrorTermIds() { ErrorTermCounter = 0; }
+uint64_t craft::errorTermIdMark() { return ErrorTermCounter; }
+void craft::setErrorTermIdMark(uint64_t Mark) { ErrorTermCounter = Mark; }
 
 CHZonotope::CHZonotope(Vector Center, Matrix Generators,
                        std::vector<uint64_t> TermIds, Vector BoxRadius)

@@ -38,10 +38,14 @@
 
 namespace craft {
 
-/// Mints a fresh, process-unique error-term id.
+/// Mints a fresh error-term id: this thread's counter plus one.
 uint64_t freshErrorTermId();
-/// Resets the id counter (test isolation only).
-void resetErrorTermIds();
+/// This thread's counter: the last id it minted.
+uint64_t errorTermIdMark();
+/// Sets this thread's counter, so the next id minted is \p Mark + 1 (test
+/// isolation, and the per-item id ranges of core/Verifier.cpp's helped
+/// sections).
+void setErrorTermIdMark(uint64_t Mark);
 
 /// Controls how the Box error component participates in affine maps.
 enum class BoxPolicy {

@@ -33,8 +33,9 @@ public:
   /// consolidations between PCA recomputations (paper: 30).
   explicit ConsolidationBasis(size_t Dim, int RefreshEvery = 30);
 
-  /// Returns the basis to use for the next consolidation, recomputing the
-  /// PCA of \p Generators when the refresh counter expires.
+  /// Readies the basis for the next consolidation (read it through
+  /// basis() and basisInv()), recomputing the PCA of \p Generators when
+  /// the refresh counter expires.
   void refresh(const Matrix &Generators);
 
   const Matrix &basis() const { return Basis; }

@@ -542,5 +542,10 @@ PhaseTimer::~PhaseTimer() {
 
 PhaseTotals phaseTotals() { return Tls.Phases; }
 
+void creditPhaseTotals(const PhaseTotals &Ns) {
+  for (size_t P = 0; P < static_cast<size_t>(Phase::Count); ++P)
+    Tls.Phases.Ns[P] += Ns.Ns[P];
+}
+
 } // namespace telemetry
 } // namespace craft

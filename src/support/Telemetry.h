@@ -282,12 +282,18 @@ private:
   bool Traced = false;
 };
 
-/// This thread's accumulated nanoseconds per phase since thread start.
+/// This thread's accumulated nanoseconds per phase since thread start,
+/// including time credited to it (creditPhaseTotals).
 struct PhaseTotals {
   uint64_t Ns[static_cast<size_t>(Phase::Count)] = {};
   uint64_t of(Phase P) const { return Ns[static_cast<size_t>(P)]; }
 };
 PhaseTotals phaseTotals();
+
+/// Adds \p Ns to this thread's totals: phase time another thread spent on
+/// this thread's behalf (a helped section's items, see
+/// support/ThreadPool.h), so the query's before/after delta includes it.
+void creditPhaseTotals(const PhaseTotals &Ns);
 
 } // namespace telemetry
 } // namespace craft

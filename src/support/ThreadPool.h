@@ -14,9 +14,17 @@
 /// Determinism contract for callers:
 ///  - key every result by the task's input index, not arrival order;
 ///  - derive per-task RNG seeds from the index (see taskSeed), never from
-///    shared mutable generator state or the executing thread.
+///    shared mutable generator state or the executing thread;
+///  - in a helped section (helpedForIndex), write item I's result into
+///    slot I and fold the slots in StopAfter, which the owner calls in
+///    index order: an item that runs on a helper, or runs past the stop,
+///    must change nothing the fold does not read.
 /// Under that contract the outcome of a batch is byte-identical for any
 /// worker count, including the inline Jobs <= 1 path.
+///
+/// Helping rule: a worker runs queued tasks first. Only when the queue is
+/// empty (no task waits to start) does it take the next unclaimed item of
+/// an open section, oldest section first, items in index order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,10 +74,24 @@ public:
   static bool onWorkerThread();
 
 private:
+  struct Section;
+  friend void helpedForIndex(size_t, const std::function<void(size_t)> &,
+                             const std::function<bool(size_t)> &);
+
   void workerLoop();
+  /// The oldest open section with an unclaimed item, or null; called with
+  /// Mutex held.
+  Section *sectionWithItems() const;
+  /// Owner side of helpedForIndex on one of this pool's workers.
+  void runSection(size_t N, const std::function<void(size_t)> &Fn,
+                  const std::function<bool(size_t)> &StopAfter);
+  /// Runs item \p I of \p S on this helper; called and returns with
+  /// \p Lock held.
+  void helpWith(Section &S, size_t I, std::unique_lock<std::mutex> &Lock);
 
   std::vector<std::thread> Workers;
   std::deque<std::function<void()>> Queue;
+  std::vector<Section *> Sections; ///< Open sections, oldest first.
   std::mutex Mutex;
   std::condition_variable WorkAvailable;
   std::condition_variable AllDone;
@@ -77,6 +99,24 @@ private:
   bool Stopping = false;
   std::exception_ptr FirstError;
 };
+
+/// Runs Fn(I) for I in [0, N) in index order on the calling thread and
+/// calls StopAfter(I), also on the calling thread and in index order, once
+/// item I has finished; StopAfter returning true ends the section. On a
+/// worker of a ThreadPool with two or more workers, the section is open
+/// to that pool's idle workers while it runs: a worker whose queue is
+/// empty claims the next unclaimed item and runs it, so an item may run on
+/// another thread and before the owner reaches it, and items past the
+/// stop may start (they are never passed to StopAfter, and the section
+/// waits for them before it returns; a caller that wants them to end
+/// early signals that itself, from StopAfter). Off a pool worker, or on a
+/// one-worker pool, it is the plain loop. An exception from item I is
+/// rethrown here, on the calling thread, when the fold reaches I. Phase
+/// time an item records on a helper (telemetry::PhaseTimer) is credited
+/// to the calling thread; each helped item counts in `pool.help_items`
+/// and records a `pool.help` span on its helper.
+void helpedForIndex(size_t N, const std::function<void(size_t)> &Fn,
+                    const std::function<bool(size_t)> &StopAfter);
 
 /// A contiguous half-open index range (one part of a static partition).
 struct IndexRange {

@@ -50,7 +50,10 @@ struct PhaseBreakdown {
   double SolverMs = 0.0;
   /// consolidateProper order-reduction inside the engine run (the slice
   /// the paper's Table 4 attributes separately). Accumulated on the
-  /// query's own thread: split-mode wave workers are not folded in.
+  /// query's own thread, plus what idle batch workers spent in the
+  /// query's helped sections (line-search probes, lambda scales); a sum
+  /// over threads, so with helpers it may exceed the wall time it sits
+  /// in. Split-mode wave workers are not folded in.
   double ConsolidationMs = 0.0;
   /// Split-refinement wave loop (split-depth > 0 runs).
   double SplitMs = 0.0;

@@ -6,6 +6,7 @@
 #include "nn/Training.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -322,6 +323,58 @@ TEST(PgdTest, ResumedAttackMatchesOneCall) {
   EXPECT_GT(InFirst, 0u);
   EXPECT_GT(InLater, 0u);
   EXPECT_GT(None, 0u);
+}
+
+TEST(PgdTest, HelpedRestartsMatchTheInlineAttack) {
+  // The attack as the only task on a four-worker pool: idle workers run
+  // later restarts ahead of the fold, past the restart that finds the
+  // counterexample too. Result bytes and the gradient and factorization
+  // counts must be the inline attack's: only folded restarts count.
+  const MonDeq &Model = trainedModel();
+  FixpointSolver Solver(Model, Splitting::PeacemanRachford);
+  const telemetry::Counter Gradients =
+      telemetry::counterMetric("pgd.gradients");
+  const telemetry::Counter Factorizations =
+      telemetry::counterMetric("pgd.adjoint_factorizations");
+  const telemetry::Counter HelpItems =
+      telemetry::counterMetric("pool.help_items");
+  Rng R(26);
+  Dataset Test = makeGaussianMixture(R, 4, 5, 3, 0.2);
+  PgdOptions Opts;
+  Opts.Steps = 4;
+  Opts.OdiSteps = 1;
+  Opts.Restarts = 4;
+  ThreadPool Pool(4);
+  const uint64_t HelpedBefore = HelpItems.value();
+  size_t InLater = 0;
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+    Opts.Seed = Seed;
+    for (double Epsilon : {0.05, 0.2, 0.3}) {
+      Opts.Epsilon = Epsilon;
+      for (size_t I = 0; I < Test.size(); ++I) {
+        const Vector X = Test.input(I);
+        const int Label = Solver.predict(X);
+        uint64_t Before = Gradients.value();
+        uint64_t BeforeLu = Factorizations.value();
+        PgdResult Inline = pgdAttack(Model, Solver, X, Label, Opts);
+        const uint64_t InlineGradients = Gradients.value() - Before;
+        const uint64_t InlineLu = Factorizations.value() - BeforeLu;
+
+        Before = Gradients.value();
+        BeforeLu = Factorizations.value();
+        PgdResult Helped;
+        Pool.submit([&] { Helped = pgdAttack(Model, Solver, X, Label, Opts); });
+        Pool.wait();
+        EXPECT_EQ(Gradients.value() - Before, InlineGradients);
+        EXPECT_EQ(Factorizations.value() - BeforeLu, InlineLu);
+        expectSameResult(Helped, Inline);
+        PgdAttack First(Model, Solver, X, Label, Opts);
+        InLater += Inline.FoundAdversarial && !First.run(1).FoundAdversarial;
+      }
+    }
+  }
+  EXPECT_GT(InLater, 0u);
+  EXPECT_GT(HelpItems.value() - HelpedBefore, 0u);
 }
 
 } // namespace

@@ -1,9 +1,10 @@
 //===- tests/test_batch_driver.cpp - Batch verification tests -------------===//
 //
-// Tests for the parallel batch-verification subsystem: the ThreadPool and
-// parallelForIndex primitives, the deterministic per-task seed stream, the
-// multi-input spec form, and the core batch contract — runSpecBatch
-// produces byte-identical outcomes for every worker count.
+// Tests for the parallel batch-verification subsystem: the ThreadPool,
+// parallelForIndex and helpedForIndex primitives, the deterministic
+// per-task seed stream, the multi-input spec form, and the core batch
+// contract — runSpecBatch produces byte-identical outcomes for every
+// worker count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,6 +12,7 @@
 #include "nn/Solvers.h"
 #include "nn/Training.h"
 #include "support/Rng.h"
+#include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "tool/Driver.h"
 
@@ -18,10 +20,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace craft;
@@ -96,6 +100,148 @@ TEST(ParallelForTest, PropagatesTaskExceptions) {
                                     throw std::runtime_error("boom");
                                 }),
                std::runtime_error);
+}
+
+//===----------------------------------------------------------------------===//
+// Helped sections
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Spins until \p Flag is set, for at most ten seconds. The section tests
+/// below hold item 0 on the owner until a helper has started item 1; a
+/// section that is never helped fails them instead of hanging.
+bool awaitFlag(const std::atomic<bool> &Flag) {
+  for (int I = 0; I < 10000 && !Flag.load(); ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return Flag.load();
+}
+
+const telemetry::Counter HelpItems =
+    telemetry::counterMetric("pool.help_items");
+
+} // namespace
+
+TEST(HelpedSectionTest, OffPoolIsThePlainLoop) {
+  std::vector<size_t> Ran, Folded;
+  helpedForIndex(
+      5, [&](size_t I) { Ran.push_back(I); },
+      [&](size_t I) {
+        Folded.push_back(I);
+        return I == 2;
+      });
+  EXPECT_EQ(Ran, (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(Folded, (std::vector<size_t>{0, 1, 2}));
+}
+
+TEST(HelpedSectionTest, IdleWorkersRunItemsTheOwnerFoldsInOrder) {
+  // One task on a two-worker pool: the other worker is idle and takes
+  // item 1 while the owner holds item 0. The fold still runs 0, 1, 2 on
+  // the owner, and the helper's phase time lands in the owner's totals.
+  ThreadPool Pool(2);
+  const uint64_t HelpedBefore = HelpItems.value();
+  std::atomic<bool> HelperStarted{false};
+  std::vector<std::thread::id> RanOn(3);
+  std::thread::id Owner;
+  std::vector<size_t> Folded;
+  bool Helped = false;
+  uint64_t CreditedNs = 0;
+  Pool.submit([&] {
+    Owner = std::this_thread::get_id();
+    const telemetry::PhaseTotals Before = telemetry::phaseTotals();
+    helpedForIndex(
+        3,
+        [&](size_t I) {
+          RanOn[I] = std::this_thread::get_id();
+          if (I == 0)
+            Helped = awaitFlag(HelperStarted);
+          if (I == 1) {
+            telemetry::PhaseTimer Timed(telemetry::Phase::Consolidation);
+            HelperStarted = true;
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          }
+        },
+        [&](size_t I) {
+          EXPECT_EQ(std::this_thread::get_id(), Owner);
+          Folded.push_back(I);
+          return false;
+        });
+    CreditedNs = telemetry::phaseTotals().of(telemetry::Phase::Consolidation) -
+                 Before.of(telemetry::Phase::Consolidation);
+  });
+  Pool.wait();
+  ASSERT_TRUE(Helped) << "no idle worker took item 1";
+  EXPECT_EQ(Folded, (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(RanOn[0], Owner);
+  EXPECT_NE(RanOn[1], Owner);
+  EXPECT_GE(HelpItems.value() - HelpedBefore, 1u);
+  if (telemetry::timingEnabled()) {
+    EXPECT_GE(CreditedNs, 5000000u);
+  }
+}
+
+TEST(HelpedSectionTest, HelperExceptionIsRethrownToTheOwner) {
+  // Item 1 throws on the helper: the owner's helpedForIndex rethrows it
+  // when the fold reaches item 1, and the pool's wait() stays clean.
+  ThreadPool Pool(2);
+  std::atomic<bool> HelperStarted{false};
+  bool Helped = false, Caught = false;
+  std::vector<size_t> Folded;
+  Pool.submit([&] {
+    try {
+      helpedForIndex(
+          3,
+          [&](size_t I) {
+            if (I == 0)
+              Helped = awaitFlag(HelperStarted);
+            if (I == 1) {
+              HelperStarted = true;
+              throw std::runtime_error("item 1 failed");
+            }
+          },
+          [&](size_t I) {
+            Folded.push_back(I);
+            return false;
+          });
+    } catch (const std::runtime_error &) {
+      Caught = true;
+    }
+  });
+  EXPECT_NO_THROW(Pool.wait());
+  ASSERT_TRUE(Helped) << "no idle worker took item 1";
+  EXPECT_TRUE(Caught);
+  EXPECT_EQ(Folded, (std::vector<size_t>{0}));
+}
+
+TEST(HelpedSectionTest, StopAfterWaitsOutItemsPastTheStop) {
+  // The fold stops at item 0 while a helper runs item 1: item 1 is never
+  // folded, and the section returns only once it has finished.
+  ThreadPool Pool(2);
+  std::atomic<bool> HelperStarted{false}, Item1Done{false};
+  bool Helped = false, Item1DoneAtReturn = false;
+  std::vector<size_t> Folded;
+  Pool.submit([&] {
+    helpedForIndex(
+        4,
+        [&](size_t I) {
+          if (I == 0)
+            Helped = awaitFlag(HelperStarted);
+          if (I == 1) {
+            HelperStarted = true;
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            Item1Done = true;
+          }
+        },
+        [&](size_t I) {
+          Folded.push_back(I);
+          return true;
+        });
+    Item1DoneAtReturn = Item1Done;
+  });
+  Pool.wait();
+  ASSERT_TRUE(Helped) << "no idle worker took item 1";
+  EXPECT_EQ(Folded, (std::vector<size_t>{0}));
+  EXPECT_TRUE(Item1DoneAtReturn);
 }
 
 TEST(TaskSeedTest, DependsOnlyOnBaseAndIndex) {

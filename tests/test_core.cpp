@@ -103,11 +103,7 @@ bool sameBytes(const Matrix &A, const Matrix &B) {
 }
 
 /// Sets the error-term id counter so the next fresh id is \p Next.
-void rewindErrorTermIds(uint64_t Next) {
-  resetErrorTermIds();
-  while (Next-- > 1)
-    freshErrorTermId();
-}
+void rewindErrorTermIds(uint64_t Next) { setErrorTermIdMark(Next - 1); }
 
 TEST(AbstractSolverTest, PrStepMatchesExplicitStackedMap) {
   // The PR step keeps only u_next's p rows and stacks them; the reference

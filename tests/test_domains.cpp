@@ -911,11 +911,7 @@ void expectSameBytes(const CHZonotope &Got, const CHZonotope &Want) {
 }
 
 /// Sets the error-term id counter so the next fresh id is \p Next.
-void rewindErrorTermIds(uint64_t Next) {
-  resetErrorTermIds();
-  while (Next-- > 1)
-    freshErrorTermId();
-}
+void rewindErrorTermIds(uint64_t Next) { setErrorTermIdMark(Next - 1); }
 
 using Term = std::pair<const Matrix *, const CHZonotope *>;
 

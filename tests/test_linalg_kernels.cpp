@@ -768,7 +768,7 @@ TEST(BackendDispatch, ActiveBackendIsRunnableAndPublicApiUsesIt) {
 //===----------------------------------------------------------------------===//
 
 TEST(LinearCombine, NullMatrixIsIdentity) {
-  resetErrorTermIds();
+  setErrorTermIdMark(0);
   CHZonotope Z = CHZonotope::fromBox(Vector{0.0, -1.0, 2.0},
                                      Vector{1.0, 1.0, 2.5});
   Matrix I = Matrix::identity(3);
@@ -791,7 +791,7 @@ TEST(LinearCombine, NullMatrixIsIdentity) {
 }
 
 TEST(CHZonotope, WithBoxRadiusReplacesBoxOnly) {
-  resetErrorTermIds();
+  setErrorTermIdMark(0);
   CHZonotope Z = CHZonotope::fromBox(Vector{0.0, 0.0}, Vector{1.0, 2.0});
   Vector Center = Z.center();
   Matrix Gens = Z.generators();

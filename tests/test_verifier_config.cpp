@@ -6,14 +6,18 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "attack/Pgd.h"
 #include "core/Verifier.h"
 #include "data/GaussianMixture.h"
 #include "nn/Training.h"
 #include "support/Rng.h"
+#include "support/Telemetry.h"
+#include "tool/Driver.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 
 using namespace craft;
 
@@ -122,7 +126,8 @@ TEST(ConfigTest, FixedAlpha2SkipsLineSearch) {
 
 bool sameBytes(const Vector &A, const Vector &B) {
   return A.size() == B.size() &&
-         std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0;
+         (A.size() == 0 ||
+          std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0);
 }
 
 TEST(ConfigTest, LineSearchIsTheFirstCertifyingProbeContinued) {
@@ -177,6 +182,163 @@ TEST(ConfigTest, LineSearchIsTheFirstCertifyingProbeContinued) {
   EXPECT_GT(Phase1Certified, 0u);
   EXPECT_GT(Phase2Certified, 0u);
   EXPECT_GT(Undecided, 0u);
+}
+
+/// Byte-identical verdict, margin, step size and hull.
+void expectSameResult(const CraftResult &A, const CraftResult &B) {
+  EXPECT_EQ(A.Certified, B.Certified);
+  EXPECT_EQ(0, std::memcmp(&A.BestMargin, &B.BestMargin, sizeof(double)));
+  EXPECT_EQ(0,
+            std::memcmp(&A.ChosenAlpha2, &B.ChosenAlpha2, sizeof(double)));
+  EXPECT_TRUE(sameBytes(A.FixpointHull.lowerBounds(),
+                        B.FixpointHull.lowerBounds()));
+  EXPECT_TRUE(sameBytes(A.FixpointHull.upperBounds(),
+                        B.FixpointHull.upperBounds()));
+}
+
+TEST(ConfigTest, ResultDoesNotDependOnErrorTermIdValues) {
+  // Each item of a helped section (line-search probe, lambda scale) mints
+  // error-term ids from its own range past the owner's counter, so the
+  // ids an analysis uses depend on where the counter stood. The result
+  // must not.
+  CraftConfig Cfg;
+  Cfg.Alpha1 = 0.05;
+  CraftVerifier Verifier(model(), Cfg);
+  size_t Phase2 = 0;
+  for (double Eps : {0.07, 0.2}) {
+    for (const Sample &S : samples(8)) {
+      setErrorTermIdMark(0);
+      CraftResult Low = Verifier.verifyRobustness(S.X, S.Label, Eps);
+      setErrorTermIdMark(uint64_t(1) << 40);
+      CraftResult High = Verifier.verifyRobustness(S.X, S.Label, Eps);
+      SCOPED_TRACE(Eps);
+      expectSameResult(Low, High);
+      Phase2 += Low.ChosenAlpha2 >= 0.0;
+    }
+  }
+  setErrorTermIdMark(0);
+  EXPECT_GT(Phase2, 0u);
+}
+
+/// A query whose main phase-2 run ends uncertified within the lambda-opt
+/// window, so the verifier runs lambda optimization, and that PGD with
+/// \p Attack (its Epsilon is set here) does not refute.
+std::optional<VerificationSpec> lambdaOptQuery(const CraftConfig &Cfg,
+                                               PgdOptions Attack) {
+  CraftConfig NoLambda = Cfg;
+  NoLambda.LambdaOptLevel = 0;
+  FixpointSolver Solver(model(), Splitting::PeacemanRachford);
+  for (double Eps : {0.07, 0.1, 0.2}) {
+    Attack.Epsilon = Eps;
+    for (const Sample &S : samples(12)) {
+      CraftResult R =
+          CraftVerifier(model(), NoLambda).verifyRobustness(S.X, S.Label, Eps);
+      if (R.ChosenAlpha2 < 0.0 || R.Certified ||
+          R.BestMargin <= -Cfg.LambdaOptMarginWindow ||
+          pgdAttack(model(), Solver, S.X, S.Label, Attack).FoundAdversarial)
+        continue;
+      VerificationSpec Spec;
+      Spec.ModelPath = "<preloaded>";
+      Spec.Center = S.X;
+      Spec.Epsilon = Eps;
+      Spec.TargetClass = S.Label;
+      Spec.Alpha1 = Cfg.Alpha1;
+      Spec.Attack = true;
+      Spec.AttackSeed = Attack.Seed;
+      Spec.InLo = Vector(S.X.size());
+      Spec.InHi = Vector(S.X.size());
+      for (size_t J = 0; J < S.X.size(); ++J) {
+        Spec.InLo[J] = std::max(S.X[J] - Eps, 0.0);
+        Spec.InHi[J] = std::min(S.X[J] + Eps, 1.0);
+      }
+      return Spec;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(ConfigTest, HelpedBatchQueryMatchesItsSerialRun) {
+  // The line search, the lambda scales and PGD's remaining restarts all
+  // run for this query.
+  CraftConfig Cfg;
+  Cfg.Alpha1 = 0.05;
+  PgdOptions Attack;
+  Attack.Seed = 7;
+  const std::optional<VerificationSpec> Query = lambdaOptQuery(Cfg, Attack);
+  ASSERT_TRUE(Query) << "no sample reaches lambda optimization";
+
+  // Work counter deltas over one call (countsOf).
+  struct Counts {
+    uint64_t Gradients, Factorizations, Helped, Verifies, Iterations;
+  };
+  const telemetry::Counter Gradients =
+      telemetry::counterMetric("pgd.gradients");
+  const telemetry::Counter Factorizations =
+      telemetry::counterMetric("pgd.adjoint_factorizations");
+  const telemetry::Counter HelpItems =
+      telemetry::counterMetric("pool.help_items");
+  const telemetry::Histogram Iterations =
+      telemetry::histogramMetric("craft.iterations");
+  auto countsOf = [&](const auto &Fn) {
+    const Counts Before{Gradients.value(), Factorizations.value(),
+                        HelpItems.value(), Iterations.snapshot().Count,
+                        Iterations.snapshot().Sum};
+    Fn();
+    return Counts{Gradients.value() - Before.Gradients,
+                  Factorizations.value() - Before.Factorizations,
+                  HelpItems.value() - Before.Helped,
+                  Iterations.snapshot().Count - Before.Verifies,
+                  Iterations.snapshot().Sum - Before.Iterations};
+  };
+
+  // The plain loops, on this thread: the verifier and the whole attack.
+  CraftResult Direct;
+  const Counts Plain = countsOf([&] {
+    Direct = CraftVerifier(model(), Cfg)
+                 .verifyRegion(Query->InLo, Query->InHi, Query->TargetClass);
+    Attack.Epsilon = Query->Epsilon;
+    pgdAttack(model(), FixpointSolver(model(), Splitting::PeacemanRachford),
+              Query->Center, Query->TargetClass, Attack);
+  });
+
+  // The query in slot 0 of a batch whose other slots fail to load and so
+  // finish at once: at Jobs = 4 three workers are idle and help it.
+  const std::vector<VerificationSpec> Specs(4, *Query);
+  const std::vector<const MonDeq *> Models = {&model(), nullptr, nullptr,
+                                              nullptr};
+  RunOutcome Serial, Helped;
+  const Counts SerialCounts =
+      countsOf([&] { Serial = runSpecBatchLoaded(Specs, Models, 1)[0]; });
+  const Counts HelpedCounts =
+      countsOf([&] { Helped = runSpecBatchLoaded(Specs, Models, 4)[0]; });
+
+  EXPECT_FALSE(Serial.Certified);
+  EXPECT_FALSE(Serial.Refuted);
+  EXPECT_EQ(Serial.AttackSeed, Attack.Seed) << "PGD did not run";
+  EXPECT_EQ(0, std::memcmp(&Serial.MarginLower, &Direct.BestMargin,
+                           sizeof(double)));
+  EXPECT_EQ(Serial.Certified, Helped.Certified);
+  EXPECT_EQ(Serial.Containment, Helped.Containment);
+  EXPECT_EQ(Serial.Refuted, Helped.Refuted);
+  EXPECT_EQ(Serial.AttackSeed, Helped.AttackSeed);
+  EXPECT_EQ(Serial.Detail, Helped.Detail);
+  EXPECT_TRUE(sameBytes(Serial.Counterexample, Helped.Counterexample));
+  EXPECT_EQ(0, std::memcmp(&Serial.MarginLower, &Helped.MarginLower,
+                           sizeof(double)));
+
+  // Jobs = 1 runs no speculative item: its counts are the plain loops'.
+  // Helped items past a stop count nowhere, so Jobs = 4 matches too.
+  for (const Counts &C : {SerialCounts, HelpedCounts}) {
+    EXPECT_EQ(C.Gradients, Plain.Gradients);
+    EXPECT_EQ(C.Factorizations, Plain.Factorizations);
+    EXPECT_EQ(C.Verifies, 1u);
+    EXPECT_EQ(C.Iterations, Plain.Iterations);
+  }
+  EXPECT_EQ(SerialCounts.Helped, 0u);
+  EXPECT_GT(HelpedCounts.Helped, 0u);
+  if (telemetry::timingEnabled()) {
+    EXPECT_GT(Helped.Phases.ConsolidationMs, 0.0);
+  }
 }
 
 TEST(ConfigTest, Phase2BudgetBoundsIterations) {
