@@ -106,7 +106,7 @@ int main() {
   int Depth = 9;
   if (const char *Env = std::getenv("CRAFT_SPLIT_DEPTH"))
     Depth = std::max(1, std::atoi(Env));
-  const size_t Hardware = ThreadPool::hardwareWorkers();
+  const size_t Hardware = hardwareThreads();
 
   Vector Sample;
   int SampleClass = -1;

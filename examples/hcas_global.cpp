@@ -6,7 +6,7 @@
 //
 // Run:  ./build/examples/hcas_global [max_split_depth] [jobs]
 //
-// jobs fans the split waves out across worker threads (0 = all hardware
+// jobs fans the split waves out over that many threads (0 = all hardware
 // threads); the certified regions are identical for every value.
 //
 //===----------------------------------------------------------------------===//

@@ -125,7 +125,7 @@ const PgdResult &PgdAttack::run(int Count) {
     }
   }
   // Restarts fold in order and the first counterexample ends the attack.
-  // Idle batch workers may run later restarts ahead of the fold; one past
+  // Idle pool threads may run later restarts ahead of the fold; one past
   // the stop ends at its next target and counts nowhere.
   std::atomic<bool> Cut{false};
   helpedForIndex(

@@ -69,8 +69,8 @@ struct PgdResult {
 /// of one whole run. The verifier's driver runs restart 1 before phase-2
 /// tightening and the rest only if the query stays uncertified. The
 /// restarts of one installment are a helped section (helpedForIndex,
-/// support/ThreadPool.h): on a batch worker, idle workers may run later
-/// restarts while this one folds them in order; only folded restarts add
+/// support/ThreadPool.h): inside a fan-out item, idle pool threads may
+/// run later restarts while this one folds them in order; only folded restarts add
 /// to `pgd.gradients` and `pgd.adjoint_factorizations`. \p Model and
 /// \p Solver (a PR solver bound to \p Model) must outlive the attack.
 class PgdAttack {

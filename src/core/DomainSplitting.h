@@ -14,10 +14,11 @@
 ///
 /// Both entry points run on the parallel work-queue engine in
 /// core/SplitEngine.h: regions are identified by their bisection path and
-/// expanded in waves over support/ThreadPool, so results are byte-identical
-/// for every job count, and the certified fraction is exact leaf-unit
-/// accounting — degenerate (zero-width) input dimensions certify like any
-/// other instead of collapsing the volume ratio to 0/0.
+/// expanded in waves of parallelForIndex fan-outs (support/ThreadPool.h),
+/// so results are byte-identical for every job count, and the certified
+/// fraction is exact leaf-unit accounting — degenerate (zero-width) input
+/// dimensions certify like any other instead of collapsing the volume
+/// ratio to 0/0.
 ///
 //===----------------------------------------------------------------------===//
 

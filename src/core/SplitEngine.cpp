@@ -7,7 +7,6 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <memory>
 
 using namespace craft;
 
@@ -60,27 +59,13 @@ struct WorkItem {
   Vector Lo, Hi;
 };
 
-/// Per-wave result slot, written only by the worker that owns its index —
-/// the determinism contract of support/ThreadPool.
+/// Per-wave result slot, written only by the item of its index — the
+/// determinism contract of support/ThreadPool.
 struct WaveSlot {
   Vector Center;
   int ProbeClass = -1;
   bool Certified = false;
 };
-
-/// Runs Fn(0..N) on the shared pool (or inline when there is none) and
-/// waits for the wave to drain. Rethrows the first task exception.
-void forEachIndex(ThreadPool *Pool, size_t N,
-                  const std::function<void(size_t)> &Fn) {
-  if (!Pool || N <= 1) {
-    for (size_t I = 0; I < N; ++I)
-      Fn(I);
-    return;
-  }
-  for (size_t I = 0; I < N; ++I)
-    Pool->submit([&Fn, I] { Fn(I); });
-  Pool->wait();
-}
 
 } // namespace
 
@@ -100,14 +85,6 @@ SplitEngineResult craft::runSplitEngine(const MonDeq &Model,
   // this thread, so pool workers only ever read the model.
   FixpointSolver Concrete(Model, Splitting::PeacemanRachford);
   CraftVerifier Verifier(Model, Config);
-
-  // One persistent pool for every wave of this run; tasks are slotted by
-  // region index, never by completion order.
-  const size_t Workers = Opts.Jobs <= 0 ? ThreadPool::hardwareWorkers()
-                                        : static_cast<size_t>(Opts.Jobs);
-  std::unique_ptr<ThreadPool> Pool;
-  if (Workers > 1)
-    Pool = std::make_unique<ThreadPool>(Workers);
 
   const bool Refutation = Opts.TargetClass >= 0;
   const auto unitsAt = [Eff](int Depth) { return 1ull << (Eff - Depth); };
@@ -141,7 +118,7 @@ SplitEngineResult craft::runSplitEngine(const MonDeq &Model,
     // (each is one forward solve) and the index-order scan below resolves
     // refutations, so the winning witness is the lowest-path one under
     // every job count.
-    forEachIndex(Pool.get(), Frontier.size(), [&](size_t I) {
+    parallelForIndex(Frontier.size(), Opts.Jobs, [&](size_t I) {
       WaveSlot &S = Slots[I];
       S.Center = 0.5 * (Frontier[I].Lo + Frontier[I].Hi);
       S.ProbeClass = Concrete.predict(S.Center);
@@ -162,7 +139,7 @@ SplitEngineResult craft::runSplitEngine(const MonDeq &Model,
     }
 
     // Phase 2 — abstract verification (the expensive phase).
-    forEachIndex(Pool.get(), Frontier.size(), [&](size_t I) {
+    parallelForIndex(Frontier.size(), Opts.Jobs, [&](size_t I) {
       int Target = Refutation ? Opts.TargetClass : Slots[I].ProbeClass;
       Slots[I].Certified =
           Verifier.verifyRegion(Frontier[I].Lo, Frontier[I].Hi, Target)
@@ -234,7 +211,7 @@ SplitEngineResult craft::runSplitEngine(const MonDeq &Model,
          Begin += Chunk) {
       const size_t End = std::min(Begin + Chunk, Targets.size());
       Probes.assign(End - Begin, ProbeSlot{});
-      forEachIndex(Pool.get(), End - Begin, [&](size_t I) {
+      parallelForIndex(End - Begin, Opts.Jobs, [&](size_t I) {
         const SplitLeaf &L = *Targets[Begin + I];
         double Eps = 0.0;
         for (size_t D = 0; D < L.Lo.size(); ++D)

@@ -7,7 +7,9 @@
 /// \file
 /// The branch-and-bound work-queue engine behind both domain-splitting
 /// entry points (core/DomainSplitting.h): a frontier worklist of
-/// path-encoded regions expanded in waves over support/ThreadPool.
+/// path-encoded regions expanded in waves; each parallel phase of a wave
+/// is one parallelForIndex fan-out (support/ThreadPool.h), so inside a
+/// batch query it borrows idle pool workers and never starts a thread.
 ///
 /// Region identity is the bisection path (root = 1, low child = P << 1,
 /// high child = P << 1 | 1), so a region's box, probe seed, and processing
@@ -73,8 +75,8 @@ struct SplitEngineOptions {
   /// Bisections allowed on any root-to-leaf path (clamped to
   /// MaxSupportedSplitDepth).
   int MaxDepth = 8;
-  /// Worker threads per wave (<= 0 = all hardware threads, 1 = inline).
-  /// Outcomes are byte-identical for every value.
+  /// Threads per wave fan-out, the caller included (<= 0 = all hardware
+  /// threads, 1 = inline). Outcomes are byte-identical for every value.
   int Jobs = 1;
   /// >= 0: refutation mode — certify every region against this class and
   /// treat a misclassified region center as a definitive counterexample.

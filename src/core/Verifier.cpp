@@ -346,7 +346,7 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
         // the first probe that certifies is the phase-2 result. Otherwise
         // the probe with the best margin is the main run and continues
         // where it stopped — the run a fresh start at its alpha would
-        // repeat. Idle batch workers may run later probes ahead of the
+        // repeat. Idle pool threads may run later probes ahead of the
         // fold; one past the certifying probe stops at its next step.
         static const double Candidates[] = {0.01, 0.02, 0.03, 0.05,
                                             0.08, 0.12, 0.2,  0.35};
@@ -409,7 +409,7 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
               : std::vector<double>{0.9, 1.1};
       int Steps = Config.LambdaOptLevel >= 2 ? 40 : 20;
       // The scales fold in order and the first that certifies ends the
-      // search; idle batch workers may run later scales ahead of the
+      // search; idle pool threads may run later scales ahead of the
       // fold, and one past the certifying scale stops at its next step.
       std::vector<std::optional<MarginTracker>> Tracks(Scales.size());
       std::atomic<bool> Cut{false};

@@ -31,9 +31,9 @@
 ///  the driver runs PGD's first restart) can skip it.
 ///
 ///  The line-search probes and the lambda scales are helped sections
-///  (helpedForIndex, support/ThreadPool.h): on a batch worker, idle
-///  workers of the same pool run later probes or scales while the query
-///  folds them in order, and a run past the first certifying one stops at
+///  (helpedForIndex, support/ThreadPool.h): inside a fan-out item, idle
+///  pool threads run later probes or scales while the query folds them
+///  in order, and a run past the first certifying one stops at
 ///  its next step. Each item mints error-term ids from its own range past
 ///  the query's counter, so the result is byte-identical to the plain
 ///  loop's on any thread and for any worker count.

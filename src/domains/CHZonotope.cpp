@@ -98,14 +98,17 @@ std::vector<size_t> &generatorColumnBuffer() {
 
 } // namespace
 
-// thread_local: the batch-verification subsystem runs independent analyses
-// on worker threads. Ids only need to be unique among zonotopes that are
-// combined with each other. One analysis may run items of a helped section
+// thread_local: fan-outs run independent analyses on whatever thread
+// claims them, and a pool worker keeps its counter from one fan-out, and
+// one query, to the next. Ids only need to be unique among zonotopes that
+// are combined with each other. One analysis may run items of a helped section
 // on other threads (core/Verifier.cpp): each item mints from its own range
 // past the owner's counter, and the owner resumes past every range, so
 // per-thread counters stay race-free, ids stay unique within the analysis,
-// and each item's id stream is the same on any thread. Results depend on
-// which ids are equal and on their order, never on their values.
+// and each item's id stream is the same on any thread. Results depend only
+// on which ids are equal and on their relative order, never on their
+// values or on where a thread's counter stood when the analysis started
+// (ConfigTest.ResultDoesNotDependOnErrorTermIdValues pins this).
 static thread_local uint64_t ErrorTermCounter = 0;
 
 uint64_t craft::freshErrorTermId() { return ++ErrorTermCounter; }

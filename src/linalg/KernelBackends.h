@@ -61,17 +61,16 @@ const KernelTable *kernelTableFor(KernelBackend Backend);
 namespace detail {
 
 /// The fan-out scaffold of the tiled kernels: partitions [0, N) into
-/// \p Tiles contiguous ranges and runs Body(range) on the kernel thread
-/// pool, waiting for exactly this call's tiles. Rethrows the first tile
-/// (or submit) error after all of this call's tiles finished, so the
-/// caller's views stay alive until no task references them. Exposed for
-/// the tests; production calls reach it through gemm/gemvAbs.
+/// \p Tiles contiguous ranges and runs Body(range) for each as one
+/// parallelForIndex item (support/ThreadPool.h), the caller running tiles
+/// itself. Returns once every tile finished and rethrows the lowest tile's
+/// error, so the caller's views stay alive until no tile references them.
+/// Exposed for the tests; production calls reach it through gemm/gemvAbs.
 void runTiled(size_t N, size_t Tiles,
               const std::function<void(IndexRange)> &Body);
 
 /// Column-panel-tiled gemm over the active backend: output columns are
-/// split into \p Tiles contiguous panels fanned out on the kernel thread
-/// pool. Per-element operation order is independent of the partition, so
+/// split into \p Tiles contiguous panels fanned out by runTiled. Per-element operation order is independent of the partition, so
 /// results are byte-identical to the untiled kernel for every tile count.
 /// Exposed for the equivalence tests; production calls size the tile count
 /// from the dispatch thresholds.

@@ -2,8 +2,8 @@
 //
 // The public kernel entry points: alias/shape contracts, once-per-process
 // backend selection (CPUID probe, CRAFT_KERNEL_BACKEND override), the
-// measured-density probe behind gemmAuto, and ThreadPool tiling of large
-// gemm/gemvAbs calls made outside any pool worker. The arithmetic lives in
+// measured-density probe behind gemmAuto, and the tiling of large
+// gemm/gemvAbs calls made outside any fan-out item. The arithmetic lives in
 // the backend TUs (KernelsScalar/Avx2/Avx512.cpp); everything here is
 // structure-preserving, so backend, tiling, and thread count never change
 // results.
@@ -15,14 +15,14 @@
 
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <cassert>
-#include <condition_variable>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
 #include <functional>
-#include <mutex>
 
 using namespace craft;
 using namespace craft::kernels;
@@ -138,36 +138,22 @@ const Dispatch &dispatch() {
 }
 
 //===----------------------------------------------------------------------===//
-// Kernel thread pool (tiled large kernels)
+// Tiled large kernels
 //===----------------------------------------------------------------------===//
 
 size_t configuredKernelThreads() {
-  if (const char *Env = std::getenv("CRAFT_KERNEL_THREADS");
-      Env && *Env != '\0') {
-    long V = std::atol(Env);
-    if (V == 0)
-      return ThreadPool::hardwareWorkers();
-    if (V > 0)
-      return static_cast<size_t>(V);
-  }
-  return ThreadPool::hardwareWorkers();
+  long V = 0; // Unset or 0: one tile thread per hardware thread.
+  if (const char *Env = std::getenv("CRAFT_KERNEL_THREADS"))
+    V = std::strtol(Env, nullptr, 10);
+  return fanOutThreads(SIZE_MAX,
+                       static_cast<int>(std::clamp(V, 0L, long(INT_MAX))));
 }
 
-/// Persistent pool for intra-kernel tiling. Its workers are ThreadPool
-/// workers, so a tile never re-tiles (the pool's tasks must not block on
-/// the pool).
-ThreadPool &kernelPool() {
-  static ThreadPool Pool(kernelThreadCount());
-  return Pool;
-}
-
-/// Tile fan-out available to the calling thread. The cores have one owner:
-/// a caller that is itself a ThreadPool worker (batch, split, or serve
-/// fan-out, or a kernel tile) already holds its core and runs serially; a
-/// caller that has not fanned out tiles across the whole kernel pool.
-size_t tileWorkers() {
-  return ThreadPool::onWorkerThread() ? 1 : kernelThreadCount();
-}
+/// Tile threads available to the calling thread. The cores have one
+/// owner: code inside a fan-out item (a batch query, a split wave item, a
+/// kernel tile) already holds its core and runs serially; a caller that
+/// has not fanned out tiles over the pool.
+size_t tileWorkers() { return inFanOutItem() ? 1 : kernelThreadCount(); }
 
 // Tiling thresholds. Tiling only pays when the per-tile work dwarfs the
 // submit/wake cost (~10 us): a p=200 CH-Zonotope generator product (~16M
@@ -181,47 +167,13 @@ constexpr size_t GemvAbsTileMinElems = size_t(1) << 21;
 constexpr size_t GemmMinTileCols = 32;
 constexpr size_t GemvAbsMinTileRows = 64;
 
-/// Per-call completion latch for one tiled kernel invocation. The kernel
-/// pool is shared by every concurrent caller that is not a pool worker
-/// (e.g. the serve dispatcher next to an embedder's own threads), so each
-/// caller must wait for *its* tiles only — ThreadPool::wait() drains the
-/// pool-global in-flight count and would both over-wait on peers and steal
-/// a peer's task exception.
-class TileGroup {
-public:
-  explicit TileGroup(size_t Count) : Remaining(Count) {}
-
-  void finish(std::exception_ptr E) {
-    std::lock_guard<std::mutex> Lock(M);
-    if (E && !Err)
-      Err = E;
-    if (--Remaining == 0)
-      Done.notify_all();
-  }
-
-  /// Blocks until every tile of this call finished; rethrows the first
-  /// tile exception (the output is partially written in that case, like
-  /// any kernel call that did not return).
-  void wait() {
-    std::unique_lock<std::mutex> Lock(M);
-    Done.wait(Lock, [this] { return Remaining == 0; });
-    if (Err)
-      std::rethrow_exception(Err);
-  }
-
-private:
-  std::mutex M;
-  std::condition_variable Done;
-  size_t Remaining;
-  std::exception_ptr Err;
-};
-
 using GemmFn = void (*)(MatrixView, ConstMatrixView, ConstMatrixView, double,
                         double);
 
-/// Fans \p Fn out over \p Tiles contiguous column panels of Out/B on the
-/// kernel pool. Column panels (not row tiles) so each task packs exactly
-/// its own B panel — row splits would re-pack the full B once per tile.
+/// Fans \p Fn out over \p Tiles contiguous column panels of Out/B (see
+/// detail::runTiled). Column panels (not row tiles) so each tile packs
+/// exactly its own B panel — row splits would re-pack the full B once per
+/// tile.
 /// The partition never changes any per-element operation order.
 void runGemmTiled(GemmFn Fn, MatrixView Out, ConstMatrixView A,
                   ConstMatrixView B, double Alpha, double Beta,
@@ -250,37 +202,11 @@ size_t gemmTileCount(size_t M, size_t N, size_t K) {
 
 void kernels::detail::runTiled(size_t N, size_t Tiles,
                                const std::function<void(IndexRange)> &Body) {
-  // Every part is accounted to the latch even when a submit itself throws
-  // (the closure copy can bad_alloc), so already-running tiles never
-  // signal a destroyed group and the caller's views stay alive until
-  // every tile is done. Parts beyond N are empty and never submitted.
-  TileGroup Group(Tiles < N ? Tiles : N);
-  ThreadPool &Pool = kernelPool();
-  std::exception_ptr SubmitError;
-  for (size_t T = 0; T < Tiles; ++T) {
-    IndexRange R = staticPartition(N, Tiles, T);
-    if (R.size() == 0)
-      continue;
-    if (SubmitError) {
-      Group.finish(nullptr); // Balance the latch for unsubmitted parts.
-      continue;
-    }
-    try {
-      Pool.submit([&Body, &Group, R] {
-        std::exception_ptr E;
-        try {
-          Body(R);
-        } catch (...) {
-          E = std::current_exception();
-        }
-        Group.finish(E);
-      });
-    } catch (...) {
-      SubmitError = std::current_exception();
-      Group.finish(SubmitError); // This part never started.
-    }
-  }
-  Group.wait(); // Rethrows the first tile (or submit) error.
+  // Parts beyond N would be empty; the non-empty ones are the same ranges.
+  const size_t Parts = Tiles < N ? Tiles : N;
+  parallelForIndex(Parts, static_cast<int>(Parts), [&](size_t T) {
+    Body(staticPartition(N, Parts, T));
+  });
 }
 
 //===----------------------------------------------------------------------===//

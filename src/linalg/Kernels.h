@@ -17,7 +17,8 @@
 ///    packed B panels) comes from the per-thread Workspace arena, which is
 ///    amortized to zero heap traffic after warm-up; every result buffer is
 ///    caller-owned. The one exception is the tiled large-kernel path,
-///    which enqueues O(tiles) task closures per call on the kernel pool.
+///    whose fan-out (support/ThreadPool.h) allocates O(tiles) bookkeeping
+///    per call.
 ///  - Out must not alias any input (asserted in debug builds). Aliased
 ///    updates would read partially written output; use a workspace
 ///    temporary when an in-place product is needed.
@@ -39,10 +40,11 @@
 /// instruction-set tier the host supports (scalar everywhere, AVX2+FMA,
 /// AVX-512F), overridable for testing via CRAFT_KERNEL_BACKEND=
 /// scalar|avx2|avx512. Large gemm/gemvAbs calls additionally fan output
-/// tiles out across the kernel thread pool (CRAFT_KERNEL_THREADS, default
-/// one per hardware thread; 1 disables), but only when the caller is not
-/// itself a ThreadPool worker: a batch, split, or serve fan-out already
-/// owns the cores, so its workers run every kernel serially. All tiers and
+/// tiles out over the process-wide pool (CRAFT_KERNEL_THREADS tile
+/// threads, the caller included; default one per hardware thread; 1
+/// disables), but only when the caller is not inside a fan-out item: a
+/// batch, split, or serve fan-out already owns the cores, so its items
+/// run every kernel serially. All tiers and
 /// tilings produce byte-identical results on finite data — enforced by the
 /// equivalence suite in tests/test_linalg_kernels.cpp.
 ///
@@ -69,8 +71,9 @@ KernelBackend activeKernelBackend();
 /// what the CLI logs and the bench JSON records carry.
 const char *kernelBackendName(KernelBackend Backend);
 
-/// Worker count of the kernel thread pool used for tiled gemm/gemvAbs
-/// (1 = kernel-level parallelism disabled).
+/// Threads a tiled gemm/gemvAbs fans out over, the caller included
+/// (CRAFT_KERNEL_THREADS, capped like every fan-out; 1 = kernel-level
+/// parallelism disabled).
 size_t kernelThreadCount();
 
 /// Left-operand density hint for gemmAuto.
@@ -81,8 +84,8 @@ enum class DensityHint {
 };
 
 /// Out = Alpha * A * B + Beta * Out (row-major gemm; packed cache-blocked
-/// column panels, lane-vectorized, column-panel-tiled across the kernel
-/// pool above a size threshold). Beta == 0 writes Out without reading it.
+/// column panels, lane-vectorized, column-panel-tiled over the pool above
+/// a size threshold). Beta == 0 writes Out without reading it.
 void gemm(MatrixView Out, ConstMatrixView A, ConstMatrixView B,
           double Alpha = 1.0, double Beta = 0.0);
 

@@ -27,7 +27,7 @@
 ///
 /// Every product is rounded individually (mul then add; no FMA — the TUs
 /// are built with -ffp-contract=off), which is what makes scalar, AVX2,
-/// AVX-512, and ThreadPool-tiled runs byte-identical on finite data.
+/// AVX-512, and tiled runs byte-identical on finite data.
 ///
 /// gemm packs the B column panel it is working on into workspace scratch
 /// (contiguous rows, cache-line-aligned base) and holds a 4-row x 1-lane

@@ -22,9 +22,9 @@
 ///    buffer stays valid (and stays at the same address) for the whole
 ///    lifetime of the scope that produced it, even when inner scopes grow
 ///    the arena with fresh blocks.
-///  - Workspace::threadLocal() hands each thread (main or ThreadPool
-///    worker) its own arena, so batch-verification workers never contend
-///    or share scratch.
+///  - Workspace::threadLocal() hands each thread (a fan-out's caller or a
+///    pool worker) its own arena, so fan-out items never contend or share
+///    scratch. A pool worker keeps its arena across fan-outs and queries.
 ///
 //===----------------------------------------------------------------------===//
 

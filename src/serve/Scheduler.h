@@ -8,9 +8,10 @@
 /// The serve daemon's execution pipeline. Connection threads submit
 /// queries; a single dispatcher thread coalesces whatever is in flight
 /// into one batch and runs it through the existing batch machinery
-/// (runSpecBatchLoaded -> parallelForIndex -> ThreadPool), so N clients
-/// share one verification pool instead of oversubscribing the SIMD kernel
-/// tier with N independent fan-outs. Batches form by "natural batching":
+/// (runSpecBatchLoaded -> parallelForIndex), so N clients share the
+/// process-wide pool (support/ThreadPool.h) as one fan-out instead of
+/// oversubscribing the SIMD kernel tier with N independent ones; the
+/// dispatcher thread runs batch items itself. Batches form by "natural batching":
 /// the dispatcher takes one query (blocking), drains everything else
 /// already queued (non-blocking, up to MaxBatch), and dispatches — under
 /// load batches grow automatically, while a lone request never waits on a
@@ -71,8 +72,8 @@ struct ServeResult {
 class Scheduler {
 public:
   struct Options {
-    /// Verification worker threads per batch (<= 0 = all hardware
-    /// threads, 1 = inline). Outcomes are independent of this value.
+    /// Threads per batch fan-out, the dispatcher included (<= 0 = all
+    /// hardware threads, 1 = inline). Outcomes are independent of this value.
     int Jobs = 1;
     /// Hard cap on queries dispatched as one batch.
     size_t MaxBatch = 64;

@@ -463,31 +463,10 @@ RunOutcome craft::runSpecLoaded(const VerificationSpec &Spec,
   return runSpecOn(Spec, Model);
 }
 
-namespace {
-
-/// True when a batch of \p N specs on \p Jobs workers actually fans out.
-/// Matches parallelForIndex's worker arithmetic.
-bool batchFansOut(size_t N, int Jobs) {
-  size_t Workers =
-      Jobs <= 0 ? ThreadPool::hardwareWorkers() : static_cast<size_t>(Jobs);
-  return std::min(Workers, N) > 1;
-}
-
-/// Split fan-out composes multiplicatively with batch fan-out: a 64-spec
-/// batch of split-jobs-0 queries on a 64-thread host would spawn ~64
-/// pools of 64 threads each. Inside a parallel batch the workers already
-/// saturate the machine, so run each spec's split engine inline — split
-/// outcomes are byte-identical for every job count, making this a pure
-/// scheduling decision.
-void clampSplitJobsForBatch(VerificationSpec &Spec) { Spec.SplitJobs = 1; }
-
-} // namespace
-
 std::vector<RunOutcome>
 craft::runSpecBatchLoaded(const std::vector<VerificationSpec> &Specs,
                           const std::vector<const MonDeq *> &Models,
                           int Jobs, const std::vector<RunControl> &Controls) {
-  const bool FansOut = batchFansOut(Specs.size(), Jobs);
   std::vector<RunOutcome> Outcomes(Specs.size());
   parallelForIndex(Specs.size(), Jobs, [&](size_t I) {
     const MonDeq *Model = I < Models.size() ? Models[I] : nullptr;
@@ -498,13 +477,7 @@ craft::runSpecBatchLoaded(const std::vector<VerificationSpec> &Specs,
     }
     const RunControl Control =
         I < Controls.size() ? Controls[I] : RunControl{};
-    if (FansOut) {
-      VerificationSpec Spec = Specs[I];
-      clampSplitJobsForBatch(Spec);
-      Outcomes[I] = runSpecOn(Spec, *Model, Control);
-    } else {
-      Outcomes[I] = runSpecOn(Specs[I], *Model, Control);
-    }
+    Outcomes[I] = runSpecOn(Specs[I], *Model, Control);
   });
   return Outcomes;
 }
@@ -523,7 +496,6 @@ craft::runSpecBatch(const std::vector<VerificationSpec> &Specs,
       Entry.second->fbAlphaBound(); // Warm the lazy cache before fan-out.
   }
 
-  const bool FansOut = batchFansOut(Specs.size(), Opts.Jobs);
   // One budget shared by the whole batch: every worker polls the same
   // deadline, so a long batch degrades to DeadlineExceeded on the specs
   // that were still unresolved when it expired.
@@ -536,8 +508,6 @@ craft::runSpecBatch(const std::vector<VerificationSpec> &Specs,
     // batch outcome is identical for every job count.
     if (Spec.Attack && Spec.AttackSeed == 0)
       Spec.AttackSeed = taskSeed(Opts.BaseSeed, I);
-    if (FansOut)
-      clampSplitJobsForBatch(Spec);
     const std::optional<MonDeq> &Model = Models.at(Spec.ModelPath);
     if (!Model) {
       Outcomes[I].Detail = "cannot load model '" + Spec.ModelPath + "'";

@@ -50,10 +50,10 @@ struct PhaseBreakdown {
   double SolverMs = 0.0;
   /// consolidateProper order-reduction inside the engine run (the slice
   /// the paper's Table 4 attributes separately). Accumulated on the
-  /// query's own thread, plus what idle batch workers spent in the
-  /// query's helped sections (line-search probes, lambda scales); a sum
-  /// over threads, so with helpers it may exceed the wall time it sits
-  /// in. Split-mode wave workers are not folded in.
+  /// query's own thread, plus what pool helpers spent on the query's
+  /// behalf (helped-section items such as line-search probes and lambda
+  /// scales, and split-mode wave items); a sum over threads, so with
+  /// helpers it may exceed the wall time it sits in.
   double ConsolidationMs = 0.0;
   /// Split-refinement wave loop (split-depth > 0 runs).
   double SplitMs = 0.0;
@@ -186,8 +186,9 @@ runSpecBatchLoaded(const std::vector<VerificationSpec> &Specs,
 
 /// Batch execution knobs for runSpecBatch.
 struct BatchOptions {
-  /// Worker threads (1 = inline on the caller, <= 0 = all hardware
-  /// threads). Outcomes are independent of this value.
+  /// Threads the batch fans out over, the caller included (1 = inline on
+  /// the caller, <= 0 = all hardware threads). Outcomes are independent
+  /// of this value.
   int Jobs = 1;
   /// Base of the per-task seed stream: a task whose spec leaves AttackSeed
   /// at 0 runs with taskSeed(BaseSeed, task index), so seeds depend only on
@@ -199,11 +200,11 @@ struct BatchOptions {
   double DeadlineMs = -1.0;
 };
 
-/// Runs every spec of a batch across a worker pool and returns outcomes in
+/// Runs every spec of a batch as one fan-out and returns outcomes in
 /// input order. Apart from RunOutcome::TimeSeconds (wall time), results are
-/// byte-identical for every Jobs value. When the batch itself fans out,
-/// per-spec `split-jobs` is clamped to 1 (pool fan-outs compose
-/// multiplicatively, and split outcomes do not depend on the value).
+/// byte-identical for every Jobs value. A spec's `split-jobs` fan-out
+/// inside a batch that fans out is nested: it borrows idle pool workers
+/// and starts no thread (support/ThreadPool.h).
 std::vector<RunOutcome> runSpecBatch(const std::vector<VerificationSpec> &Specs,
                                      const BatchOptions &Opts = {});
 

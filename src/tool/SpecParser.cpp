@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -114,12 +115,14 @@ private:
     double V = 0.0;
     if (!number(T, V))
       return false;
-    Out = static_cast<int>(V);
-    if (Out != V || Out < Min) {
+    // Range first: casting a double outside int's range is undefined.
+    if (!(V >= Min && V <= std::numeric_limits<int>::max()) ||
+        V != std::floor(V)) {
       error(T, "expected an integer >= " + std::to_string(Min) + ", got '" +
                    T.Text + "'");
       return false;
     }
+    Out = static_cast<int>(V);
     return true;
   }
 

@@ -33,8 +33,8 @@
 /// l-inf queries and `seed <n>` pins its RNG seed (0 or absent = a
 /// deterministic per-query seed derived from the query's index).
 /// `split-depth <n>` engages the branch-and-bound split engine and
-/// `split-jobs <n>` fans its region waves out across n worker threads
-/// (0 = all hardware threads) without changing any outcome.
+/// `split-jobs <n>` fans its region waves out over n threads (0 = all
+/// hardware threads) without changing any outcome.
 ///
 /// `domain <box|zono|chzono>` selects the abstract domain the craft
 /// engine runs in, and `cascade <off|adapt|full|rung,rung,...>` walks a
@@ -83,7 +83,8 @@ struct VerificationSpec {
   int LambdaOptLevel = -1;
   /// Branch-and-bound split budget for the craft engine (0 = no splits).
   int SplitDepth = 0;
-  /// Worker threads for the split engine (0 = all hardware threads). A
+  /// Threads per split-engine wave, the caller included (0 = all hardware
+  /// threads; capped like every fan-out, see support/ThreadPool.h). A
   /// pure performance knob: split outcomes are byte-identical for every
   /// value, so it is excluded from the canonical spec form.
   int SplitJobs = 1;

@@ -326,8 +326,8 @@ TEST(PgdTest, ResumedAttackMatchesOneCall) {
 }
 
 TEST(PgdTest, HelpedRestartsMatchTheInlineAttack) {
-  // The attack as the only task on a four-worker pool: idle workers run
-  // later restarts ahead of the fold, past the restart that finds the
+  // The attack as item 0 of a Jobs = 4 fan-out whose other items are
+  // empty: the three idle threads run later restarts ahead of the fold, past the restart that finds the
   // counterexample too. Result bytes and the gradient and factorization
   // counts must be the inline attack's: only folded restarts count.
   const MonDeq &Model = trainedModel();
@@ -344,7 +344,6 @@ TEST(PgdTest, HelpedRestartsMatchTheInlineAttack) {
   Opts.Steps = 4;
   Opts.OdiSteps = 1;
   Opts.Restarts = 4;
-  ThreadPool Pool(4);
   const uint64_t HelpedBefore = HelpItems.value();
   size_t InLater = 0;
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
@@ -363,8 +362,10 @@ TEST(PgdTest, HelpedRestartsMatchTheInlineAttack) {
         Before = Gradients.value();
         BeforeLu = Factorizations.value();
         PgdResult Helped;
-        Pool.submit([&] { Helped = pgdAttack(Model, Solver, X, Label, Opts); });
-        Pool.wait();
+        parallelForIndex(4, 4, [&](size_t Item) {
+          if (Item == 0)
+            Helped = pgdAttack(Model, Solver, X, Label, Opts);
+        });
         EXPECT_EQ(Gradients.value() - Before, InlineGradients);
         EXPECT_EQ(Factorizations.value() - BeforeLu, InlineLu);
         expectSameResult(Helped, Inline);

@@ -1,7 +1,7 @@
 //===- tests/test_batch_driver.cpp - Batch verification tests -------------===//
 //
-// Tests for the parallel batch-verification subsystem: the ThreadPool,
-// parallelForIndex and helpedForIndex primitives, the deterministic
+// Tests for the parallel batch-verification subsystem: the process-wide
+// pool's parallelForIndex and helpedForIndex primitives, the deterministic
 // per-task seed stream, the multi-input spec form, and the core batch
 // contract — runSpecBatch produces byte-identical outcomes for every
 // worker count.
@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <stdexcept>
@@ -31,53 +32,86 @@
 using namespace craft;
 
 //===----------------------------------------------------------------------===//
-// ThreadPool primitives
+// The fan-out pool
 //===----------------------------------------------------------------------===//
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool Pool(4);
-  EXPECT_EQ(Pool.workerCount(), 4u);
-  std::atomic<int> Count{0};
-  for (int I = 0; I < 100; ++I)
-    Pool.submit([&Count] { ++Count; });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 100);
+namespace {
+
+const telemetry::Counter ThreadsStarted =
+    telemetry::counterMetric("pool.threads_started");
+
+} // namespace
+
+TEST(ThreadPoolTest, RethrowsTheLowestIndexException) {
+  // Items 3 and 11 throw; item 11 is quick and item 3 slow, so on four
+  // threads 11 usually fails first. Either way the fan-out reports 3, as
+  // the plain loop does.
+  for (int Jobs : {1, 4}) {
+    std::string Caught;
+    try {
+      parallelForIndex(16, Jobs, [](size_t I) {
+        if (I == 3) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("item 3");
+        }
+        if (I == 11)
+          throw std::runtime_error("item 11");
+      });
+    } catch (const std::runtime_error &E) {
+      Caught = E.what();
+    }
+    EXPECT_EQ(Caught, "item 3") << "jobs " << Jobs;
+  }
 }
 
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool Pool(2);
+TEST(ThreadPoolTest, ConsecutiveFanOutsStartWorkersOnce) {
+  const uint64_t Before = ThreadsStarted.value();
   std::atomic<int> Count{0};
-  Pool.submit([&Count] { ++Count; });
-  Pool.wait();
-  Pool.submit([&Count] { ++Count; });
-  Pool.submit([&Count] { ++Count; });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 3);
+  parallelForIndex(8, 4, [&Count](size_t) { ++Count; });
+  const uint64_t AfterFirst = ThreadsStarted.value();
+  EXPECT_LE(AfterFirst - Before, 3u) << "Jobs = 4 needs three helpers";
+  for (int Round = 1; Round < 100; ++Round)
+    parallelForIndex(8, 4, [&Count](size_t) { ++Count; });
+  EXPECT_EQ(Count.load(), 800);
+  EXPECT_EQ(ThreadsStarted.value(), AfterFirst);
 }
 
-TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
-  std::atomic<int> Count{0};
-  {
-    ThreadPool Pool(2);
-    for (int I = 0; I < 50; ++I)
-      Pool.submit([&Count] { ++Count; });
-  } // No wait(): the destructor must still run everything.
-  EXPECT_EQ(Count.load(), 50);
+TEST(ThreadPoolTest, NestedFanOutGivesTheSerialResult) {
+  // The batch-of-split shape: every item of an outer fan-out runs its own
+  // inner fan-out, which borrows whatever workers are idle.
+  constexpr size_t Outer = 6, Inner = 40;
+  auto Work = [](size_t O, size_t I) { return taskSeed(O, I) % 1000003; };
+  std::vector<uint64_t> Serial(Outer * Inner), Nested(Outer * Inner);
+  for (size_t O = 0; O < Outer; ++O)
+    for (size_t I = 0; I < Inner; ++I)
+      Serial[O * Inner + I] = Work(O, I);
+  const uint64_t Started = ThreadsStarted.value();
+  parallelForIndex(Outer, 2, [&](size_t O) {
+    EXPECT_TRUE(inFanOutItem());
+    // Asks for the pool's bound (64 is capped), more than Outer's helper.
+    parallelForIndex(Inner, 64,
+                     [&](size_t I) { Nested[O * Inner + I] = Work(O, I); });
+  });
+  EXPECT_EQ(Nested, Serial);
+  EXPECT_LE(ThreadsStarted.value() - Started, 1u)
+      << "only the top-level Jobs = 2 fan-out may start a worker";
 }
 
-TEST(ThreadPoolTest, WaitRethrowsTaskException) {
-  ThreadPool Pool(2);
-  Pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(Pool.wait(), std::runtime_error);
-  // The error is consumed: the pool stays usable afterwards.
-  std::atomic<int> Count{0};
-  Pool.submit([&Count] { ++Count; });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 1);
+TEST(ThreadPoolTest, FanOutThreadsAreBoundedArithmetic) {
+  // Pure arithmetic: nothing here starts a thread.
+  const size_t Bound = std::max<size_t>(4, 2 * hardwareThreads());
+  EXPECT_EQ(fanOutThreads(SIZE_MAX, 1000000), Bound);
+  EXPECT_EQ(fanOutThreads(SIZE_MAX, 65536), Bound);
+  EXPECT_EQ(fanOutThreads(SIZE_MAX, 4), 4u) << "Jobs = 4 fits on any host";
+  EXPECT_EQ(fanOutThreads(SIZE_MAX, 0), hardwareThreads());
+  EXPECT_EQ(fanOutThreads(SIZE_MAX, -3), hardwareThreads());
+  EXPECT_EQ(fanOutThreads(3, 8), 3u);
+  EXPECT_EQ(fanOutThreads(0, 8), 0u);
+  EXPECT_EQ(fanOutThreads(10, 1), 1u);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  for (int Jobs : {1, 2, 8}) {
+  for (int Jobs : {1, 2, 4, 8}) {
     std::vector<int> Hits(257, 0);
     parallelForIndex(Hits.size(), Jobs, [&Hits](size_t I) { ++Hits[I]; });
     for (size_t I = 0; I < Hits.size(); ++I)
@@ -100,6 +134,10 @@ TEST(ParallelForTest, PropagatesTaskExceptions) {
                                     throw std::runtime_error("boom");
                                 }),
                std::runtime_error);
+  // The pool stays usable afterwards.
+  std::atomic<int> Count{0};
+  parallelForIndex(16, 4, [&Count](size_t) { ++Count; });
+  EXPECT_EQ(Count.load(), 16);
 }
 
 //===----------------------------------------------------------------------===//
@@ -135,10 +173,10 @@ TEST(HelpedSectionTest, OffPoolIsThePlainLoop) {
 }
 
 TEST(HelpedSectionTest, IdleWorkersRunItemsTheOwnerFoldsInOrder) {
-  // One task on a two-worker pool: the other worker is idle and takes
-  // item 1 while the owner holds item 0. The fold still runs 0, 1, 2 on
-  // the owner, and the helper's phase time lands in the owner's totals.
-  ThreadPool Pool(2);
+  // Item 0 of a Jobs = 2 fan-out opens the section; the fan-out's other
+  // thread is idle after its own (empty) item and takes section item 1
+  // while the owner holds item 0. The fold still runs 0, 1, 2 on the
+  // owner, and the helper's phase time lands in the owner's totals.
   const uint64_t HelpedBefore = HelpItems.value();
   std::atomic<bool> HelperStarted{false};
   std::vector<std::thread::id> RanOn(3);
@@ -146,7 +184,9 @@ TEST(HelpedSectionTest, IdleWorkersRunItemsTheOwnerFoldsInOrder) {
   std::vector<size_t> Folded;
   bool Helped = false;
   uint64_t CreditedNs = 0;
-  Pool.submit([&] {
+  parallelForIndex(2, 2, [&](size_t Item) {
+    if (Item != 0)
+      return;
     Owner = std::this_thread::get_id();
     const telemetry::PhaseTotals Before = telemetry::phaseTotals();
     helpedForIndex(
@@ -169,7 +209,6 @@ TEST(HelpedSectionTest, IdleWorkersRunItemsTheOwnerFoldsInOrder) {
     CreditedNs = telemetry::phaseTotals().of(telemetry::Phase::Consolidation) -
                  Before.of(telemetry::Phase::Consolidation);
   });
-  Pool.wait();
   ASSERT_TRUE(Helped) << "no idle worker took item 1";
   EXPECT_EQ(Folded, (std::vector<size_t>{0, 1, 2}));
   EXPECT_EQ(RanOn[0], Owner);
@@ -182,12 +221,13 @@ TEST(HelpedSectionTest, IdleWorkersRunItemsTheOwnerFoldsInOrder) {
 
 TEST(HelpedSectionTest, HelperExceptionIsRethrownToTheOwner) {
   // Item 1 throws on the helper: the owner's helpedForIndex rethrows it
-  // when the fold reaches item 1, and the pool's wait() stays clean.
-  ThreadPool Pool(2);
+  // when the fold reaches item 1, and the fan-out around it stays clean.
   std::atomic<bool> HelperStarted{false};
   bool Helped = false, Caught = false;
   std::vector<size_t> Folded;
-  Pool.submit([&] {
+  auto Item = [&](size_t FanOutItem) {
+    if (FanOutItem != 0)
+      return;
     try {
       helpedForIndex(
           3,
@@ -206,8 +246,8 @@ TEST(HelpedSectionTest, HelperExceptionIsRethrownToTheOwner) {
     } catch (const std::runtime_error &) {
       Caught = true;
     }
-  });
-  EXPECT_NO_THROW(Pool.wait());
+  };
+  EXPECT_NO_THROW(parallelForIndex(2, 2, Item));
   ASSERT_TRUE(Helped) << "no idle worker took item 1";
   EXPECT_TRUE(Caught);
   EXPECT_EQ(Folded, (std::vector<size_t>{0}));
@@ -216,11 +256,12 @@ TEST(HelpedSectionTest, HelperExceptionIsRethrownToTheOwner) {
 TEST(HelpedSectionTest, StopAfterWaitsOutItemsPastTheStop) {
   // The fold stops at item 0 while a helper runs item 1: item 1 is never
   // folded, and the section returns only once it has finished.
-  ThreadPool Pool(2);
   std::atomic<bool> HelperStarted{false}, Item1Done{false};
   bool Helped = false, Item1DoneAtReturn = false;
   std::vector<size_t> Folded;
-  Pool.submit([&] {
+  parallelForIndex(2, 2, [&](size_t Item) {
+    if (Item != 0)
+      return;
     helpedForIndex(
         4,
         [&](size_t I) {
@@ -238,7 +279,6 @@ TEST(HelpedSectionTest, StopAfterWaitsOutItemsPastTheStop) {
         });
     Item1DoneAtReturn = Item1Done;
   });
-  Pool.wait();
   ASSERT_TRUE(Helped) << "no idle worker took item 1";
   EXPECT_EQ(Folded, (std::vector<size_t>{0}));
   EXPECT_TRUE(Item1DoneAtReturn);
@@ -462,16 +502,39 @@ TEST(BatchDriverTest, JobCountNeverChangesOutcomes) {
   }
 }
 
+TEST(BatchDriverTest, RepeatedBatchOnTheSamePoolIsByteIdentical) {
+  // Pool workers keep their thread-local state (error-term counters,
+  // Workspace arenas, scratch vectors) from one batch to the next; the
+  // second run of the same Jobs = 4 batch must not see it.
+  BatchFixture &Fix = batchFixture();
+  ASSERT_GE(Fix.Samples.size(), 4u);
+  std::vector<VerificationSpec> Specs;
+  for (size_t I = 0; I < 4; ++I)
+    Specs.push_back(specFor(Fix, I, I < 2 ? 0.02 : 0.08));
+  VerificationSpec Hard = specFor(Fix, 0, 0.5);
+  Hard.Attack = true;
+  Specs.push_back(Hard);
+
+  BatchOptions Opts;
+  Opts.Jobs = 4;
+  std::vector<RunOutcome> First = runSpecBatch(Specs, Opts);
+  std::vector<RunOutcome> Second = runSpecBatch(Specs, Opts);
+  ASSERT_EQ(First.size(), Specs.size());
+  ASSERT_EQ(Second.size(), Specs.size());
+  for (size_t I = 0; I < First.size(); ++I)
+    expectSameOutcome(First[I], Second[I], I);
+}
+
 //===----------------------------------------------------------------------===//
-// Preloaded batches: kernels tile on the caller, never on batch workers
+// Preloaded batches: kernels tile on the caller, never in fan-out items
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 /// A wider model than batchFixture's: the Peaceman-Rachford state matrix
 /// is 192 x 192, so solver-step gemms are large. At Jobs = 1 the batch
-/// runs on the calling thread, which may tile them on the kernel pool; at
-/// Jobs = 4 every query runs serially on a batch worker. Untrained on
+/// is the plain loop on the calling thread, which may tile them; at
+/// Jobs = 4 every query is a fan-out item and runs them serially. Untrained on
 /// purpose — the contract is about arithmetic, not accuracy.
 struct WideFixture {
   MonDeq Model;

@@ -21,6 +21,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -526,7 +527,7 @@ TEST(Workspace, ZeroSizedRequests) {
 }
 
 //===----------------------------------------------------------------------===//
-// Backend equivalence: scalar vs dispatched SIMD vs ThreadPool-tiled
+// Backend equivalence: scalar vs dispatched SIMD vs pool-tiled
 //===----------------------------------------------------------------------===//
 
 // Every compiled-and-runnable backend table must produce byte-identical
@@ -695,7 +696,7 @@ TEST_P(BackendEquivalence, VectorKernelsBitwiseMatchScalar) {
   }
 }
 
-// The ThreadPool-tiled paths must be byte-identical to the untiled active
+// The pool-tiled paths must be byte-identical to the untiled active
 // backend for every tile count — the partition never changes any
 // per-element reduction order.
 TEST(TiledKernels, GemmTiledBitwiseMatchesUntiled) {
@@ -724,6 +725,37 @@ TEST(TiledKernels, GemvAbsTiledBitwiseMatchesUntiled) {
     kernels::detail::gemvAbsTiled(Out, M, V, 2.0, 1.0, Tiles);
     expectBitEqual(Out, Untiled);
   }
+}
+
+TEST(TiledKernels, ConcurrentCallersEachWaitForTheirOwnTiles) {
+  // Three threads outside any fan-out tile their gemms over the one pool
+  // at once: each call returns with its own output complete and
+  // untouched by the others' tiles.
+  constexpr int Callers = 3, Rounds = 20;
+  std::vector<Matrix> As, Bs, Expect;
+  Rng R(109);
+  for (int C = 0; C < Callers; ++C) {
+    As.push_back(randomMatrix(R, 24, 40));
+    Bs.push_back(randomMatrix(R, 40, 96 + 32 * C));
+    Expect.emplace_back(24, 96 + 32 * C);
+    kernels::gemm(Expect.back(), As.back(), Bs.back());
+  }
+  std::vector<int> Mismatches(Callers, 0);
+  std::vector<std::thread> Threads;
+  for (int C = 0; C < Callers; ++C)
+    Threads.emplace_back([&, C] {
+      for (int Round = 0; Round < Rounds; ++Round) {
+        Matrix Out(Expect[C].rows(), Expect[C].cols());
+        kernels::detail::gemmTiled(Out, As[C], Bs[C], 1.0, 0.0, 3 + C);
+        Mismatches[C] += std::memcmp(Out.rowData(0), Expect[C].rowData(0),
+                                     Out.rows() * Out.cols() *
+                                         sizeof(double)) != 0;
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (int C = 0; C < Callers; ++C)
+    EXPECT_EQ(Mismatches[C], 0) << "caller " << C;
 }
 
 TEST(GemmAuto, AllHintsBitwiseMatchExplicitKernels) {

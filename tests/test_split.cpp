@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 using namespace craft;
 
@@ -386,6 +387,55 @@ TEST(SplitDriverTest, DegenerateSplitSpecCertifiesAcrossSplitJobs) {
   // split-jobs is a pure performance knob.
   EXPECT_EQ(Serial.Certified, Parallel.Certified);
   EXPECT_EQ(Serial.Detail, Parallel.Detail);
+}
+
+TEST(SplitDriverTest, SplitSpecsInsideABatchMatchTheirSerialRuns) {
+  // Split runs inside a batch that fans out are nested fan-outs on the one
+  // pool: their outcomes must equal the all-serial batch's.
+  SplitFixture &Fix = fixture();
+  FixpointSolver Solver(Fix.Model, Splitting::PeacemanRachford);
+  Vector Lo, Hi;
+  degenerateBox(Fix.Sample, 0.005, 2, Lo, Hi);
+  Vector CubeLo(5, 0.0), CubeHi(5, 1.0);
+  const int WrongClass = (Solver.predict(0.5 * (CubeLo + CubeHi)) + 1) % 3;
+  std::vector<VerificationSpec> Specs;
+  for (const std::string &Text :
+       {specText(Fix, Lo, Hi, Fix.SampleClass,
+                 "split-depth 2\nsplit-jobs 4\n"),
+        specText(Fix, CubeLo, CubeHi, WrongClass,
+                 "split-depth 4\nsplit-jobs 4\n"),
+        specText(Fix, CubeLo, CubeHi, Fix.SampleClass,
+                 "split-depth 3\nsplit-jobs 0\n")}) {
+    SpecParseResult R = parseSpec(Text);
+    ASSERT_TRUE(R.ok());
+    Specs.push_back(*R.Spec);
+  }
+  BatchOptions Serial;
+  Serial.Jobs = 1;
+  std::vector<RunOutcome> Baseline = runSpecBatch(Specs, Serial);
+  for (VerificationSpec &Spec : Specs)
+    Spec.SplitJobs = 1;
+  std::vector<RunOutcome> AllSerial = runSpecBatch(Specs, Serial);
+  for (VerificationSpec &Spec : Specs)
+    Spec.SplitJobs = 4;
+  BatchOptions Parallel;
+  Parallel.Jobs = 3;
+  std::vector<RunOutcome> Nested = runSpecBatch(Specs, Parallel);
+  ASSERT_EQ(Nested.size(), Specs.size());
+  EXPECT_TRUE(AllSerial[1].Refuted);
+  for (size_t I = 0; I < Specs.size(); ++I)
+    for (const RunOutcome *Out : {&Baseline[I], &Nested[I]}) {
+      EXPECT_EQ(Out->Certified, AllSerial[I].Certified) << "spec " << I;
+      EXPECT_EQ(Out->Refuted, AllSerial[I].Refuted) << "spec " << I;
+      EXPECT_EQ(Out->Detail, AllSerial[I].Detail) << "spec " << I;
+      ASSERT_EQ(Out->Counterexample.size(),
+                AllSerial[I].Counterexample.size());
+      for (size_t D = 0; D < Out->Counterexample.size(); ++D)
+        EXPECT_EQ(Out->Counterexample[D], AllSerial[I].Counterexample[D]);
+      EXPECT_EQ(Out->Phases.SolverIterations,
+                AllSerial[I].Phases.SolverIterations)
+          << "spec " << I;
+    }
 }
 
 TEST(SplitDriverTest, RefutedSplitSpecCarriesCounterexample) {

@@ -2,9 +2,10 @@
 //
 // High-contention stress for the concurrency primitives under the serve
 // and split stacks: multi-producer/multi-consumer queue traffic with
-// back-pressure, close() racing blocked producers, ThreadPool wave reuse
-// (the SplitEngine pattern), teardown with work still queued, and
-// exception propagation under contention.
+// back-pressure, close() racing blocked producers, consecutive fan-outs
+// over the one pool (the SplitEngine wave pattern), fan-outs that return
+// only after their slowest item, and exception propagation under
+// contention.
 //
 // These tests assert conservation invariants (every accepted item is
 // consumed exactly once) rather than timings, so they are meaningful
@@ -19,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -130,51 +133,48 @@ TEST(MpmcStress, TryPopContention) {
 }
 
 TEST(ThreadPoolStress, WaveReuseLikeSplitEngine) {
-  // One persistent pool, many submit/wait waves — the SplitEngine usage
-  // pattern whose wave accounting the TSan job watches.
-  ThreadPool Pool(4);
-  constexpr int Waves = 50, TasksPerWave = 64;
+  // Many consecutive fan-outs over the one pool — the SplitEngine wave
+  // pattern whose per-fan-out accounting the TSan job watches.
+  constexpr int Waves = 50, ItemsPerWave = 64;
   for (int W = 0; W < Waves; ++W) {
-    std::vector<int> Slots(TasksPerWave, -1);
-    for (int I = 0; I < TasksPerWave; ++I)
-      Pool.submit([&Slots, I, W] { Slots[I] = W * TasksPerWave + I; });
-    Pool.wait();
-    for (int I = 0; I < TasksPerWave; ++I)
-      ASSERT_EQ(Slots[I], W * TasksPerWave + I);
+    std::vector<int> Slots(ItemsPerWave, -1);
+    parallelForIndex(ItemsPerWave, 4, [&Slots, W](size_t I) {
+      Slots[I] = W * ItemsPerWave + int(I);
+    });
+    for (int I = 0; I < ItemsPerWave; ++I)
+      ASSERT_EQ(Slots[I], W * ItemsPerWave + I);
   }
 }
 
-TEST(ThreadPoolStress, DestructorRunsPendingTasks) {
-  // Teardown with work still queued: the documented contract is that
-  // pending tasks execute before workers join.
+TEST(ThreadPoolStress, FanOutReturnsAfterEveryItem) {
+  // Items of uneven length on two threads: when the fan-out returns,
+  // every item has run to its end, including those still running on a
+  // helper when the caller ran out of items.
   std::atomic<int> Ran{0};
-  constexpr int Tasks = 500;
-  {
-    ThreadPool Pool(2);
-    for (int I = 0; I < Tasks; ++I)
-      Pool.submit([&Ran] { Ran.fetch_add(1); });
-    // No wait(): the destructor must drain.
-  }
-  EXPECT_EQ(Ran.load(), Tasks);
+  constexpr int Items = 500;
+  parallelForIndex(Items, 2, [&Ran](size_t I) {
+    if (I % 50 == 49)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    Ran.fetch_add(1);
+  });
+  EXPECT_EQ(Ran.load(), Items);
 }
 
 TEST(ThreadPoolStress, ExceptionUnderContentionStillDrains) {
-  ThreadPool Pool(4);
   std::atomic<int> Ran{0};
-  constexpr int Tasks = 256;
-  for (int I = 0; I < Tasks; ++I)
-    Pool.submit([&Ran, I] {
-      Ran.fetch_add(1);
-      if (I % 37 == 0)
-        throw std::runtime_error("task failure");
-    });
-  EXPECT_THROW(Pool.wait(), std::runtime_error);
-  // Every task ran (failures don't cancel the queue), and the pool is
-  // reusable after an exceptional wave.
-  EXPECT_EQ(Ran.load(), Tasks);
-  Pool.submit([&Ran] { Ran.fetch_add(1); });
-  Pool.wait();
-  EXPECT_EQ(Ran.load(), Tasks + 1);
+  constexpr int Items = 256;
+  EXPECT_THROW(parallelForIndex(Items, 4,
+                                [&Ran](size_t I) {
+                                  Ran.fetch_add(1);
+                                  if (I % 37 == 0)
+                                    throw std::runtime_error("item failure");
+                                }),
+               std::runtime_error);
+  // Every item ran (failures don't cancel the fan-out), and the pool is
+  // reusable after an exceptional fan-out.
+  EXPECT_EQ(Ran.load(), Items);
+  parallelForIndex(4, 4, [&Ran](size_t) { Ran.fetch_add(1); });
+  EXPECT_EQ(Ran.load(), Items + 4);
 }
 
 TEST(ThreadPoolStress, ParallelForIndexMatchesSerial) {

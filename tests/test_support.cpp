@@ -99,42 +99,40 @@ TEST(TimerTest, MeasuresElapsedTime) {
 }
 
 //===----------------------------------------------------------------------===//
-// Core ownership: kernels tile only outside ThreadPool workers
+// Core ownership: kernels tile only outside fan-out items
 //===----------------------------------------------------------------------===//
 
-TEST(CoreOwnershipTest, FlagIsSetOnlyOnPoolWorkers) {
-  EXPECT_FALSE(ThreadPool::onWorkerThread());
+TEST(CoreOwnershipTest, FlagIsSetOnlyInsideFanOutItems) {
+  EXPECT_FALSE(inFanOutItem());
 
+  // Every item of a parallel fan-out, on the caller or on a helper.
   constexpr size_t N = 16;
-  std::vector<char> OnWorker(N, 0);
-  parallelForIndex(N, 4, [&](size_t I) {
-    OnWorker[I] = ThreadPool::onWorkerThread();
-  });
+  std::vector<char> InItem(N, 0);
+  parallelForIndex(N, 4, [&](size_t I) { InItem[I] = inFanOutItem(); });
   for (size_t I = 0; I < N; ++I)
-    EXPECT_TRUE(OnWorker[I]) << "parallelForIndex task " << I;
+    EXPECT_TRUE(InItem[I]) << "parallelForIndex item " << I;
 
-  // Jobs = 1 runs inline on the caller, which keeps its cores.
+  // Jobs = 1 is the plain loop on the caller, which keeps its cores.
   bool Inline = true;
-  parallelForIndex(3, 1, [&](size_t) {
-    Inline = Inline && ThreadPool::onWorkerThread();
-  });
+  parallelForIndex(3, 1, [&](size_t) { Inline = Inline && inFanOutItem(); });
   EXPECT_FALSE(Inline);
 
-  // The kernel pool is a ThreadPool too, so a tile never re-tiles.
+  // A kernel tile is a fan-out item too, so it never re-tiles.
   std::vector<char> InTile(N, 0);
   kernels::detail::runTiled(N, 4, [&](IndexRange R) {
     for (size_t I = R.Begin; I < R.End; ++I)
-      InTile[I] = ThreadPool::onWorkerThread();
+      InTile[I] = inFanOutItem();
   });
   for (size_t I = 0; I < N; ++I)
     EXPECT_TRUE(InTile[I]) << "kernel tile element " << I;
 
-  EXPECT_FALSE(ThreadPool::onWorkerThread());
+  EXPECT_FALSE(inFanOutItem());
 }
 
 TEST(CoreOwnershipTest, WorkerGemmMatchesTiledCallerGemmBitwise) {
   // 192^3 multiply-adds clear the kernel layer's 2^22 tiling threshold,
-  // so the caller's gemm may fan out while the worker's runs serially.
+  // so the caller's gemm may fan out while the fan-out item's runs
+  // serially.
   constexpr size_t Dim = 192;
   Rng R(11);
   Matrix A(Dim, Dim), B(Dim, Dim);

@@ -241,6 +241,30 @@ TEST(SpecParserTest, DiagnosesNonFiniteNumbers) {
                  "out of range", 3);
 }
 
+TEST(SpecParserTest, DiagnosesIntegersOutOfRange) {
+  // Finite doubles outside int's range are diagnosed before any cast.
+  expectOneError("model m.bin\ninput linf\ncenter 0.5\nepsilon 0.1\n"
+                 "output robust 0\nsplit-jobs 1e300\n",
+                 "expected an integer >= 0", 6);
+  expectOneError("model m.bin\nmax-iterations 1e300\ninput linf\n"
+                 "center 0.5\nepsilon 0.1\noutput robust 0\n",
+                 "expected an integer >= 1", 2);
+  expectOneError("model m.bin\nsplit-depth -1e300\ninput linf\n"
+                 "center 0.5\nepsilon 0.1\noutput robust 0\n",
+                 "expected an integer >= 0", 2);
+  expectOneError("model m.bin\nsplit-jobs 2147483648\ninput linf\n"
+                 "center 0.5\nepsilon 0.1\noutput robust 0\n",
+                 "expected an integer >= 0", 2);
+  expectOneError("model m.bin\nmax-iterations 2.5\ninput linf\n"
+                 "center 0.5\nepsilon 0.1\noutput robust 0\n",
+                 "expected an integer >= 1", 2);
+  SpecParseResult Max = parseSpec("model m.bin\nsplit-jobs 2147483647\n"
+                                  "input linf\ncenter 0.5\nepsilon 0.1\n"
+                                  "output robust 0\n");
+  ASSERT_TRUE(Max.ok());
+  EXPECT_EQ(Max.Spec->SplitJobs, 2147483647);
+}
+
 TEST(SpecParserTest, DiagnosesTruncatedSpecs) {
   // EOF mid-spec must produce a clean diagnostic, never a
   // default-initialized spec.

@@ -12,6 +12,7 @@
 #include "nn/Training.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 #include "tool/Driver.h"
 
 #include <gtest/gtest.h>
@@ -306,6 +307,9 @@ TEST(ConfigTest, HelpedBatchQueryMatchesItsSerialRun) {
   const std::vector<VerificationSpec> Specs(4, *Query);
   const std::vector<const MonDeq *> Models = {&model(), nullptr, nullptr,
                                               nullptr};
+  // Start the pool's workers first: the batch's caller runs slot 0 at
+  // once, and helpers that are still starting up could miss its sections.
+  parallelForIndex(4, 4, [](size_t) {});
   RunOutcome Serial, Helped;
   const Counts SerialCounts =
       countsOf([&] { Serial = runSpecBatchLoaded(Specs, Models, 1)[0]; });

@@ -13,8 +13,8 @@
 //
 // Spec files are documented in src/tool/SpecParser.h and README.md. A spec
 // file may hold several `input` blocks; all queries from all files form one
-// batch that `--jobs N` fans out across N worker threads (0 = all hardware
-// threads). Results are printed in input order and are identical for every
+// batch that `--jobs N` fans out over N threads, the caller included (0 =
+// all hardware threads; capped at the pool's bound). Results are printed in input order and are identical for every
 // job count.
 //
 // Exit codes (verify and client; scripts and the serve smoke test branch
