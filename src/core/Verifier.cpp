@@ -52,6 +52,12 @@ namespace {
 /// Counts regardless of whether timing is enabled.
 const telemetry::Histogram IterationsHist =
     telemetry::histogramMetric("craft.iterations");
+/// Phase-2 steps per verifyRegion call: the line-search probes, the main
+/// run and the lambda runs its folds kept (0 when phase 2 did not run).
+/// Items a helped section cut past its stop do not count, so the series
+/// is the same at every worker count.
+const telemetry::Histogram Phase2StepsHist =
+    telemetry::histogramMetric("craft.phase2_steps");
 
 /// Shared phase-2 bookkeeping: best margin, certification flag, and the
 /// no-progress abortion window of App. C.
@@ -144,7 +150,7 @@ public:
   /// (the run is an item past the stop of a helped section's fold).
   void advanceTo(int MaxSteps, const std::atomic<bool> *Cut = nullptr) {
     TRACE_SPAN("craft.phase2");
-    for (; !Stopped && Step < MaxSteps; ++Step) {
+    while (!Stopped && Step < MaxSteps) {
       if (Config->Control.stopRequested() || (Cut && *Cut))
         break; // Stop tightening; the best margin so far stands.
       bool UsableForCertification = true;
@@ -161,22 +167,21 @@ public:
           S = timedConsolidate<Dom>(S, Basis, 0.0, 0.0).Z;
         S = Dom::step(*Solver, S, LambdaScale);
       }
+      ++Step;
       if (Dom::widthInf(S) > Config->AbortWidth) {
         Stopped = true;
-        break;
-      }
-      if (!UsableForCertification)
-        continue;
-      typename Dom::State Z = Dom::zPart(*Solver, S);
-      if (Track.update(classificationMarginsIn<Dom>(*Model, Z, TargetClass),
-                       Dom::hull(Z))) {
-        Stopped = true;
-        break;
+      } else if (UsableForCertification) {
+        typename Dom::State Z = Dom::zPart(*Solver, S);
+        Stopped =
+            Track.update(classificationMarginsIn<Dom>(*Model, Z, TargetClass),
+                         Dom::hull(Z));
       }
     }
   }
 
   const MarginTracker &tracker() const { return Track; }
+  /// Steps run so far.
+  int steps() const { return Step; }
 
 private:
   const MonDeq *Model;
@@ -226,6 +231,11 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
   }
   [[maybe_unused]] int Consolidations = 0;
   bool Contained = false;
+  uint64_t Phase2Steps = 0;
+  auto finish = [&] {
+    Res.TimeSeconds = Timer.seconds();
+    Phase2StepsHist.observe(Phase2Steps);
+  };
 
   for (int N = 1; N <= Config.MaxIterations && !Contained; ++N) {
     if (Config.Control.stopRequested())
@@ -266,10 +276,12 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
 
   Res.Containment = Contained;
   if (!Contained) {
-    Res.TimeSeconds = Timer.seconds();
+    finish();
     return Res;
   }
 
+  const int Phase2Cap =
+      std::min(Config.MaxIterations, Config.Phase2MaxIterations);
   if constexpr (!Dom::HasConsolidation) {
     // Phase 2 on the Box domain (PR phase-1 alpha retained; Box has no
     // consolidation or lambda choices).
@@ -280,10 +292,11 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
     const bool SkipPhase2 =
         !Track.certified() && BeforePhase2 && BeforePhase2();
 
-    for (int Step = 0; Step < Config.MaxIterations && !SkipPhase2; ++Step) {
+    for (int Step = 0; Step < Phase2Cap && !SkipPhase2; ++Step) {
       if (Config.Control.stopRequested())
         break;
       S = Dom::step(Solver1, S, 1.0);
+      ++Phase2Steps;
       if (Dom::widthInf(S) > Config.AbortWidth)
         break;
       typename Dom::State ZI = Dom::zPart(Solver1, S);
@@ -294,7 +307,7 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
     Res.BestMargin = Track.best();
     Res.Certified = Track.certified();
     Res.FixpointHull = Track.bestHull();
-    Res.TimeSeconds = Timer.seconds();
+    finish();
     return Res;
   } else {
     // S provably contains the true fixpoint set. Seed the result with its
@@ -308,13 +321,13 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
       Res.Certified = Seed.certified();
       Res.FixpointHull = Seed.bestHull();
       if (Res.Certified) {
-        Res.TimeSeconds = Timer.seconds();
+        finish();
         return Res;
       }
     }
 
     if (BeforePhase2 && BeforePhase2()) {
-      Res.TimeSeconds = Timer.seconds();
+      finish();
       return Res;
     }
 
@@ -323,8 +336,6 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
     // alpha); FB may use any alpha in [0,1] and is line searched.
     bool Phase2IsPr = Config.Phase2Method == Splitting::PeacemanRachford;
     typename Dom::State SEntry = Phase2IsPr ? S : Dom::zPart(Solver1, S);
-    const int MainSteps =
-        std::min(Config.MaxIterations, Config.Phase2MaxIterations);
     auto startRun = [&](const AbstractSolver &Solver2, double LambdaScale) {
       return Phase2Run<Dom>(Model, Config, TargetClass, Solver2, SEntry,
                             LambdaScale);
@@ -368,6 +379,7 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
             },
             [&](size_t I) {
               Probe &P = Probes[I];
+              Phase2Steps += P.Run->steps();
               const bool Certifies = P.Run->tracker().certified();
               if (Certifies || P.Run->tracker().best() > BestProbe) {
                 BestProbe = P.Run->tracker().best();
@@ -396,7 +408,9 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
     };
     if (!Main)
       Main.emplace(startRun(*Solver2, 1.0));
-    Main->advanceTo(MainSteps);
+    const int ProbeSteps = Main->steps(); // Counted with the probes.
+    Main->advanceTo(Phase2Cap);
+    Phase2Steps += Main->steps() - ProbeSteps;
     Res.Certified = absorb(Main->tracker());
 
     // Lambda optimization (App. C): only for samples close to
@@ -412,6 +426,7 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
       // search; idle pool threads may run later scales ahead of the
       // fold, and one past the certifying scale stops at its next step.
       std::vector<std::optional<MarginTracker>> Tracks(Scales.size());
+      std::vector<int> RunSteps(Scales.size());
       std::atomic<bool> Cut{false};
       helpedWithIdRanges(
           Scales.size(),
@@ -419,8 +434,10 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
             Phase2Run<Dom> Run = startRun(*Solver2, Scales[I]);
             Run.advanceTo(Steps, &Cut);
             Tracks[I] = Run.tracker();
+            RunSteps[I] = Run.steps();
           },
           [&](size_t I) {
+            Phase2Steps += RunSteps[I];
             Res.Certified = absorb(*Tracks[I]);
             const bool Stop = Res.Certified || Config.Control.stopRequested();
             Cut = Stop;
@@ -428,7 +445,7 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
           });
     }
 
-    Res.TimeSeconds = Timer.seconds();
+    finish();
     return Res;
   }
 }

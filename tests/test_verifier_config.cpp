@@ -244,6 +244,7 @@ std::optional<VerificationSpec> lambdaOptQuery(const CraftConfig &Cfg,
       Spec.Epsilon = Eps;
       Spec.TargetClass = S.Label;
       Spec.Alpha1 = Cfg.Alpha1;
+      Spec.LambdaOptLevel = Cfg.LambdaOptLevel;
       Spec.Attack = true;
       Spec.AttackSeed = Attack.Seed;
       Spec.InLo = Vector(S.X.size());
@@ -263,6 +264,7 @@ TEST(ConfigTest, HelpedBatchQueryMatchesItsSerialRun) {
   // run for this query.
   CraftConfig Cfg;
   Cfg.Alpha1 = 0.05;
+  Cfg.LambdaOptLevel = 2;
   PgdOptions Attack;
   Attack.Seed = 7;
   const std::optional<VerificationSpec> Query = lambdaOptQuery(Cfg, Attack);
@@ -270,7 +272,8 @@ TEST(ConfigTest, HelpedBatchQueryMatchesItsSerialRun) {
 
   // Work counter deltas over one call (countsOf).
   struct Counts {
-    uint64_t Gradients, Factorizations, Helped, Verifies, Iterations;
+    uint64_t Gradients, Factorizations, Helped, Verifies, Iterations,
+        Phase2Steps;
   };
   const telemetry::Counter Gradients =
       telemetry::counterMetric("pgd.gradients");
@@ -280,16 +283,19 @@ TEST(ConfigTest, HelpedBatchQueryMatchesItsSerialRun) {
       telemetry::counterMetric("pool.help_items");
   const telemetry::Histogram Iterations =
       telemetry::histogramMetric("craft.iterations");
+  const telemetry::Histogram Phase2Steps =
+      telemetry::histogramMetric("craft.phase2_steps");
   auto countsOf = [&](const auto &Fn) {
-    const Counts Before{Gradients.value(), Factorizations.value(),
-                        HelpItems.value(), Iterations.snapshot().Count,
-                        Iterations.snapshot().Sum};
+    const Counts Before{Gradients.value(),         Factorizations.value(),
+                        HelpItems.value(),         Iterations.snapshot().Count,
+                        Iterations.snapshot().Sum, Phase2Steps.snapshot().Sum};
     Fn();
     return Counts{Gradients.value() - Before.Gradients,
                   Factorizations.value() - Before.Factorizations,
                   HelpItems.value() - Before.Helped,
                   Iterations.snapshot().Count - Before.Verifies,
-                  Iterations.snapshot().Sum - Before.Iterations};
+                  Iterations.snapshot().Sum - Before.Iterations,
+                  Phase2Steps.snapshot().Sum - Before.Phase2Steps};
   };
 
   // The plain loops, on this thread: the verifier and the whole attack.
@@ -310,57 +316,164 @@ TEST(ConfigTest, HelpedBatchQueryMatchesItsSerialRun) {
   // Start the pool's workers first: the batch's caller runs slot 0 at
   // once, and helpers that are still starting up could miss its sections.
   parallelForIndex(4, 4, [](size_t) {});
-  RunOutcome Serial, Helped;
+  RunOutcome Serial;
   const Counts SerialCounts =
       countsOf([&] { Serial = runSpecBatchLoaded(Specs, Models, 1)[0]; });
-  const Counts HelpedCounts =
-      countsOf([&] { Helped = runSpecBatchLoaded(Specs, Models, 4)[0]; });
 
   EXPECT_FALSE(Serial.Certified);
   EXPECT_FALSE(Serial.Refuted);
   EXPECT_EQ(Serial.AttackSeed, Attack.Seed) << "PGD did not run";
   EXPECT_EQ(0, std::memcmp(&Serial.MarginLower, &Direct.BestMargin,
                            sizeof(double)));
-  EXPECT_EQ(Serial.Certified, Helped.Certified);
-  EXPECT_EQ(Serial.Containment, Helped.Containment);
-  EXPECT_EQ(Serial.Refuted, Helped.Refuted);
-  EXPECT_EQ(Serial.AttackSeed, Helped.AttackSeed);
-  EXPECT_EQ(Serial.Detail, Helped.Detail);
-  EXPECT_TRUE(sameBytes(Serial.Counterexample, Helped.Counterexample));
-  EXPECT_EQ(0, std::memcmp(&Serial.MarginLower, &Helped.MarginLower,
-                           sizeof(double)));
 
   // Jobs = 1 runs no speculative item: its counts are the plain loops'.
   // Helped items past a stop count nowhere, so Jobs = 4 matches too.
-  for (const Counts &C : {SerialCounts, HelpedCounts}) {
+  auto expectPlainCounts = [&](const Counts &C) {
     EXPECT_EQ(C.Gradients, Plain.Gradients);
     EXPECT_EQ(C.Factorizations, Plain.Factorizations);
     EXPECT_EQ(C.Verifies, 1u);
     EXPECT_EQ(C.Iterations, Plain.Iterations);
-  }
+    EXPECT_EQ(C.Phase2Steps, Plain.Phase2Steps);
+  };
+  expectPlainCounts(SerialCounts);
   EXPECT_EQ(SerialCounts.Helped, 0u);
-  EXPECT_GT(HelpedCounts.Helped, 0u);
-  if (telemetry::timingEnabled()) {
-    EXPECT_GT(Helped.Phases.ConsolidationMs, 0.0);
+
+  // An idle worker helps only if it wakes while a section is open. This
+  // query's sections last about a millisecond in all, which a worker on a
+  // loaded host can sleep through, so the Jobs = 4 batch runs up to five
+  // times: every run must match the serial one, and one must be helped.
+  uint64_t HelpedItems = 0;
+  for (int Run = 0; Run < 5 && HelpedItems == 0; ++Run) {
+    SCOPED_TRACE(Run);
+    RunOutcome Helped;
+    const Counts HelpedCounts =
+        countsOf([&] { Helped = runSpecBatchLoaded(Specs, Models, 4)[0]; });
+    EXPECT_EQ(Serial.Certified, Helped.Certified);
+    EXPECT_EQ(Serial.Containment, Helped.Containment);
+    EXPECT_EQ(Serial.Refuted, Helped.Refuted);
+    EXPECT_EQ(Serial.AttackSeed, Helped.AttackSeed);
+    EXPECT_EQ(Serial.Detail, Helped.Detail);
+    EXPECT_TRUE(sameBytes(Serial.Counterexample, Helped.Counterexample));
+    EXPECT_EQ(0, std::memcmp(&Serial.MarginLower, &Helped.MarginLower,
+                             sizeof(double)));
+    expectPlainCounts(HelpedCounts);
+    if (telemetry::timingEnabled()) {
+      EXPECT_GT(Helped.Phases.ConsolidationMs, 0.0);
+    }
+    HelpedItems += HelpedCounts.Helped;
   }
+  EXPECT_GT(HelpedItems, 0u);
+}
+
+/// Verifies the Eps-ball around \p S and stores the call's
+/// craft.phase2_steps observation in \p Steps.
+CraftResult verifyCountingSteps(const CraftVerifier &V, const Sample &S,
+                                double Eps, uint64_t &Steps) {
+  const telemetry::Histogram Hist =
+      telemetry::histogramMetric("craft.phase2_steps");
+  const telemetry::HistogramSnapshot Before = Hist.snapshot();
+  CraftResult Res = V.verifyRobustness(S.X, S.Label, Eps);
+  const telemetry::HistogramSnapshot After = Hist.snapshot();
+  EXPECT_EQ(After.Count - Before.Count, 1u) << "one observation per call";
+  Steps = After.Sum - Before.Sum;
+  return Res;
 }
 
 TEST(ConfigTest, Phase2BudgetBoundsIterations) {
-  // A tiny phase-2 budget must still be sound (possibly less precise).
+  // A tiny phase-2 budget must still be sound (possibly less precise), and
+  // it bounds the steps. The line search's eight 6-step probes run in
+  // full unless one certifies, and the main run continuing the best one
+  // adds none past the cap; with a fixed alpha the main run is all of
+  // phase 2, and it stops at the cap unless it certifies first.
   CraftConfig Tiny, Full;
   Tiny.Alpha1 = Full.Alpha1 = 0.05;
   Tiny.Phase2MaxIterations = 2;
   Tiny.LambdaOptLevel = 0;
   Full.LambdaOptLevel = 0;
+  CraftConfig TinyFixed = Tiny, FullFixed = Full;
+  TinyFixed.Alpha2 = FullFixed.Alpha2 = 0.05;
   CraftVerifier TinyV(model(), Tiny), FullV(model(), Full);
-  for (const Sample &S : samples(3)) {
-    CraftResult T = TinyV.verifyRobustness(S.X, S.Label, 0.03);
-    CraftResult F = FullV.verifyRobustness(S.X, S.Label, 0.03);
-    if (T.Containment && F.Containment) {
-      EXPECT_LE(T.BestMargin, F.BestMargin + 1e-7)
-          << "more tightening cannot hurt the margin";
+  CraftVerifier TinyFixedV(model(), TinyFixed), FullFixedV(model(), FullFixed);
+  size_t Stopped = 0, Capped = 0;
+  for (double Eps : {0.03, 0.1}) {
+    for (const Sample &S : samples(6)) {
+      uint64_t Steps = 0;
+      CraftResult T = verifyCountingSteps(TinyV, S, Eps, Steps);
+      CraftResult F = FullV.verifyRobustness(S.X, S.Label, Eps);
+      if (T.Containment && F.Containment) {
+        EXPECT_LE(T.BestMargin, F.BestMargin + 1e-7)
+            << "more tightening cannot hurt the margin";
+      }
+      EXPECT_LE(Steps, 8u * 6u);
+      if (T.ChosenAlpha2 >= 0.0 && !T.Certified) {
+        EXPECT_EQ(Steps, 8u * 6u);
+      }
+
+      T = verifyCountingSteps(TinyFixedV, S, Eps, Steps);
+      EXPECT_LE(Steps, 2u);
+      if (T.ChosenAlpha2 >= 0.0 && !T.Certified) {
+        EXPECT_EQ(Steps, 2u);
+        ++Stopped;
+      }
+      verifyCountingSteps(FullFixedV, S, Eps, Steps);
+      Capped += Steps > 2;
     }
   }
+  EXPECT_GT(Stopped, 0u) << "no fixed-alpha query ran into the cap";
+  EXPECT_GT(Capped, 0u) << "no query runs past the cap uncapped";
+}
+
+TEST(ConfigTest, BoxPhase2HonoursItsCap) {
+  // The Box domain's phase 2 stops at Phase2MaxIterations, as the
+  // zonotope domains' main run does.
+  CraftConfig Tiny, Full;
+  Tiny.Domain = Full.Domain = VerifierDomain::Box;
+  Tiny.Alpha1 = Full.Alpha1 = 0.05;
+  Tiny.Phase2MaxIterations = 2;
+  CraftVerifier TinyV(model(), Tiny), FullV(model(), Full);
+  size_t Stopped = 0, Capped = 0;
+  for (double Eps : {0.01, 0.03}) {
+    for (const Sample &S : samples(8)) {
+      uint64_t Steps = 0;
+      CraftResult T = verifyCountingSteps(TinyV, S, Eps, Steps);
+      EXPECT_LE(Steps, 2u);
+      if (T.Containment && !T.Certified) {
+        EXPECT_EQ(Steps, 2u);
+        ++Stopped;
+      }
+      verifyCountingSteps(FullV, S, Eps, Steps);
+      Capped += Steps > 2;
+    }
+  }
+  EXPECT_GT(Stopped, 0u) << "no Box query ran into the cap";
+  EXPECT_GT(Capped, 0u) << "no Box query runs past the cap uncapped";
+}
+
+TEST(ConfigTest, DefaultPhase2KeepsAppCVerdicts) {
+  // The engine's defaults (a 12-step stall window, no lambda optimization)
+  // stop phase 2 far earlier than App. C (150 steps, full lambda
+  // optimization), and must reach the same verdict on every query.
+  CraftConfig Engine, AppC;
+  Engine.Alpha1 = AppC.Alpha1 = 0.05;
+  AppC.Phase2Window = 50;
+  AppC.LambdaOptLevel = 2;
+  CraftVerifier EngineV(model(), Engine), AppCV(model(), AppC);
+  size_t Phase2 = 0, Phase2Certified = 0, Undecided = 0;
+  for (double Eps : {0.03, 0.06, 0.07, 0.1, 0.15, 0.2}) {
+    for (const Sample &S : samples(16)) {
+      CraftResult Got = EngineV.verifyRobustness(S.X, S.Label, Eps);
+      CraftResult Want = AppCV.verifyRobustness(S.X, S.Label, Eps);
+      EXPECT_EQ(Got.Containment, Want.Containment) << Eps;
+      EXPECT_EQ(Got.Certified, Want.Certified) << Eps;
+      if (Got.ChosenAlpha2 < 0.0)
+        continue;
+      ++Phase2;
+      ++(Got.Certified ? Phase2Certified : Undecided);
+    }
+  }
+  EXPECT_GT(Phase2Certified, 0u);
+  EXPECT_GT(Undecided, 0u);
+  EXPECT_GE(Phase2, 30u);
 }
 
 TEST(ConfigTest, LambdaOptOnlyHelps) {
