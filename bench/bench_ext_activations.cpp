@@ -47,6 +47,7 @@ int main() {
   for (const Entry &E : Entries) {
     CraftConfig Cfg;
     Cfg.Alpha1 = 0.5;
+    Cfg.Phase2Window = 50; // App. C.
     Cfg.LambdaOptLevel = E.Act == ActivationKind::ReLU ? 2 : 0;
     CraftVerifier Verifier(E.Model, Cfg);
     FixpointSolver Solver(E.Model, Splitting::PeacemanRachford);

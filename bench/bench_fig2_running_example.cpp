@@ -55,8 +55,10 @@ int main() {
               Fix.Z[0], Fix.Z[1], Y[1], Y[1] > 0 ? 1 : 0);
 
   // Abstractions of the fixpoint set and the output for the 0.05-box.
-  CraftConfig CConfig;
+  CraftConfig CConfig; // App. C's phase 2: r' = 50, full lambda opt.
   CConfig.Alpha1 = 0.1;
+  CConfig.Phase2Window = 50;
+  CConfig.LambdaOptLevel = 2;
   CConfig.InputClampLo = -1.0;
   CConfig.InputClampHi = 1.0;
   CraftResult Craft = CraftVerifier(Model, CConfig)

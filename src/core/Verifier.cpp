@@ -421,7 +421,8 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
           Config.LambdaOptLevel >= 2
               ? std::vector<double>{0.8, 0.9, 0.95, 1.05, 1.1, 1.25}
               : std::vector<double>{0.9, 1.1};
-      int Steps = Config.LambdaOptLevel >= 2 ? 40 : 20;
+      const int Steps =
+          std::min(Config.LambdaOptLevel >= 2 ? 40 : 20, Phase2Cap);
       // The scales fold in order and the first that certifies ends the
       // search; idle pool threads may run later scales ahead of the
       // fold, and one past the certifying scale stops at its next step.

@@ -86,11 +86,12 @@ struct CraftConfig {
   /// after 3 r' steps without a better margin. App. C uses 50; past the
   /// first few steps the margin rarely moves and no verdict did.
   int Phase2Window = 4;
-  /// Hard cap on phase-2 tightening steps (<= MaxIterations), in every
-  /// domain. Large conv models set this low: each abstract step is
-  /// O(p^3)-expensive and the no-progress window alone would dominate
-  /// runtime. The main run continues the best line-search probe, which has
-  /// run 6 steps already: a cap below 6 returns that probe's result.
+  /// Hard cap on the steps of the main phase-2 run and of each lambda run
+  /// (<= MaxIterations), in every domain. Large conv models set this low:
+  /// each abstract step is O(p^3)-expensive and the no-progress window
+  /// alone would dominate runtime. The line-search probes run their 6
+  /// steps regardless, and the main run continues the best one: a cap
+  /// below 6 returns that probe's result.
   int Phase2MaxIterations = 500;
   /// Check containment against the history every this many iterations
   /// (1 = every iteration, App. C default). Large conv models raise it:

@@ -5,6 +5,7 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <iterator>
@@ -21,6 +22,9 @@ const telemetry::Counter PoolHelpItems =
     telemetry::counterMetric("pool.help_items");
 const telemetry::Counter PoolThreadsStarted =
     telemetry::counterMetric("pool.threads_started");
+
+/// setAwaitHelperForTest's switch.
+std::atomic<bool> AwaitHelperForTest{false};
 
 /// One open fan-out (parallelForIndex) or helped section (helpedForIndex).
 /// It lives on its owner's stack; every field but Fn is guarded by the
@@ -226,6 +230,11 @@ void ThreadPool::runSection(size_t N, const std::function<void(size_t)> &Fn,
   Section S(Fn, N, N, /*Helped=*/true, CurrentRoot);
   S.NextUnclaimed = 1; // The owner holds item 0 from the start.
   open(S);
+  if (AwaitHelperForTest.load(std::memory_order_relaxed)) {
+    // A helper wakes the owner when its item finishes.
+    std::unique_lock<std::mutex> Lock(Mutex);
+    S.Wake.wait(Lock, [&S] { return S.NextUnclaimed > 1; });
+  }
   // However the fold ends, no helper claims another item, the running
   // ones finish before S goes out of scope, and their phase time is ours.
   try {
@@ -268,6 +277,10 @@ size_t craft::fanOutThreads(size_t N, int Jobs) {
 }
 
 bool craft::inFanOutItem() { return CurrentRoot != nullptr; }
+
+void craft::setAwaitHelperForTest(bool On) {
+  AwaitHelperForTest.store(On, std::memory_order_relaxed);
+}
 
 void craft::parallelForIndex(size_t N, int Jobs,
                              const std::function<void(size_t)> &Fn) {

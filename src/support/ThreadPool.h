@@ -87,6 +87,15 @@ void parallelForIndex(size_t N, int Jobs,
 void helpedForIndex(size_t N, const std::function<void(size_t)> &Fn,
                     const std::function<bool(size_t)> &StopAfter);
 
+/// Test hook: while on, the owner of a helped section that is open to
+/// pool workers starts none of its items until a helper has claimed one,
+/// so every such section is helped and a test can assert that helping
+/// happened without racing the workers' wake-up. Off by default. Turn it
+/// on only around work whose sections always get an idle worker (say, a
+/// batch whose other slots finish at once): with none, the owner waits
+/// forever.
+void setAwaitHelperForTest(bool On);
+
 /// A contiguous half-open index range (one part of a static partition).
 struct IndexRange {
   size_t Begin = 0;

@@ -313,56 +313,48 @@ TEST(ConfigTest, HelpedBatchQueryMatchesItsSerialRun) {
   const std::vector<VerificationSpec> Specs(4, *Query);
   const std::vector<const MonDeq *> Models = {&model(), nullptr, nullptr,
                                               nullptr};
-  // Start the pool's workers first: the batch's caller runs slot 0 at
-  // once, and helpers that are still starting up could miss its sections.
-  parallelForIndex(4, 4, [](size_t) {});
-  RunOutcome Serial;
+  RunOutcome Serial, Helped;
   const Counts SerialCounts =
       countsOf([&] { Serial = runSpecBatchLoaded(Specs, Models, 1)[0]; });
+  // The query's sections last about a millisecond in all, which a waking
+  // worker can miss; the hook makes each one wait for its first helper.
+  struct AwaitHelper {
+    AwaitHelper() { setAwaitHelperForTest(true); }
+    ~AwaitHelper() { setAwaitHelperForTest(false); }
+  };
+  const Counts HelpedCounts = countsOf([&] {
+    AwaitHelper Await;
+    Helped = runSpecBatchLoaded(Specs, Models, 4)[0];
+  });
 
   EXPECT_FALSE(Serial.Certified);
   EXPECT_FALSE(Serial.Refuted);
   EXPECT_EQ(Serial.AttackSeed, Attack.Seed) << "PGD did not run";
   EXPECT_EQ(0, std::memcmp(&Serial.MarginLower, &Direct.BestMargin,
                            sizeof(double)));
+  EXPECT_EQ(Serial.Certified, Helped.Certified);
+  EXPECT_EQ(Serial.Containment, Helped.Containment);
+  EXPECT_EQ(Serial.Refuted, Helped.Refuted);
+  EXPECT_EQ(Serial.AttackSeed, Helped.AttackSeed);
+  EXPECT_EQ(Serial.Detail, Helped.Detail);
+  EXPECT_TRUE(sameBytes(Serial.Counterexample, Helped.Counterexample));
+  EXPECT_EQ(0, std::memcmp(&Serial.MarginLower, &Helped.MarginLower,
+                           sizeof(double)));
 
   // Jobs = 1 runs no speculative item: its counts are the plain loops'.
   // Helped items past a stop count nowhere, so Jobs = 4 matches too.
-  auto expectPlainCounts = [&](const Counts &C) {
+  for (const Counts &C : {SerialCounts, HelpedCounts}) {
     EXPECT_EQ(C.Gradients, Plain.Gradients);
     EXPECT_EQ(C.Factorizations, Plain.Factorizations);
     EXPECT_EQ(C.Verifies, 1u);
     EXPECT_EQ(C.Iterations, Plain.Iterations);
     EXPECT_EQ(C.Phase2Steps, Plain.Phase2Steps);
-  };
-  expectPlainCounts(SerialCounts);
-  EXPECT_EQ(SerialCounts.Helped, 0u);
-
-  // An idle worker helps only if it wakes while a section is open. This
-  // query's sections last about a millisecond in all, which a worker on a
-  // loaded host can sleep through, so the Jobs = 4 batch runs up to five
-  // times: every run must match the serial one, and one must be helped.
-  uint64_t HelpedItems = 0;
-  for (int Run = 0; Run < 5 && HelpedItems == 0; ++Run) {
-    SCOPED_TRACE(Run);
-    RunOutcome Helped;
-    const Counts HelpedCounts =
-        countsOf([&] { Helped = runSpecBatchLoaded(Specs, Models, 4)[0]; });
-    EXPECT_EQ(Serial.Certified, Helped.Certified);
-    EXPECT_EQ(Serial.Containment, Helped.Containment);
-    EXPECT_EQ(Serial.Refuted, Helped.Refuted);
-    EXPECT_EQ(Serial.AttackSeed, Helped.AttackSeed);
-    EXPECT_EQ(Serial.Detail, Helped.Detail);
-    EXPECT_TRUE(sameBytes(Serial.Counterexample, Helped.Counterexample));
-    EXPECT_EQ(0, std::memcmp(&Serial.MarginLower, &Helped.MarginLower,
-                             sizeof(double)));
-    expectPlainCounts(HelpedCounts);
-    if (telemetry::timingEnabled()) {
-      EXPECT_GT(Helped.Phases.ConsolidationMs, 0.0);
-    }
-    HelpedItems += HelpedCounts.Helped;
   }
-  EXPECT_GT(HelpedItems, 0u);
+  EXPECT_EQ(SerialCounts.Helped, 0u);
+  EXPECT_GT(HelpedCounts.Helped, 0u);
+  if (telemetry::timingEnabled()) {
+    EXPECT_GT(Helped.Phases.ConsolidationMs, 0.0);
+  }
 }
 
 /// Verifies the Eps-ball around \p S and stores the call's
@@ -384,7 +376,8 @@ TEST(ConfigTest, Phase2BudgetBoundsIterations) {
   // it bounds the steps. The line search's eight 6-step probes run in
   // full unless one certifies, and the main run continuing the best one
   // adds none past the cap; with a fixed alpha the main run is all of
-  // phase 2, and it stops at the cap unless it certifies first.
+  // phase 2, and it stops at the cap unless it certifies first. Each of
+  // the six lambda runs stops at the cap too.
   CraftConfig Tiny, Full;
   Tiny.Alpha1 = Full.Alpha1 = 0.05;
   Tiny.Phase2MaxIterations = 2;
@@ -392,9 +385,13 @@ TEST(ConfigTest, Phase2BudgetBoundsIterations) {
   Full.LambdaOptLevel = 0;
   CraftConfig TinyFixed = Tiny, FullFixed = Full;
   TinyFixed.Alpha2 = FullFixed.Alpha2 = 0.05;
+  CraftConfig TinyLambda = TinyFixed;
+  TinyLambda.LambdaOptLevel = 2;
+  TinyLambda.LambdaOptMarginWindow = 1e300; // Every undecided query.
   CraftVerifier TinyV(model(), Tiny), FullV(model(), Full);
   CraftVerifier TinyFixedV(model(), TinyFixed), FullFixedV(model(), FullFixed);
-  size_t Stopped = 0, Capped = 0;
+  CraftVerifier TinyLambdaV(model(), TinyLambda);
+  size_t Stopped = 0, Capped = 0, LambdaStopped = 0;
   for (double Eps : {0.03, 0.1}) {
     for (const Sample &S : samples(6)) {
       uint64_t Steps = 0;
@@ -417,9 +414,17 @@ TEST(ConfigTest, Phase2BudgetBoundsIterations) {
       }
       verifyCountingSteps(FullFixedV, S, Eps, Steps);
       Capped += Steps > 2;
+
+      T = verifyCountingSteps(TinyLambdaV, S, Eps, Steps);
+      EXPECT_LE(Steps, 2u + 6u * 2u);
+      if (T.ChosenAlpha2 >= 0.0 && !T.Certified) {
+        EXPECT_EQ(Steps, 2u + 6u * 2u);
+        ++LambdaStopped;
+      }
     }
   }
   EXPECT_GT(Stopped, 0u) << "no fixed-alpha query ran into the cap";
+  EXPECT_GT(LambdaStopped, 0u) << "no lambda run ran into the cap";
   EXPECT_GT(Capped, 0u) << "no query runs past the cap uncapped";
 }
 
