@@ -20,6 +20,13 @@
 /// dimensions certify like any other instead of collapsing the volume
 /// ratio to 0/0.
 ///
+/// Unlike the paper, which verifies each region from scratch, a child
+/// region starts phase 2 from the state its parent's phase 2 ended in, at
+/// the parent's step size. Fix(X_child) is a subset of Fix(X_parent),
+/// which that state contains (Thm 3.1 / 3.3), so the start is sound; its
+/// error terms are renumbered so they stay independent of the child's
+/// input terms (core/SplitEngine.h, wave phase 2).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CRAFT_CORE_DOMAINSPLITTING_H

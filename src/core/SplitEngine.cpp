@@ -7,6 +7,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <memory>
 
 using namespace craft;
 
@@ -57,6 +58,9 @@ struct WorkItem {
   RegionPath Path = 1;
   int Depth = 0;
   Vector Lo, Hi;
+  /// The parent's phase-2 end state, shared with the sibling; null for
+  /// the root and for children of a parent that left none.
+  std::shared_ptr<const Phase2Start> Start;
 };
 
 /// Per-wave result slot, written only by the item of its index — the
@@ -65,6 +69,7 @@ struct WaveSlot {
   Vector Center;
   int ProbeClass = -1;
   bool Certified = false;
+  std::shared_ptr<const Phase2Start> End; ///< For the region's children.
 };
 
 } // namespace
@@ -90,7 +95,7 @@ SplitEngineResult craft::runSplitEngine(const MonDeq &Model,
   const auto unitsAt = [Eff](int Depth) { return 1ull << (Eff - Depth); };
 
   std::vector<WorkItem> Frontier;
-  Frontier.push_back({1, 0, Lo, Hi});
+  Frontier.push_back({1, 0, Lo, Hi, nullptr});
   std::vector<WorkItem> Next;
   std::vector<WaveSlot> Slots;
 
@@ -138,12 +143,15 @@ SplitEngineResult craft::runSplitEngine(const MonDeq &Model,
       }
     }
 
-    // Phase 2 — abstract verification (the expensive phase).
+    // Phase 2 — abstract verification (the expensive phase). A child
+    // starts from its parent's phase-2 end state (see the file comment).
     parallelForIndex(Frontier.size(), Opts.Jobs, [&](size_t I) {
+      const WorkItem &Item = Frontier[I];
       int Target = Refutation ? Opts.TargetClass : Slots[I].ProbeClass;
-      Slots[I].Certified =
-          Verifier.verifyRegion(Frontier[I].Lo, Frontier[I].Hi, Target)
-              .Certified;
+      CraftResult Res = Verifier.verifyRegion(Item.Lo, Item.Hi, Target, {},
+                                              Item.Start.get());
+      Slots[I].Certified = Res.Certified;
+      Slots[I].End = std::move(Res.Phase2End);
     });
     Result.NumVerifierCalls += Frontier.size();
 
@@ -151,6 +159,7 @@ SplitEngineResult craft::runSplitEngine(const MonDeq &Model,
     Next.clear();
     for (size_t I = 0; I < Frontier.size(); ++I) {
       WorkItem &Item = Frontier[I];
+      Item.Start.reset(); // Its wave is over; free the parent's state.
       if (Slots[I].Certified) {
         int Class = Refutation ? Opts.TargetClass : Slots[I].ProbeClass;
         Result.CertifiedUnits += unitsAt(Item.Depth);
@@ -169,10 +178,12 @@ SplitEngineResult craft::runSplitEngine(const MonDeq &Model,
                                  std::move(Item.Hi), -1});
         continue;
       }
-      WorkItem LoHalf{Item.Path << 1, Item.Depth + 1, Item.Lo, Item.Hi};
+      WorkItem LoHalf{Item.Path << 1, Item.Depth + 1, Item.Lo, Item.Hi,
+                      Slots[I].End};
       LoHalf.Hi[Dim] = Mid;
       WorkItem HiHalf{(Item.Path << 1) | 1, Item.Depth + 1,
-                      std::move(Item.Lo), std::move(Item.Hi)};
+                      std::move(Item.Lo), std::move(Item.Hi),
+                      std::move(Slots[I].End)};
       HiHalf.Lo[Dim] = Mid;
       Next.push_back(std::move(LoHalf));
       Next.push_back(std::move(HiHalf));

@@ -25,7 +25,20 @@
 ///     region. A refutation in phase 1 aborts the whole search before this
 ///     phase starts — that is the early-abort broadcast, applied at wave
 ///     granularity precisely so outcomes stay byte-identical for
-///     jobs = 1 vs N.
+///     jobs = 1 vs N. A child region starts Craft's phase 2 from its
+///     parent's Phase2End (core/Verifier.h): the last state of the
+///     parent's FB main run, at the parent's alpha, with no phase 1 and
+///     no line search. That state contains Fix(X_parent), which contains
+///     Fix(X_child) since X_child is a subset of X_parent, and FB
+///     tightening is sound for any alpha in [0,1] (Thm 3.1 / 3.3 / 5.1).
+///     Its error-term ids are renumbered 1..k, and the child mints its
+///     own above k on its thread, so no input term aliases an inherited
+///     one; results depend only on the relative order of ids, so a
+///     child's result does not depend on the thread that runs it. Both
+///     children share the parent's copy, freed after their wave. Roots,
+///     and children of a parent that left no state (no containment, width
+///     abort, Box, PR phase 2, same-iteration ablation), run Craft in
+///     full.
 ///  3. expand (sequential): uncertified regions below the depth budget are
 ///     bisected along their widest splittable dimension and their children
 ///     appended to the next frontier in path order.

@@ -13,6 +13,7 @@
 #include <deque>
 #include <iterator>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -39,19 +40,25 @@ CraftResult CraftVerifier::verifyRobustness(const Vector &X, int TargetClass,
 CraftResult
 CraftVerifier::verifyRegion(const Vector &InLo, const Vector &InHi,
                             int TargetClass,
-                            const std::function<bool()> &BeforePhase2) const {
+                            const std::function<bool()> &BeforePhase2,
+                            const Phase2Start *Start) const {
   return withDomain(Config.Domain, [&](auto Dom) {
-    return verifyImpl<decltype(Dom)>(InLo, InHi, TargetClass, BeforePhase2);
+    return verifyImpl<decltype(Dom)>(InLo, InHi, TargetClass, BeforePhase2,
+                                     Start);
   });
 }
 
 namespace {
 
 /// Iterations-to-containment distribution across every verifyRegion call
-/// in the process (the paper's Table 2 N column as a live metric).
-/// Counts regardless of whether timing is enabled.
+/// that ran phase 1 in the process (the paper's Table 2 N column as a
+/// live metric). Counts regardless of whether timing is enabled.
 const telemetry::Histogram IterationsHist =
     telemetry::histogramMetric("craft.iterations");
+/// verifyRegion calls that started phase 2 from a parent's Phase2Start
+/// (they run no phase 1, so craft.iterations leaves them out).
+const telemetry::Counter InheritedStarts =
+    telemetry::counterMetric("split.inherited_starts");
 /// Phase-2 steps per verifyRegion call: the line-search probes, the main
 /// run and the lambda runs its folds kept (0 when phase 2 did not run).
 /// Items a helped section cut past its stop do not count, so the series
@@ -129,10 +136,67 @@ template <class Dom, class... Args> auto timedConsolidate(Args &&...A) {
   return Dom::consolidate(std::forward<Args>(A)...);
 }
 
+/// Phase 1 of Algorithm 1: abstract iteration from \p S until s-step
+/// containment (Thm 3.1 / B.1), a width abort, MaxIterations or a stop.
+/// Domains with consolidation machinery (the zonotope family) consolidate
+/// every r-th iteration and remember proper states; Box remembers plain
+/// state copies every iteration — its containment check is exact and
+/// needs no order reduction. Sets Res's Containment,
+/// ContainmentIteration and TotalIterations; \p S ends as the last state.
+template <class Dom>
+void runPhase1(const CraftConfig &Config, const AbstractSolver &Solver1,
+               typename Dom::State &S, CraftResult &Res) {
+  ConsolidationBasis Basis(Solver1.stateDim(), Config.PcaRefreshEvery);
+  std::deque<typename Dom::HistoryEntry> History;
+
+  double WMul = 0.0, WAdd = 0.0;
+  if (Config.Expansion != ExpansionSchedule::None) {
+    WMul = Config.WMul;
+    WAdd = Config.WAdd;
+  }
+  [[maybe_unused]] int Consolidations = 0;
+  for (int N = 1; N <= Config.MaxIterations && !Res.Containment; ++N) {
+    if (Config.Control.stopRequested())
+      break; // Deadline/cancel: give up containment search, stay sound.
+    Res.TotalIterations = N;
+    if constexpr (Dom::HasConsolidation) {
+      if ((N - 1) % Config.ConsolidateEvery == 0) {
+        typename Dom::HistoryEntry PS =
+            timedConsolidate<Dom>(S, Basis, WMul, WAdd);
+        S = PS.Z;
+        History.push_front(std::move(PS));
+        if (History.size() > static_cast<size_t>(Config.HistorySize))
+          History.pop_back();
+        if (Config.Expansion == ExpansionSchedule::Exponential &&
+            ++Consolidations % 2 == 0) {
+          WMul *= 1.1;
+          WAdd *= 1.2;
+        }
+      }
+    } else {
+      History.push_front(S);
+      if (History.size() > static_cast<size_t>(Config.HistorySize))
+        History.pop_back();
+    }
+    S = Dom::step(Solver1, S, 1.0);
+    if (N % Config.ContainmentCheckEvery == 0) {
+      for (const typename Dom::HistoryEntry &Prev : History)
+        if (Dom::contains(Prev, S)) {
+          Res.Containment = true;
+          Res.ContainmentIteration = N;
+          break;
+        }
+    }
+    if (Dom::widthInf(S) > Config.AbortWidth)
+      break;
+  }
+}
+
 /// One phase-2 tightening run (Thm 3.3 / Thm 5.1) from the contained
-/// state, advanced in installments: it holds its state, consolidation
-/// basis, margin tracker and step index, so advancing it to N steps and
-/// then to M is the same run as advancing it to M at once. The line-search
+/// state or an inherited Phase2Start, advanced in installments: it holds
+/// its state, consolidation basis, margin tracker and step index, so
+/// advancing it to N steps and then to M is the same run as advancing it
+/// to M at once. The line-search
 /// probes, the main run (the best probe, continued) and the lambda runs
 /// are all instances. The solver is borrowed.
 template <class Dom> class Phase2Run {
@@ -169,7 +233,7 @@ public:
       }
       ++Step;
       if (Dom::widthInf(S) > Config->AbortWidth) {
-        Stopped = true;
+        Stopped = WidthAborted = true;
       } else if (UsableForCertification) {
         typename Dom::State Z = Dom::zPart(*Solver, S);
         Stopped =
@@ -182,6 +246,10 @@ public:
   const MarginTracker &tracker() const { return Track; }
   /// Steps run so far.
   int steps() const { return Step; }
+  /// The run stopped because its state grew past AbortWidth.
+  bool widthAborted() const { return WidthAborted; }
+  /// The state the run stands at.
+  typename Dom::State takeState() && { return std::move(S); }
 
 private:
   const MonDeq *Model;
@@ -194,6 +262,7 @@ private:
   MarginTracker Track;
   int Step = 0;
   bool Stopped = false;
+  bool WidthAborted = false;
 };
 
 } // namespace
@@ -202,83 +271,53 @@ template <class Dom>
 CraftResult
 CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
                           int TargetClass,
-                          const std::function<bool()> &BeforePhase2) const {
+                          const std::function<bool()> &BeforePhase2,
+                          const Phase2Start *Start) const {
   static_assert(AbstractDomain<Dom, AbstractSolver>,
                 "domain traits must satisfy the portfolio concept");
   WallTimer Timer;
   TRACE_SPAN("craft.verify");
   CraftResult Res;
-
-  CHZonotope X = CHZonotope::fromBox(InLo, InHi);
-  Vector Center = 0.5 * (InLo + InHi);
-  Vector ZStar =
-      FixpointSolver(Model, Splitting::PeacemanRachford).solve(Center).Z;
-
-  // Phase 1: abstract iteration until s-step containment (Thm 3.1 / B.1).
-  // Domains with consolidation machinery (the zonotope family) consolidate
-  // every r-th iteration and remember proper states; Box remembers plain
-  // state copies every iteration — its containment check is exact and
-  // needs no order reduction.
-  AbstractSolver Solver1(Model, Config.Phase1Method, Config.Alpha1, X);
-  typename Dom::State S = Dom::initial(Solver1, ZStar);
-  ConsolidationBasis Basis(Solver1.stateDim(), Config.PcaRefreshEvery);
-  std::deque<typename Dom::HistoryEntry> History;
-
-  double WMul = 0.0, WAdd = 0.0;
-  if (Config.Expansion != ExpansionSchedule::None) {
-    WMul = Config.WMul;
-    WAdd = Config.WAdd;
-  }
-  [[maybe_unused]] int Consolidations = 0;
-  bool Contained = false;
   uint64_t Phase2Steps = 0;
   auto finish = [&] {
     Res.TimeSeconds = Timer.seconds();
     Phase2StepsHist.observe(Phase2Steps);
   };
 
-  for (int N = 1; N <= Config.MaxIterations && !Contained; ++N) {
-    if (Config.Control.stopRequested())
-      break; // Deadline/cancel: give up containment search, stay sound.
-    Res.TotalIterations = N;
-    if constexpr (Dom::HasConsolidation) {
-      if ((N - 1) % Config.ConsolidateEvery == 0) {
-        typename Dom::HistoryEntry PS =
-            timedConsolidate<Dom>(S, Basis, WMul, WAdd);
-        S = PS.Z;
-        History.push_front(std::move(PS));
-        if (History.size() > static_cast<size_t>(Config.HistorySize))
-          History.pop_back();
-        if (Config.Expansion == ExpansionSchedule::Exponential &&
-            ++Consolidations % 2 == 0) {
-          WMul *= 1.1;
-          WAdd *= 1.2;
-        }
-      }
-    } else {
-      History.push_front(S);
-      if (History.size() > static_cast<size_t>(Config.HistorySize))
-        History.pop_back();
-    }
-    S = Dom::step(Solver1, S, 1.0);
-    if (N % Config.ContainmentCheckEvery == 0) {
-      for (const typename Dom::HistoryEntry &Prev : History)
-        if (Dom::contains(Prev, S)) {
-          Contained = true;
-          Res.ContainmentIteration = N;
-          break;
-        }
-    }
-    if (Dom::widthInf(S) > Config.AbortWidth)
-      break;
+  // PR phase 2 must keep its phase-1 alpha (preservation only holds for
+  // fixed alpha), and the same-iteration ablation certifies only from
+  // states contained in their predecessor: neither can start from a
+  // parent's state, nor leaves one.
+  const bool Phase2IsPr = Config.Phase2Method == Splitting::PeacemanRachford;
+  const bool CanInherit = Dom::HasConsolidation && !Phase2IsPr &&
+                          !Config.SameIterationContainment;
+  const bool Inherited = Start && CanInherit;
+  if (Inherited) {
+    // The inherited ids are 1..k: mint this call's above them.
+    setErrorTermIdMark(std::max<uint64_t>(errorTermIdMark(),
+                                          Start->Z.numGenerators()));
+    InheritedStarts.increment();
   }
-  IterationsHist.observe(static_cast<uint64_t>(Res.TotalIterations));
+  CHZonotope X = CHZonotope::fromBox(InLo, InHi);
 
-  Res.Containment = Contained;
-  if (!Contained) {
-    finish();
-    return Res;
+  // Phase 1, from the concrete center fixpoint; an inherited start is
+  // contained already.
+  std::optional<AbstractSolver> Solver1;
+  typename Dom::State S;
+  if (!Inherited) {
+    Vector Center = 0.5 * (InLo + InHi);
+    Vector ZStar =
+        FixpointSolver(Model, Splitting::PeacemanRachford).solve(Center).Z;
+    Solver1.emplace(Model, Config.Phase1Method, Config.Alpha1, X);
+    S = Dom::initial(*Solver1, ZStar);
+    runPhase1<Dom>(Config, *Solver1, S, Res);
+    IterationsHist.observe(static_cast<uint64_t>(Res.TotalIterations));
+    if (!Res.Containment) {
+      finish();
+      return Res;
+    }
   }
+  Res.Containment = true;
 
   const int Phase2Cap =
       std::min(Config.MaxIterations, Config.Phase2MaxIterations);
@@ -286,7 +325,7 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
     // Phase 2 on the Box domain (PR phase-1 alpha retained; Box has no
     // consolidation or lambda choices).
     MarginTracker Track(3 * Config.Phase2Window);
-    typename Dom::State Z = Dom::zPart(Solver1, S);
+    typename Dom::State Z = Dom::zPart(*Solver1, S);
     Track.update(classificationMarginsIn<Dom>(Model, Z, TargetClass),
                  Dom::hull(Z));
     const bool SkipPhase2 =
@@ -295,11 +334,11 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
     for (int Step = 0; Step < Phase2Cap && !SkipPhase2; ++Step) {
       if (Config.Control.stopRequested())
         break;
-      S = Dom::step(Solver1, S, 1.0);
+      S = Dom::step(*Solver1, S, 1.0);
       ++Phase2Steps;
       if (Dom::widthInf(S) > Config.AbortWidth)
         break;
-      typename Dom::State ZI = Dom::zPart(Solver1, S);
+      typename Dom::State ZI = Dom::zPart(*Solver1, S);
       if (Track.update(classificationMarginsIn<Dom>(Model, ZI, TargetClass),
                        Dom::hull(ZI)))
         break;
@@ -310,10 +349,13 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
     finish();
     return Res;
   } else {
-    // S provably contains the true fixpoint set. Seed the result with its
-    // margins before tightening.
-    {
-      typename Dom::State Z = Dom::zPart(Solver1, S);
+    typename Dom::State SEntry;
+    if (Inherited) {
+      SEntry = Start->Z;
+    } else {
+      // S provably contains the true fixpoint set. Seed the result with
+      // its margins before tightening.
+      typename Dom::State Z = Dom::zPart(*Solver1, S);
       MarginTracker Seed(1);
       Seed.update(classificationMarginsIn<Dom>(Model, Z, TargetClass),
                   Dom::hull(Z));
@@ -324,6 +366,7 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
         finish();
         return Res;
       }
+      SEntry = Phase2IsPr ? std::move(S) : std::move(Z);
     }
 
     if (BeforePhase2 && BeforePhase2()) {
@@ -332,10 +375,9 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
     }
 
     // Phase 2: fixpoint-set-preserving tightening (Thm 3.3 / 5.1).
-    // PR must keep its phase-1 alpha (preservation only holds for fixed
-    // alpha); FB may use any alpha in [0,1] and is line searched.
-    bool Phase2IsPr = Config.Phase2Method == Splitting::PeacemanRachford;
-    typename Dom::State SEntry = Phase2IsPr ? S : Dom::zPart(Solver1, S);
+    // PR keeps its phase-1 alpha; FB may use any alpha in [0,1]: the
+    // parent's for an inherited start, else the configured one or, by
+    // default, a line search.
     auto startRun = [&](const AbstractSolver &Solver2, double LambdaScale) {
       return Phase2Run<Dom>(Model, Config, TargetClass, Solver2, SEntry,
                             LambdaScale);
@@ -343,15 +385,16 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
 
     // The main run and the solver it uses; the lambda runs share it.
     std::unique_ptr<AbstractSolver> Solver2Storage;
-    const AbstractSolver *Solver2 = &Solver1; // PR keeps phase 1's solver.
+    const AbstractSolver *Solver2 = nullptr;
     std::optional<Phase2Run<Dom>> Main;
     if (Phase2IsPr) {
+      Solver2 = &*Solver1; // PR keeps phase 1's solver.
       Res.ChosenAlpha2 = Config.Phase1Method == Splitting::PeacemanRachford
-                             ? Solver1.alpha()
+                             ? Solver1->alpha()
                              : Config.Alpha2;
     } else {
-      Res.ChosenAlpha2 = Config.Alpha2;
-      if (Config.Alpha2 < 0.0) {
+      Res.ChosenAlpha2 = Inherited ? Start->Alpha2 : Config.Alpha2;
+      if (Res.ChosenAlpha2 < 0.0) {
         // Adaptive line search over alpha in [0, 1] (Thm 5.1): a 6-step
         // probe per candidate, folded in order. Every alpha is sound, so
         // the first probe that certifies is the phase-2 result. Otherwise
@@ -444,6 +487,18 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
             Cut = Stop;
             return Stop;
           });
+    }
+
+    // Hand the main run's last state to sub-regions, ids renumbered 1..k
+    // in column order: a pure function of the run, whatever the thread's
+    // counter stood at.
+    if (CanInherit && !Res.Certified && !Main->widthAborted()) {
+      CHZonotope End = std::move(*Main).takeState();
+      std::vector<uint64_t> Ids(End.numGenerators());
+      std::iota(Ids.begin(), Ids.end(), uint64_t(1));
+      Res.Phase2End = std::make_shared<const Phase2Start>(
+          Phase2Start{std::move(End).withTermIds(std::move(Ids)),
+                      Res.ChosenAlpha2});
     }
 
     finish();

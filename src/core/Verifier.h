@@ -33,6 +33,18 @@
 ///  states that phase 1 did not certify, and a caller hook (verifyRegion's
 ///  BeforePhase2, where the driver runs PGD's first restart) can skip it.
 ///
+///  Split children (core/SplitEngine.h) start phase 2 from their parent's
+///  state instead: no phase 1, no center fixpoint solve, no line search.
+///  The parent's final main-run z-state S over-approximates Fix(X_parent)
+///  (Thm 3.1 / 3.3), and X_child is a subset of X_parent, so
+///  Fix(X_child) is a subset of Fix(X_parent), hence of S: S is a sound
+///  phase-2 start for the child, and FB tightening with the child's
+///  input box stays sound at the parent's alpha (Thm 5.1, any alpha in
+///  [0,1]). The inherited error terms must stay independent of the
+///  child's input terms -- sharing an id would correlate them and be
+///  unsound -- so the hand-off renumbers them 1..k and the child mints
+///  its own ids above k (see Phase2Start).
+///
 ///  The line-search probes and the lambda scales are helped sections
 ///  (helpedForIndex, support/ThreadPool.h): inside a fan-out item, idle
 ///  pool threads run later probes or scales while the query folds them
@@ -52,6 +64,7 @@
 #include "support/Deadline.h"
 
 #include <functional>
+#include <memory>
 
 namespace craft {
 
@@ -124,6 +137,18 @@ struct CraftConfig {
   RunControl Control;
 };
 
+/// Where a split child's phase 2 starts: the z-state its parent's FB main
+/// run ended in, and the parent's step size. Z's error-term ids are
+/// 1..k in column order (k = Z.numGenerators()), and a verifier call
+/// starting from it mints its own ids above k on its thread, so no input
+/// term of the child aliases an inherited one on any thread. Results
+/// depend only on the relative order of ids, so a child's result is the
+/// same whichever thread runs it.
+struct Phase2Start {
+  CHZonotope Z;
+  double Alpha2 = -1.0;
+};
+
 /// Outcome of one Craft verification query.
 struct CraftResult {
   bool Containment = false; ///< An abstract post-fixpoint was found.
@@ -137,6 +162,10 @@ struct CraftResult {
   double ChosenAlpha2 = -1.0;
   IntervalVector FixpointHull; ///< Hull of the certified fixpoint set (z).
   double TimeSeconds = 0.0;
+  /// Where a sub-region's phase 2 may start: set when a zonotope-family
+  /// call ran FB phase 2 (same-iteration ablation off), did not certify,
+  /// and its main run ended below AbortWidth; null otherwise.
+  std::shared_ptr<const Phase2Start> Phase2End;
 };
 
 /// The Craft verifier bound to one model.
@@ -155,13 +184,20 @@ public:
   /// postcondition.
   ///
   /// \p BeforePhase2, when set, is called once after containment if the
-  /// phase-1 state does not certify (in every domain). Returning true
-  /// skips phase 2 and returns the phase-1 result: the driver runs PGD's
-  /// first restart here, and a counterexample makes tightening moot.
+  /// phase-1 state does not certify (in every domain), or before an
+  /// inherited phase 2. Returning true skips phase 2 and returns the
+  /// result so far: the driver runs PGD's first restart here, and a
+  /// counterexample makes tightening moot.
+  ///
+  /// \p Start, when set, must be the Phase2End of a call of this
+  /// verifier on a box containing [InLo, InHi]. Phase 2 then starts from
+  /// it: phase 1, the center solve and the line search are skipped. It is
+  /// ignored by a config that leaves no Phase2End (Box, PR phase 2, the
+  /// same-iteration ablation).
   CraftResult verifyRegion(const Vector &InLo, const Vector &InHi,
                            int TargetClass,
-                           const std::function<bool()> &BeforePhase2 = {})
-      const;
+                           const std::function<bool()> &BeforePhase2 = {},
+                           const Phase2Start *Start = nullptr) const;
 
 private:
   /// Algorithm 1, generic over the abstract domain \p Dom (one of the
@@ -169,7 +205,8 @@ private:
   template <class Dom>
   CraftResult verifyImpl(const Vector &InLo, const Vector &InHi,
                          int TargetClass,
-                         const std::function<bool()> &BeforePhase2) const;
+                         const std::function<bool()> &BeforePhase2,
+                         const Phase2Start *Start) const;
 
   const MonDeq &Model;
   CraftConfig Config;

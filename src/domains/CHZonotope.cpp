@@ -666,6 +666,11 @@ CHZonotope CHZonotope::withBoxRadius(Vector NewBox) && {
                     std::move(TermIds), std::move(NewBox));
 }
 
+CHZonotope CHZonotope::withTermIds(std::vector<uint64_t> NewIds) && {
+  return CHZonotope(std::move(Center), std::move(Generators),
+                    std::move(NewIds), std::move(BoxRadius));
+}
+
 CHZonotope CHZonotope::join(const CHZonotope &A, const CHZonotope &B) {
   assert(A.dim() == B.dim() && "join dimension mismatch");
   const size_t P = A.dim();

@@ -177,6 +177,12 @@ public:
   /// every iteration and must not copy the generator matrix to do so).
   CHZonotope withBoxRadius(Vector NewBox) &&;
 
+  /// This value with its error-term ids replaced (one per generator
+  /// column, unique; rvalue-only like withBoxRadius). A split child's
+  /// inherited phase-2 state is renumbered this way (core/Verifier.h,
+  /// Phase2Start).
+  CHZonotope withTermIds(std::vector<uint64_t> NewIds) &&;
+
   /// Sound quasi-join for the Kleene baseline (non-lattice domain, per Gange
   /// et al. 2013): averages coefficients of shared ids, drops unshared
   /// columns into a covering Box residual.

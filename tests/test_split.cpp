@@ -6,7 +6,9 @@
 //  - degenerate boxes (lo[i] == hi[i]) certify through both splitting
 //    entry points — the old volume-ratio bookkeeping computed 0/0 and
 //    could never report Certified for them;
-//  - outcomes are byte-identical for jobs = 1 vs N;
+//  - outcomes are byte-identical for jobs = 1 vs N, on fixtures whose
+//    children start phase 2 from their parent's state;
+//  - every point of a certified leaf classifies to the leaf's class;
 //  - a refutation aborts the remaining expansion deterministically;
 //  - PGD probes on undecided leaves refute genuinely false properties;
 //  - the driver surfaces counterexamples, flags spec/model mismatches as
@@ -19,6 +21,7 @@
 #include "nn/Solvers.h"
 #include "nn/Training.h"
 #include "support/Rng.h"
+#include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "tool/Driver.h"
 
@@ -135,6 +138,13 @@ void expectSameSplit(const SplitResult &A, const SplitResult &B,
   }
 }
 
+/// Verifier calls so far that started phase 2 from a parent's state.
+uint64_t inheritedStarts() {
+  static const telemetry::Counter C =
+      telemetry::counterMetric("split.inherited_starts");
+  return C.value();
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -224,36 +234,93 @@ TEST(SplitEngineTest, MeasureIgnoresDegenerateDimensions) {
 //===----------------------------------------------------------------------===//
 
 TEST(SplitDeterminismTest, BnBOutcomesAreByteIdenticalAcrossJobs) {
+  // At +-0.08 a wave-2 center refutes after the root's call; at +-0.03 a
+  // deeper center refutes, and at +-0.02 nothing does. In the last two,
+  // children start phase 2 from their parent's state.
   SplitFixture &Fix = fixture();
-  Vector Lo, Hi;
-  degenerateBox(Fix.Sample, 0.08, 4, Lo, Hi); // Wide enough to force work.
-  SplitOptions Serial;
-  Serial.MaxDepth = 5;
-  Serial.Jobs = 1;
-  BranchAndBoundResult Baseline = verifyRobustnessSplit(
-      Fix.Model, splitConfig(), Lo, Hi, Fix.SampleClass, Serial);
-  EXPECT_GT(Baseline.NumVerifierCalls + (Baseline.Refuted ? 1u : 0u), 1u)
-      << "workload too trivial to exercise the waves";
-  for (int Jobs : {2, 4, -1}) {
-    SplitOptions Parallel = Serial;
-    Parallel.Jobs = Jobs;
-    BranchAndBoundResult Res = verifyRobustnessSplit(
-        Fix.Model, splitConfig(), Lo, Hi, Fix.SampleClass, Parallel);
-    expectSameBnB(Baseline, Res,
-                  ("jobs=" + std::to_string(Jobs)).c_str());
+  const uint64_t StartsBefore = inheritedStarts();
+  for (double Eps : {0.08, 0.03, 0.02}) {
+    Vector Lo, Hi;
+    degenerateBox(Fix.Sample, Eps, 4, Lo, Hi);
+    SplitOptions Serial;
+    Serial.MaxDepth = 5;
+    Serial.Jobs = 1;
+    BranchAndBoundResult Baseline = verifyRobustnessSplit(
+        Fix.Model, splitConfig(), Lo, Hi, Fix.SampleClass, Serial);
+    EXPECT_GT(Baseline.NumVerifierCalls + (Baseline.Refuted ? 1u : 0u), 1u)
+        << "workload too trivial to exercise the waves";
+    for (int Jobs : {2, 4, -1}) {
+      SplitOptions Parallel = Serial;
+      Parallel.Jobs = Jobs;
+      BranchAndBoundResult Res = verifyRobustnessSplit(
+          Fix.Model, splitConfig(), Lo, Hi, Fix.SampleClass, Parallel);
+      expectSameBnB(Baseline, Res,
+                    ("eps=" + std::to_string(Eps) +
+                     " jobs=" + std::to_string(Jobs))
+                        .c_str());
+    }
   }
+  EXPECT_GT(inheritedStarts(), StartsBefore)
+      << "no child started from its parent's state";
 }
 
 TEST(SplitDeterminismTest, GlobalOutcomesAreByteIdenticalAcrossJobs) {
   SplitFixture &Fix = fixture();
+  const uint64_t StartsBefore = inheritedStarts();
   SplitResult Baseline =
       certifyByDomainSplitting(Fix.Model, splitConfig(), Vector(5, 0.35),
                                Vector(5, 0.65), /*MaxDepth=*/6, /*Jobs=*/1);
   EXPECT_GT(Baseline.Regions.size(), 1u);
+  EXPECT_GT(inheritedStarts(), StartsBefore)
+      << "no child started from its parent's state";
   SplitResult Par =
       certifyByDomainSplitting(Fix.Model, splitConfig(), Vector(5, 0.35),
                                Vector(5, 0.65), /*MaxDepth=*/6, /*Jobs=*/3);
   expectSameSplit(Baseline, Par, "jobs=3");
+}
+
+//===----------------------------------------------------------------------===//
+// Soundness of inherited starts
+//===----------------------------------------------------------------------===//
+
+TEST(SplitSoundnessTest, CertifiedLeavesClassifyConcretelyToTheirClass) {
+  // Children start phase 2 from their parent's end state. Every point of
+  // a certified leaf must classify to the leaf's class: its corners and
+  // seeded interior samples are checked with the concrete solver.
+  SplitFixture &Fix = fixture();
+  SplitEngineOptions Opts;
+  Opts.MaxDepth = 7;
+  Opts.Jobs = 4;
+  const uint64_t StartsBefore = inheritedStarts();
+  SplitEngineResult Run = runSplitEngine(Fix.Model, splitConfig(),
+                                         Vector(5, 0.3), Vector(5, 0.7), Opts);
+  EXPECT_GT(inheritedStarts(), StartsBefore);
+  FixpointSolver Solver(Fix.Model, Splitting::PeacemanRachford);
+  Rng R(93);
+  size_t Leaves = 0, Points = 0;
+  for (const SplitLeaf &L : Run.Leaves) {
+    if (L.CertifiedClass < 0)
+      continue;
+    ++Leaves;
+    const size_t D = L.Lo.size();
+    Vector X(D);
+    for (size_t Corner = 0; Corner < (size_t(1) << D); ++Corner) {
+      for (size_t J = 0; J < D; ++J)
+        X[J] = (Corner >> J) & 1 ? L.Hi[J] : L.Lo[J];
+      EXPECT_EQ(Solver.predict(X), L.CertifiedClass)
+          << "corner " << Corner << " of leaf " << L.Path;
+      ++Points;
+    }
+    for (int Sample = 0; Sample < 16; ++Sample) {
+      for (size_t J = 0; J < D; ++J)
+        X[J] = R.uniform(L.Lo[J], L.Hi[J]);
+      EXPECT_EQ(Solver.predict(X), L.CertifiedClass)
+          << "interior sample " << Sample << " of leaf " << L.Path;
+      ++Points;
+    }
+  }
+  EXPECT_GT(Leaves, 1u);
+  RecordProperty("checked_points", std::to_string(Points));
 }
 
 //===----------------------------------------------------------------------===//

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <optional>
 
 using namespace craft;
@@ -219,6 +220,115 @@ TEST(ConfigTest, ResultDoesNotDependOnErrorTermIdValues) {
   }
   setErrorTermIdMark(0);
   EXPECT_GT(Phase2, 0u);
+}
+
+/// The Eps-ball around \p S clamped to [0, 1], and its lower half along
+/// dimension 0: a parent region and one of its split children.
+void ballAndLowerHalf(const Sample &S, double Eps, Vector &Lo, Vector &Hi,
+                      Vector &HalfHi) {
+  Lo = Vector(S.X.size());
+  Hi = Vector(S.X.size());
+  for (size_t J = 0; J < S.X.size(); ++J) {
+    Lo[J] = std::max(S.X[J] - Eps, 0.0);
+    Hi[J] = std::min(S.X[J] + Eps, 1.0);
+  }
+  HalfHi = Hi;
+  HalfHi[0] = 0.5 * (Lo[0] + Hi[0]);
+}
+
+TEST(ConfigTest, InheritedStartDoesNotDependOnErrorTermIdValues) {
+  // A split child's phase 2 starts from its parent's Phase2End, whose
+  // error-term ids are 1..k. The child mints its own ids above k on its
+  // thread: an input id equal to an inherited one would correlate two
+  // independent terms (unsound), and the result would then depend on where
+  // the thread's counter stood.
+  CraftConfig Cfg;
+  Cfg.Alpha1 = 0.05;
+  CraftVerifier Verifier(model(), Cfg);
+  size_t Inherited = 0;
+  for (double Eps : {0.07, 0.2}) {
+    for (const Sample &S : samples(8)) {
+      Vector Lo, Hi, HalfHi;
+      ballAndLowerHalf(S, Eps, Lo, Hi, HalfHi);
+      CraftResult Parent = Verifier.verifyRegion(Lo, Hi, S.Label);
+      if (!Parent.Phase2End)
+        continue;
+      setErrorTermIdMark(0);
+      CraftResult Low = Verifier.verifyRegion(Lo, HalfHi, S.Label, {},
+                                              Parent.Phase2End.get());
+      setErrorTermIdMark(uint64_t(1) << 40);
+      CraftResult High = Verifier.verifyRegion(Lo, HalfHi, S.Label, {},
+                                               Parent.Phase2End.get());
+      SCOPED_TRACE(Eps);
+      expectSameResult(Low, High);
+      EXPECT_EQ(Low.ChosenAlpha2, Parent.ChosenAlpha2);
+      ++Inherited;
+    }
+  }
+  setErrorTermIdMark(0);
+  EXPECT_GT(Inherited, 0u);
+}
+
+TEST(ConfigTest, OnlyAnUndecidedFbPhase2LeavesAPhase2End) {
+  // FB phase 2 that does not certify hands its last state, ids 1..k, and
+  // its alpha to sub-regions; a call starting from it runs no phase 1.
+  // Box, PR phase 2 and the same-iteration ablation leave no state and
+  // ignore one.
+  const telemetry::Counter Starts =
+      telemetry::counterMetric("split.inherited_starts");
+  const telemetry::Histogram Iterations =
+      telemetry::histogramMetric("craft.iterations");
+  CraftConfig Fb;
+  Fb.Alpha1 = 0.05;
+  CraftConfig Box = Fb, Pr = Fb, SameIter = Fb;
+  Box.Domain = VerifierDomain::Box;
+  Pr.Phase2Method = Splitting::PeacemanRachford;
+  SameIter.SameIterationContainment = true;
+  CraftVerifier FbV(model(), Fb);
+  std::shared_ptr<const Phase2Start> End;
+  Vector EndLo, EndHi;
+  int EndLabel = -1;
+  for (double Eps : {0.07, 0.2}) {
+    for (const Sample &S : samples(8)) {
+      Vector Lo, Hi, HalfHi;
+      ballAndLowerHalf(S, Eps, Lo, Hi, HalfHi);
+      CraftResult Res = FbV.verifyRegion(Lo, Hi, S.Label);
+      const bool RanPhase2 = Res.ChosenAlpha2 >= 0.0;
+      EXPECT_EQ(bool(Res.Phase2End), RanPhase2 && !Res.Certified);
+      if (Res.Phase2End) {
+        EXPECT_EQ(Res.Phase2End->Alpha2, Res.ChosenAlpha2);
+        const std::vector<uint64_t> &Ids = Res.Phase2End->Z.termIds();
+        for (size_t J = 0; J < Ids.size(); ++J)
+          EXPECT_EQ(Ids[J], J + 1);
+        End = Res.Phase2End;
+        EndLo = Lo;
+        EndHi = HalfHi;
+        EndLabel = S.Label;
+      }
+      for (const CraftConfig *Other : {&Box, &Pr, &SameIter})
+        EXPECT_FALSE(CraftVerifier(model(), *Other)
+                         .verifyRegion(Lo, Hi, S.Label)
+                         .Phase2End);
+    }
+  }
+  ASSERT_TRUE(End) << "no query left a phase-2 end state";
+
+  uint64_t StartsBefore = Starts.value();
+  uint64_t IterationsBefore = Iterations.snapshot().Count;
+  CraftResult Child = FbV.verifyRegion(EndLo, EndHi, EndLabel, {}, End.get());
+  EXPECT_TRUE(Child.Containment);
+  EXPECT_EQ(Child.TotalIterations, 0);
+  EXPECT_EQ(Starts.value() - StartsBefore, 1u);
+  EXPECT_EQ(Iterations.snapshot().Count, IterationsBefore)
+      << "an inherited start runs no phase 1";
+  for (const CraftConfig *Other : {&Box, &Pr, &SameIter}) {
+    StartsBefore = Starts.value();
+    IterationsBefore = Iterations.snapshot().Count;
+    CraftVerifier(model(), *Other)
+        .verifyRegion(EndLo, EndHi, EndLabel, {}, End.get());
+    EXPECT_EQ(Starts.value(), StartsBefore);
+    EXPECT_EQ(Iterations.snapshot().Count, IterationsBefore + 1);
+  }
 }
 
 /// A query whose main phase-2 run ends uncertified within the lambda-opt
