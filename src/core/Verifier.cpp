@@ -65,6 +65,26 @@ const telemetry::Counter InheritedStarts =
 /// is the same at every worker count.
 const telemetry::Histogram Phase2StepsHist =
     telemetry::histogramMetric("craft.phase2_steps");
+/// Probes the alpha line search folded per search, the first certifying
+/// or first worse one included (folds are in order, so the series is the
+/// same at every worker count).
+const telemetry::Histogram LineSearchProbesHist =
+    telemetry::histogramMetric("craft.line_search_probes");
+
+/// Why a main phase-2 run (Box's phase-2 loop included) ended.
+enum class Phase2Stop { Certified, Stalled, Capped, WidthAbort, Stopped };
+/// One count per verifyRegion call that ran a main phase-2 run, indexed by
+/// Phase2Stop.
+const telemetry::Counter Phase2Stops[] = {
+    telemetry::counterMetric("craft.phase2_end.certified"),
+    telemetry::counterMetric("craft.phase2_end.stalled"),
+    telemetry::counterMetric("craft.phase2_end.capped"),
+    telemetry::counterMetric("craft.phase2_end.width_abort"),
+    telemetry::counterMetric("craft.phase2_end.stopped"),
+};
+void countPhase2Stop(Phase2Stop Why) {
+  Phase2Stops[static_cast<size_t>(Why)].increment();
+}
 
 /// Shared phase-2 bookkeeping: best margin, certification flag, and the
 /// no-progress abortion window of App. C.
@@ -246,8 +266,14 @@ public:
   const MarginTracker &tracker() const { return Track; }
   /// Steps run so far.
   int steps() const { return Step; }
-  /// The run stopped because its state grew past AbortWidth.
-  bool widthAborted() const { return WidthAborted; }
+  /// Why the run ended, once advanceTo(\p MaxSteps) has returned.
+  Phase2Stop stop(int MaxSteps) const {
+    if (WidthAborted)
+      return Phase2Stop::WidthAbort;
+    if (Stopped)
+      return Track.certified() ? Phase2Stop::Certified : Phase2Stop::Stalled;
+    return Step >= MaxSteps ? Phase2Stop::Capped : Phase2Stop::Stopped;
+  }
   /// The state the run stands at.
   typename Dom::State takeState() && { return std::move(S); }
 
@@ -331,18 +357,27 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
     const bool SkipPhase2 =
         !Track.certified() && BeforePhase2 && BeforePhase2();
 
+    Phase2Stop Why = Phase2Stop::Capped;
     for (int Step = 0; Step < Phase2Cap && !SkipPhase2; ++Step) {
-      if (Config.Control.stopRequested())
+      if (Config.Control.stopRequested()) {
+        Why = Phase2Stop::Stopped;
         break;
+      }
       S = Dom::step(*Solver1, S, 1.0);
       ++Phase2Steps;
-      if (Dom::widthInf(S) > Config.AbortWidth)
+      if (Dom::widthInf(S) > Config.AbortWidth) {
+        Why = Phase2Stop::WidthAbort;
         break;
+      }
       typename Dom::State ZI = Dom::zPart(*Solver1, S);
       if (Track.update(classificationMarginsIn<Dom>(Model, ZI, TargetClass),
-                       Dom::hull(ZI)))
+                       Dom::hull(ZI))) {
+        Why = Track.certified() ? Phase2Stop::Certified : Phase2Stop::Stalled;
         break;
+      }
     }
+    if (!SkipPhase2)
+      countPhase2Stop(Why);
     Res.BestMargin = Track.best();
     Res.Certified = Track.certified();
     Res.FixpointHull = Track.bestHull();
@@ -397,11 +432,15 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
       if (Res.ChosenAlpha2 < 0.0) {
         // Adaptive line search over alpha in [0, 1] (Thm 5.1): a 6-step
         // probe per candidate, folded in order. Every alpha is sound, so
-        // the first probe that certifies is the phase-2 result. Otherwise
-        // the probe with the best margin is the main run and continues
-        // where it stopped — the run a fresh start at its alpha would
-        // repeat. Idle pool threads may run later probes ahead of the
-        // fold; one past the certifying probe stops at its next step.
+        // the first probe that certifies is the phase-2 result. The fold
+        // also stops at the first probe whose best margin is below the
+        // best probe's: the margin rises with alpha to a peak and then
+        // collapses (on mnist_fc100 it peaks at 0.05 and is about twice as
+        // negative at each later candidate), so later probes never win. The best probe
+        // folded is the main run and continues where it stopped — the
+        // run a fresh start at its alpha would repeat. Idle pool threads
+        // may run later probes ahead of the fold; one past the stop stops
+        // at its next step.
         static const double Candidates[] = {0.01, 0.02, 0.03, 0.05,
                                             0.08, 0.12, 0.2,  0.35};
         struct Probe {
@@ -411,6 +450,7 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
         std::vector<Probe> Probes(std::size(Candidates));
         std::atomic<bool> Cut{false};
         double BestProbe = -1e300;
+        uint64_t Folded = 0;
         helpedWithIdRanges(
             Probes.size(),
             [&](size_t I) {
@@ -423,18 +463,23 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
             [&](size_t I) {
               Probe &P = Probes[I];
               Phase2Steps += P.Run->steps();
+              ++Folded;
+              const double Best = P.Run->tracker().best();
               const bool Certifies = P.Run->tracker().certified();
-              if (Certifies || P.Run->tracker().best() > BestProbe) {
-                BestProbe = P.Run->tracker().best();
+              const bool Worse = Best < BestProbe;
+              if (Certifies || Best > BestProbe) {
+                BestProbe = Best;
                 Main.emplace(std::move(*P.Run));
                 Solver2Storage = std::move(P.Solver);
                 Res.ChosenAlpha2 = Candidates[I];
               }
               P = Probe(); // Free it; a chosen probe has moved out.
-              const bool Stop = Certifies || Config.Control.stopRequested();
+              const bool Stop =
+                  Certifies || Worse || Config.Control.stopRequested();
               Cut = Stop;
               return Stop;
             });
+        LineSearchProbesHist.observe(Folded);
       }
       if (!Solver2Storage)
         Solver2Storage = std::make_unique<AbstractSolver>(
@@ -454,6 +499,8 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
     const int ProbeSteps = Main->steps(); // Counted with the probes.
     Main->advanceTo(Phase2Cap);
     Phase2Steps += Main->steps() - ProbeSteps;
+    const Phase2Stop MainStop = Main->stop(Phase2Cap);
+    countPhase2Stop(MainStop);
     Res.Certified = absorb(Main->tracker());
 
     // Lambda optimization (App. C): only for samples close to
@@ -492,7 +539,7 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
     // Hand the main run's last state to sub-regions, ids renumbered 1..k
     // in column order: a pure function of the run, whatever the thread's
     // counter stood at.
-    if (CanInherit && !Res.Certified && !Main->widthAborted()) {
+    if (CanInherit && !Res.Certified && MainStop != Phase2Stop::WidthAbort) {
       CHZonotope End = std::move(*Main).takeState();
       std::vector<uint64_t> Ids(End.numGenerators());
       std::iota(Ids.begin(), Ids.end(), uint64_t(1));

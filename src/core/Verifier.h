@@ -23,15 +23,20 @@
 ///  (Thm 3.3 / Thm 5.1) -- FB with a line-searched step size by default --
 ///  re-checking the postcondition each step. Every state phase 2 reaches
 ///  is sound, so when it stops moves only the margin: a run stops once
-///  3 r' steps pass without a better margin (12 by default; App. C's
-///  r' = 50 gives 150, which on the measured workloads bought no
-///  verdict). Every FB step size in [0,1] is sound, so the line search
-///  stops at its first 6-step probe that certifies; otherwise the best
-///  probe continues as the main run (the run a fresh start at its alpha
-///  would repeat). The lambda optimization for near-certified samples is
-///  off unless the config asks for it. Phase 2 runs only for contained
-///  states that phase 1 did not certify, and a caller hook (verifyRegion's
-///  BeforePhase2, where the driver runs PGD's first restart) can skip it.
+///  3 r' steps pass without a better margin. The default r' = 1 gives 3
+///  steps, one consolidation period at r = 3: the margin moves around
+///  each consolidation, no split-gmm child gained again after 3 steps
+///  without a gain, and no verdict moved on the measured workloads
+///  (App. C's r' = 50 gives 150). Every FB step size in [0,1] is sound, so the line search
+///  folds its 6-step probes in order and stops at the first that
+///  certifies, or at the first whose best margin is below the best
+///  probe's so far (the margin rises with alpha to a peak and then
+///  collapses); the best probe continues as the main run (the run a
+///  fresh start at its alpha would repeat). The lambda optimization for
+///  near-certified samples is off unless the config asks for it. Phase 2
+///  runs only for contained states that phase 1 did not certify, and a
+///  caller hook (verifyRegion's BeforePhase2, where the driver runs PGD's
+///  first restart) can skip it.
 ///
 ///  Split children (core/SplitEngine.h) start phase 2 from their parent's
 ///  state instead: no phase 1, no center fixpoint solve, no line search.
@@ -95,10 +100,12 @@ struct CraftConfig {
   int ConsolidateEvery = 3; ///< r.
   int PcaRefreshEvery = 30;
   int HistorySize = 10;
-  /// r': a phase-2 run (line-search probe, main run or lambda run) stops
-  /// after 3 r' steps without a better margin. App. C uses 50; past the
-  /// first few steps the margin rarely moves and no verdict did.
-  int Phase2Window = 4;
+  /// r': a phase-2 run (line-search probe, main run, lambda run or Box's
+  /// phase 2) stops after 3 r' steps without a better margin. The default
+  /// 3 steps is one consolidation period at r = 3; App. C uses 50. Past
+  /// the first consolidation periods the margin rarely moves, and on the
+  /// measured workloads no verdict did.
+  int Phase2Window = 1;
   /// Hard cap on the steps of the main phase-2 run and of each lambda run
   /// (<= MaxIterations), in every domain. Large conv models set this low:
   /// each abstract step is O(p^3)-expensive and the no-progress window
@@ -156,9 +163,9 @@ struct CraftResult {
   int ContainmentIteration = -1;
   int TotalIterations = 0;
   double BestMargin = -1e300; ///< Largest min-margin seen in phase 2.
-  /// Phase-2 step size (Fig. 17): with the line search, the first
-  /// candidate whose 6-step probe certifies, else the candidate with the
-  /// best probe margin; -1 when phase 2 did not run.
+  /// Phase-2 step size (Fig. 17): with the line search, the candidate
+  /// whose 6-step probe certified, else the best-margin candidate among
+  /// the probes it folded; -1 when phase 2 did not run.
   double ChosenAlpha2 = -1.0;
   IntervalVector FixpointHull; ///< Hull of the certified fixpoint set (z).
   double TimeSeconds = 0.0;

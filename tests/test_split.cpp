@@ -323,6 +323,41 @@ TEST(SplitSoundnessTest, CertifiedLeavesClassifyConcretelyToTheirClass) {
   RecordProperty("checked_points", std::to_string(Points));
 }
 
+TEST(SplitParityTest, ShortStallWindowCertifiesNoLess) {
+  // Phase 2 stops 3 steps after its last gain by default; Phase2Window = 4
+  // waits 12. The shorter window hands children an earlier state of their
+  // parent's main run, and it must not certify fewer units of the box.
+  SplitFixture &Fix = fixture();
+  SplitEngineOptions Opts;
+  Opts.MaxDepth = 7;
+  Opts.Jobs = 1;
+  CraftConfig Long = splitConfig();
+  Long.Phase2Window = 4;
+  const Vector Lo(5, 0.3), Hi(5, 0.7);
+  SplitEngineResult Short1 =
+      runSplitEngine(Fix.Model, splitConfig(), Lo, Hi, Opts);
+  SplitEngineResult Long1 = runSplitEngine(Fix.Model, Long, Lo, Hi, Opts);
+  Opts.Jobs = 4;
+  SplitEngineResult Short4 =
+      runSplitEngine(Fix.Model, splitConfig(), Lo, Hi, Opts);
+  EXPECT_GE(Short1.CertifiedUnits, Long1.CertifiedUnits);
+  EXPECT_GT(Short1.CertifiedUnits, 0u);
+  RecordProperty("certified_units", std::to_string(Short1.CertifiedUnits));
+  RecordProperty("certified_units_window4",
+                 std::to_string(Long1.CertifiedUnits));
+
+  EXPECT_EQ(Short1.CertifiedUnits, Short4.CertifiedUnits);
+  EXPECT_EQ(Short1.NumVerifierCalls, Short4.NumVerifierCalls);
+  EXPECT_EQ(Short1.NumWaves, Short4.NumWaves);
+  ASSERT_EQ(Short1.Leaves.size(), Short4.Leaves.size());
+  for (size_t I = 0; I < Short1.Leaves.size(); ++I) {
+    const SplitLeaf &A = Short1.Leaves[I], &B = Short4.Leaves[I];
+    EXPECT_EQ(A.Path, B.Path) << "#" << I;
+    EXPECT_EQ(A.CertifiedClass, B.CertifiedClass) << "#" << I;
+    EXPECT_TRUE(sameVector(A.Lo, B.Lo) && sameVector(A.Hi, B.Hi)) << "#" << I;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Early abort on refutation
 //===----------------------------------------------------------------------===//

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -132,12 +134,14 @@ bool sameBytes(const Vector &A, const Vector &B) {
           std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0);
 }
 
+/// The line search's candidates, in fold order.
+constexpr double Candidates[] = {0.01, 0.02, 0.03, 0.05,
+                                 0.08, 0.12, 0.2,  0.35};
+
 TEST(ConfigTest, LineSearchIsTheFirstCertifyingProbeContinued) {
   // For every query that reaches containment, the line-searched result is
   // a fixed-alpha run at the alpha it chose: same verdict, byte-identical
   // margin and hull. No earlier candidate certifies in a 6-step run.
-  static const double Candidates[] = {0.01, 0.02, 0.03, 0.05,
-                                      0.08, 0.12, 0.2,  0.35};
   CraftConfig Search;
   Search.Alpha1 = 0.05;
   CraftVerifier SearchV(model(), Search);
@@ -481,13 +485,69 @@ CraftResult verifyCountingSteps(const CraftVerifier &V, const Sample &S,
   return Res;
 }
 
+/// One line-search probe run on its own: a fixed-alpha run capped at 6
+/// steps is byte-identical to the probe at that alpha. Margin is the
+/// larger of the probe's best and the contained state's margin.
+struct ProbeRun {
+  bool Certified = false;
+  double Margin = -1e300;
+  uint64_t Steps = 0;
+};
+
+/// The probe of every candidate for the Eps-ball around \p S under
+/// \p Search, and in \p Seed the contained state's margin (the result of
+/// a run with no phase-2 steps).
+std::vector<ProbeRun> probeSweep(const CraftConfig &Search, const Sample &S,
+                                 double Eps, double &Seed) {
+  CraftConfig Probe = Search;
+  Probe.Phase2MaxIterations = 0;
+  Probe.Alpha2 = Candidates[0];
+  Seed = CraftVerifier(model(), Probe)
+             .verifyRobustness(S.X, S.Label, Eps)
+             .BestMargin;
+  Probe.Phase2MaxIterations = 6;
+  std::vector<ProbeRun> Sweep;
+  for (double Cand : Candidates) {
+    Probe.Alpha2 = Cand;
+    ProbeRun Run;
+    CraftResult R =
+        verifyCountingSteps(CraftVerifier(model(), Probe), S, Eps, Run.Steps);
+    Run.Certified = R.Certified;
+    Run.Margin = R.BestMargin;
+    Sweep.push_back(Run);
+  }
+  return Sweep;
+}
+
+/// Probes the line search folds: those up to and including the first that
+/// certifies or the first whose margin is below the best before it.
+size_t foldedProbes(const std::vector<ProbeRun> &Sweep) {
+  double Best = -1e300;
+  for (size_t I = 0; I < Sweep.size(); ++I) {
+    if (Sweep[I].Certified || Sweep[I].Margin < Best)
+      return I + 1;
+    Best = std::max(Best, Sweep[I].Margin);
+  }
+  return Sweep.size();
+}
+
+/// Whether \p P's margin is the probe's own best. One at or below the
+/// contained state's margin \p Seed shows only that the probe's best is no
+/// higher; that still places it below every resolved probe.
+bool resolved(const ProbeRun &P, double Seed) {
+  return P.Certified || P.Margin > Seed;
+}
+
 TEST(ConfigTest, Phase2BudgetBoundsIterations) {
   // A tiny phase-2 budget must still be sound (possibly less precise), and
-  // it bounds the steps. The line search's eight 6-step probes run in
-  // full unless one certifies, and the main run continuing the best one
-  // adds none past the cap; with a fixed alpha the main run is all of
-  // phase 2, and it stops at the cap unless it certifies first. Each of
-  // the six lambda runs stops at the cap too.
+  // it bounds the steps. The line search folds its probes in order, up to
+  // and including the first that certifies or the first whose margin is
+  // below the best before it, each at most 6 steps; the main run
+  // continuing the best one adds none past the cap. With a fixed alpha
+  // the main run is all of phase 2, and it stops at the cap unless it
+  // certifies first. Each of the six lambda runs stops at the cap too.
+  const telemetry::Histogram ProbesHist =
+      telemetry::histogramMetric("craft.line_search_probes");
   CraftConfig Tiny, Full;
   Tiny.Alpha1 = Full.Alpha1 = 0.05;
   Tiny.Phase2MaxIterations = 2;
@@ -501,19 +561,38 @@ TEST(ConfigTest, Phase2BudgetBoundsIterations) {
   CraftVerifier TinyV(model(), Tiny), FullV(model(), Full);
   CraftVerifier TinyFixedV(model(), TinyFixed), FullFixedV(model(), FullFixed);
   CraftVerifier TinyLambdaV(model(), TinyLambda);
-  size_t Stopped = 0, Capped = 0, LambdaStopped = 0;
+  size_t Searched = 0, CutShort = 0, Stopped = 0, Capped = 0,
+         LambdaStopped = 0;
   for (double Eps : {0.03, 0.1}) {
     for (const Sample &S : samples(6)) {
       uint64_t Steps = 0;
+      const telemetry::HistogramSnapshot ProbesBefore = ProbesHist.snapshot();
       CraftResult T = verifyCountingSteps(TinyV, S, Eps, Steps);
+      const telemetry::HistogramSnapshot Probes =
+          telemetry::diffSnapshots(ProbesBefore, ProbesHist.snapshot());
       CraftResult F = FullV.verifyRobustness(S.X, S.Label, Eps);
       if (T.Containment && F.Containment) {
         EXPECT_LE(T.BestMargin, F.BestMargin + 1e-7)
             << "more tightening cannot hurt the margin";
       }
       EXPECT_LE(Steps, 8u * 6u);
-      if (T.ChosenAlpha2 >= 0.0 && !T.Certified) {
-        EXPECT_EQ(Steps, 8u * 6u);
+      if (T.ChosenAlpha2 >= 0.0) {
+        double Seed = 0.0;
+        const std::vector<ProbeRun> Sweep = probeSweep(Tiny, S, Eps, Seed);
+        const size_t Folded = foldedProbes(Sweep);
+        uint64_t ProbeSteps = 0;
+        for (size_t I = 0; I < Folded; ++I) {
+          EXPECT_TRUE(resolved(Sweep[I], Seed)) << Eps << " probe " << I;
+          EXPECT_LE(Sweep[I].Steps, 6u);
+          ProbeSteps += Sweep[I].Steps;
+        }
+        EXPECT_EQ(Steps, ProbeSteps) << Eps;
+        EXPECT_EQ(Probes.Count, 1u) << "one observation per search";
+        EXPECT_EQ(Probes.Sum, Folded) << Eps;
+        ++Searched;
+        CutShort += Folded < Sweep.size() && !Sweep[Folded - 1].Certified;
+      } else {
+        EXPECT_EQ(Probes.Count, 0u) << "no phase 2, no search";
       }
 
       T = verifyCountingSteps(TinyFixedV, S, Eps, Steps);
@@ -533,9 +612,126 @@ TEST(ConfigTest, Phase2BudgetBoundsIterations) {
       }
     }
   }
+  EXPECT_GT(Searched, 0u) << "no query ran the line search";
+  EXPECT_GT(CutShort, 0u) << "no search stopped at a worse probe";
   EXPECT_GT(Stopped, 0u) << "no fixed-alpha query ran into the cap";
   EXPECT_GT(LambdaStopped, 0u) << "no lambda run ran into the cap";
   EXPECT_GT(Capped, 0u) << "no query runs past the cap uncapped";
+}
+
+TEST(ConfigTest, LineSearchStopMatchesTheFullSweep) {
+  // The line search stops at its first worse probe. The full sweep over
+  // all eight candidates (the first that certifies, else the first with
+  // the best margin) may choose another alpha past that stop, but the
+  // verdict must be the same.
+  CraftConfig Search;
+  Search.Alpha1 = 0.05;
+  CraftVerifier SearchV(model(), Search);
+  size_t Searched = 0, OtherAlpha = 0;
+  for (double Eps : {0.03, 0.07, 0.1}) {
+    for (const Sample &S : samples(12)) {
+      CraftResult Got = SearchV.verifyRobustness(S.X, S.Label, Eps);
+      if (Got.ChosenAlpha2 < 0.0)
+        continue;
+      ++Searched;
+      double Seed = 0.0;
+      const std::vector<ProbeRun> Sweep = probeSweep(Search, S, Eps, Seed);
+      size_t Choice = 0;
+      for (size_t I = 0; I < Sweep.size(); ++I) {
+        if (Sweep[I].Certified) {
+          Choice = I;
+          break;
+        }
+        if (Sweep[I].Margin > Sweep[Choice].Margin)
+          Choice = I;
+      }
+      EXPECT_TRUE(resolved(Sweep[Choice], Seed)) << Eps;
+      CraftConfig Fixed = Search;
+      Fixed.Alpha2 = Candidates[Choice];
+      CraftResult Want =
+          CraftVerifier(model(), Fixed).verifyRobustness(S.X, S.Label, Eps);
+      EXPECT_EQ(Got.Certified, Want.Certified)
+          << "eps " << Eps << ": alpha " << Got.ChosenAlpha2 << " vs "
+          << Candidates[Choice];
+      OtherAlpha += Got.ChosenAlpha2 != Candidates[Choice];
+    }
+  }
+  EXPECT_GT(Searched, 0u);
+  RecordProperty("searched", std::to_string(Searched));
+  RecordProperty("other_alpha", std::to_string(OtherAlpha));
+  std::printf("line search: %zu searched, %zu chose another alpha than "
+              "the full sweep\n",
+              Searched, OtherAlpha);
+}
+
+TEST(ConfigTest, Phase2EndCountsWhyTheMainRunStopped) {
+  // A call that runs a main phase-2 run counts one craft.phase2_end.*
+  // reason, and a call that runs no phase 2 counts none. A fixed-alpha
+  // run capped at 2 steps ends capped unless it certifies; uncapped, it
+  // ends certified or stalled; cancelled before its first step, stopped.
+  const telemetry::Counter Ends[] = {
+      telemetry::counterMetric("craft.phase2_end.certified"),
+      telemetry::counterMetric("craft.phase2_end.stalled"),
+      telemetry::counterMetric("craft.phase2_end.capped"),
+      telemetry::counterMetric("craft.phase2_end.width_abort"),
+      telemetry::counterMetric("craft.phase2_end.stopped"),
+  };
+  enum { Certified, Stalled, Capped, WidthAbort, Stopped, NumEnds };
+  auto endsOf = [&](const auto &Fn) {
+    uint64_t Delta[NumEnds];
+    for (int I = 0; I < NumEnds; ++I)
+      Delta[I] = Ends[I].value();
+    Fn();
+    std::vector<uint64_t> Out(NumEnds);
+    for (int I = 0; I < NumEnds; ++I)
+      Out[I] = Ends[I].value() - Delta[I];
+    return Out;
+  };
+  CraftConfig Capped2, Uncapped, Cancelled;
+  Capped2.Alpha1 = Uncapped.Alpha1 = Cancelled.Alpha1 = 0.05;
+  Capped2.Alpha2 = Uncapped.Alpha2 = Cancelled.Alpha2 = 0.05;
+  Capped2.Phase2MaxIterations = 2;
+  size_t Runs = 0, SawStalled = 0;
+  for (double Eps : {0.03, 0.1}) {
+    for (const Sample &S : samples(6)) {
+      CraftResult R;
+      std::vector<uint64_t> D = endsOf([&] {
+        R = CraftVerifier(model(), Capped2).verifyRobustness(S.X, S.Label, Eps);
+      });
+      const bool RanPhase2 = R.ChosenAlpha2 >= 0.0;
+      std::vector<uint64_t> Want(NumEnds);
+      if (RanPhase2)
+        ++Want[R.Certified ? Certified : Capped];
+      EXPECT_EQ(D, Want) << Eps;
+
+      D = endsOf([&] {
+        R = CraftVerifier(model(), Uncapped)
+                .verifyRobustness(S.X, S.Label, Eps);
+      });
+      EXPECT_EQ(D[Certified] + D[Stalled], RanPhase2 ? 1u : 0u) << Eps;
+      EXPECT_EQ(D[Certified], RanPhase2 && R.Certified ? 1u : 0u) << Eps;
+      SawStalled += D[Stalled];
+
+      Vector Lo, Hi, HalfHi;
+      ballAndLowerHalf(S, Eps, Lo, Hi, HalfHi);
+      CancelToken Token;
+      Cancelled.Control.Cancel = &Token;
+      D = endsOf([&] {
+        R = CraftVerifier(model(), Cancelled)
+                .verifyRegion(Lo, Hi, S.Label, [&] {
+                  Token.cancel();
+                  return false;
+                });
+      });
+      std::fill(Want.begin(), Want.end(), 0);
+      if (RanPhase2)
+        ++Want[Stopped];
+      EXPECT_EQ(D, Want) << Eps;
+      Runs += RanPhase2;
+    }
+  }
+  EXPECT_GT(Runs, 0u);
+  EXPECT_GT(SawStalled, 0u);
 }
 
 TEST(ConfigTest, BoxPhase2HonoursItsCap) {
@@ -565,7 +761,7 @@ TEST(ConfigTest, BoxPhase2HonoursItsCap) {
 }
 
 TEST(ConfigTest, DefaultPhase2KeepsAppCVerdicts) {
-  // The engine's defaults (a 12-step stall window, no lambda optimization)
+  // The engine's defaults (a 3-step stall window, no lambda optimization)
   // stop phase 2 far earlier than App. C (150 steps, full lambda
   // optimization), and must reach the same verdict on every query.
   CraftConfig Engine, AppC;
