@@ -49,9 +49,9 @@ struct RobustnessCertificate {
   /// The verified query: box precondition and target class.
   Vector InLo, InHi;
   int TargetClass = 0;
-  /// Zonotope-family domain the checker replays the recipe in (the
-  /// certifying cascade rung). Box never appears: the witness machinery
-  /// is zonotope-based, so Box certifications re-prove in CH-Zonotope.
+  /// Zonotope-family domain the checker replays the recipe in (the spec's
+  /// domain). Box never appears: the witness machinery is zonotope-based,
+  /// so Box certifications re-prove in CH-Zonotope.
   VerifierDomain Domain = VerifierDomain::CHZono;
 
   /// Phase-1 witness: ContainSteps applications of (Phase1Method, Alpha1)

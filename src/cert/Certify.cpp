@@ -21,7 +21,7 @@ std::optional<CHZonotope> findContainedState(const MonDeq &Model,
                                              const Vector &ZStar) {
   AbstractSolver Solver1(Model, Config.Phase1Method, Config.Alpha1, X);
   CHZonotope S = Solver1.initialState(ZStar);
-  ConsolidationBasis Basis(Solver1.stateDim(), Config.PcaRefreshEvery);
+  ConsolidationBasis Basis(Solver1.stateDim(), PcaRefreshEvery);
   std::deque<ProperState> History;
   double WMul = Config.Expansion != ExpansionSchedule::None ? Config.WMul
                                                             : 0.0;
@@ -35,7 +35,7 @@ std::optional<CHZonotope> findContainedState(const MonDeq &Model,
       ProperState PS = consolidateProper(S, Basis, WMul, WAdd);
       S = PS.Z;
       History.push_front(std::move(PS));
-      if (History.size() > static_cast<size_t>(Config.HistorySize))
+      if (History.size() > static_cast<size_t>(HistorySize))
         History.pop_back();
       if (Config.Expansion == ExpansionSchedule::Exponential &&
           ++Consolidations % 2 == 0) {
@@ -73,7 +73,7 @@ craft::certifyRegion(const MonDeq &Model, const Vector &InLo,
   // expansion so the witness has slack to re-contract into) and find a
   // small step count whose image the checker will accept.
   AbstractSolver Solver1(Model, Config.Phase1Method, Config.Alpha1, X);
-  ConsolidationBasis Basis(Solver1.stateDim(), Config.PcaRefreshEvery);
+  ConsolidationBasis Basis(Solver1.stateDim(), PcaRefreshEvery);
   ProperState Witness = consolidateProper(
       *Contained, Basis, std::max(Config.WMul, 1e-3),
       std::max(Config.WAdd, 1e-3));

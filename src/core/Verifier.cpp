@@ -166,7 +166,7 @@ template <class Dom, class... Args> auto timedConsolidate(Args &&...A) {
 template <class Dom>
 void runPhase1(const CraftConfig &Config, const AbstractSolver &Solver1,
                typename Dom::State &S, CraftResult &Res) {
-  ConsolidationBasis Basis(Solver1.stateDim(), Config.PcaRefreshEvery);
+  ConsolidationBasis Basis(Solver1.stateDim(), PcaRefreshEvery);
   std::deque<typename Dom::HistoryEntry> History;
 
   double WMul = 0.0, WAdd = 0.0;
@@ -185,7 +185,7 @@ void runPhase1(const CraftConfig &Config, const AbstractSolver &Solver1,
             timedConsolidate<Dom>(S, Basis, WMul, WAdd);
         S = PS.Z;
         History.push_front(std::move(PS));
-        if (History.size() > static_cast<size_t>(Config.HistorySize))
+        if (History.size() > static_cast<size_t>(HistorySize))
           History.pop_back();
         if (Config.Expansion == ExpansionSchedule::Exponential &&
             ++Consolidations % 2 == 0) {
@@ -195,7 +195,7 @@ void runPhase1(const CraftConfig &Config, const AbstractSolver &Solver1,
       }
     } else {
       History.push_front(S);
-      if (History.size() > static_cast<size_t>(Config.HistorySize))
+      if (History.size() > static_cast<size_t>(HistorySize))
         History.pop_back();
     }
     S = Dom::step(Solver1, S, 1.0);
@@ -226,7 +226,7 @@ public:
             double LambdaScale)
       : Model(&Model), Config(&Config), TargetClass(TargetClass),
         Solver(&Solver), S(std::move(Entry)), LambdaScale(LambdaScale),
-        Basis(Solver.stateDim(), Config.PcaRefreshEvery),
+        Basis(Solver.stateDim(), PcaRefreshEvery),
         Track(3 * Config.Phase2Window) {}
 
   /// Steps until \p MaxSteps steps have run in total, the run has stopped
@@ -506,7 +506,7 @@ CraftVerifier::verifyImpl(const Vector &InLo, const Vector &InHi,
     // Lambda optimization (App. C): only for samples close to
     // certification.
     if (!Res.Certified && Config.LambdaOptLevel > 0 &&
-        Res.BestMargin > -Config.LambdaOptMarginWindow) {
+        Res.BestMargin > -LambdaOptMarginWindow) {
       std::vector<double> Scales =
           Config.LambdaOptLevel >= 2
               ? std::vector<double>{0.8, 0.9, 0.95, 1.05, 1.1, 1.25}

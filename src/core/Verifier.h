@@ -81,6 +81,14 @@ enum class ExpansionSchedule {
                ///< consolidation (CIFAR configs).
 };
 
+/// Phase-1 consolidations between PCA basis refreshes (App. C).
+constexpr int PcaRefreshEvery = 30;
+/// Consolidated states phase 1 keeps for its s-step containment check.
+constexpr int HistorySize = 10;
+/// Lambda optimization engages only when the best margin is this close to
+/// certification (absolute logit-margin units).
+constexpr double LambdaOptMarginWindow = 1.0;
+
 /// All Craft knobs. The defaults are the engine's: Table 7's schedule for
 /// the small MNIST models, with a short phase-2 stall window and no lambda
 /// optimization. Paper reproduction pins App. C's r' and lambda level per
@@ -98,8 +106,6 @@ struct CraftConfig {
 
   int MaxIterations = 500;  ///< n_max.
   int ConsolidateEvery = 3; ///< r.
-  int PcaRefreshEvery = 30;
-  int HistorySize = 10;
   /// r': a phase-2 run (line-search probe, main run, lambda run or Box's
   /// phase 2) stops after 3 r' steps without a better margin. The default
   /// 3 steps is one consolidation period at r = 3; App. C uses 50. Past
@@ -129,9 +135,6 @@ struct CraftConfig {
   /// Off by default: on the measured query sets it certified nothing the
   /// main run did not.
   int LambdaOptLevel = 0;
-  /// Engage lambda optimization only when the best margin is this close to
-  /// certification (absolute logit-margin units).
-  double LambdaOptMarginWindow = 1.0;
 
   double AbortWidth = 1e9; ///< Width blow-up abort (App. C).
   /// Clamp robustness balls to this input range (images live in [0,1]).

@@ -14,7 +14,8 @@
 /// step, z-part extraction, consolidation, containment, join, widening,
 /// concretize-to-box, width, and margin lower bounds.
 ///
-/// Three domains form the portfolio, ordered cheap-to-precise:
+/// Three domains form the portfolio. CH-Zonotope is the verifier's domain;
+/// Box and Zono are the paper's ablations, selected with `domain`:
 ///
 ///  - \ref BoxDomain     — interval vectors (the paper's "No Zono
 ///                         component" ablation, Table 4). O(p^2) per step.
@@ -43,17 +44,17 @@
 
 namespace craft {
 
-/// Abstract domain selector (Table 1 / Fig. 13 comparisons and the cascade
-/// rungs). CHZono and Box keep their historic enum values; Zono replaces
-/// the old `UseBoxComponent = false` ablation flag.
+/// Abstract domain selector (Table 1 / Fig. 13 comparisons and the Table 4
+/// ablations). CHZono and Box keep their historic enum values; Zono
+/// replaces the old `UseBoxComponent = false` ablation flag.
 enum class VerifierDomain {
   CHZono, ///< CH-Zonotope (the paper's domain).
   Box,    ///< Interval domain ("No Zono component" ablation).
   Zono,   ///< Classic Zonotope ("No Box component" ablation).
 };
 
-/// Canonical lowercase spelling used by the spec `domain` directive, the
-/// cascade policy, SpecCanon keys, and telemetry series names.
+/// Canonical lowercase spelling used by the spec `domain` directive,
+/// SpecCanon keys, and telemetry series names.
 inline const char *verifierDomainName(VerifierDomain D) {
   switch (D) {
   case VerifierDomain::CHZono:
@@ -82,21 +83,6 @@ inline std::optional<VerifierDomain> parseVerifierDomain(std::string_view S) {
 /// toggled). Box never reaches the CH-Zonotope ReLU.
 constexpr bool absorbBoxFor(VerifierDomain D) {
   return D != VerifierDomain::Zono;
-}
-
-/// Cost/precision rank inside the portfolio: cheaper (and no more precise)
-/// domains rank lower. The cascade only inserts rungs of strictly lower
-/// rank than the final domain.
-constexpr int domainRank(VerifierDomain D) {
-  switch (D) {
-  case VerifierDomain::Box:
-    return 0;
-  case VerifierDomain::Zono:
-    return 1;
-  case VerifierDomain::CHZono:
-    return 2;
-  }
-  return 2;
 }
 
 //===----------------------------------------------------------------------===//

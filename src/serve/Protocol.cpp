@@ -573,13 +573,6 @@ Value serve::encodeResult(const WireResult &Result) {
   V.set("attack_seed", Value::string(std::to_string(Out.AttackSeed)));
   V.set("detail", Value::string(Out.Detail));
   V.set("cached", Value::boolean(Result.Cached));
-  // Cascade attribution, present only when a cascade walk actually ran —
-  // single-rung envelopes stay byte-identical to earlier releases.
-  if (!Out.CascadeRung.empty() || Out.CascadeEscalations > 0) {
-    V.set("cascade_rung", Value::string(Out.CascadeRung));
-    V.set("cascade_escalations",
-          Value::number(static_cast<double>(Out.CascadeEscalations)));
-  }
   if (Out.Phases.Populated) {
     // Optional phase breakdown (absent when the server runs with
     // CRAFT_TELEMETRY=0). Appended after the long-standing fields so
@@ -587,8 +580,7 @@ Value serve::encodeResult(const WireResult &Result) {
     const PhaseBreakdown &Ph = Out.Phases;
     Value T = Value::object();
     for (const PhaseRow &Row : PhaseRows)
-      if (Row.carried(Ph))
-        T.set(Row.Key, Value::number(Ph.*Row.Ms));
+      T.set(Row.Key, Value::number(Ph.*Row.Ms));
     T.set(SolverIterationsKey,
           Value::number(static_cast<double>(Ph.SolverIterations)));
     V.set("timings", std::move(T));
@@ -630,10 +622,6 @@ serve::decodeResult(const Value &V) {
   R.Outcome.AttackSeed = S;
   R.Outcome.Detail = V.stringOr("detail", "");
   R.Cached = V.boolOr("cached", false);
-  R.Outcome.CascadeRung = V.stringOr("cascade_rung", "");
-  if (!readBelow(V, "cascade_escalations", 0x1p31,
-                 R.Outcome.CascadeEscalations))
-    return std::nullopt;
   if (const Value *T = V.find("timings")) {
     if (!T->isObject())
       return std::nullopt;

@@ -35,9 +35,9 @@
 ///       "attack_seed" (decimal string: uint64 exceeds double),
 ///       "detail", "cached",
 ///       "timings" (optional: the PhaseBreakdown, one number per
-///        PhaseRows row of tool/Driver.h in that order — rung_*_ms only
-///        when non-zero — then "solver_iterations"; absent when the
-///        server runs with CRAFT_TELEMETRY=0)}
+///        PhaseRows row of tool/Driver.h in that order, then
+///        "solver_iterations"; absent when the server runs with
+///        CRAFT_TELEMETRY=0)}
 ///
 /// Encoding and decoding live here so the server, the client library, and
 /// the tests round-trip through exactly one implementation.
@@ -154,7 +154,7 @@ struct WireResult {
 /// RunOutcome <-> JSON result object. Lossless for every field:
 /// doubles travel as %.17g, the uint64 attack seed as a decimal string.
 /// decodeResult rejects (nullopt) a negative, non-finite or out-of-range
-/// timing, solver_iterations or cascade_escalations.
+/// timing or solver_iterations.
 json::Value encodeResult(const WireResult &Result);
 std::optional<WireResult> decodeResult(const json::Value &V);
 

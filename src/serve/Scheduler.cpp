@@ -126,18 +126,10 @@ std::future<ServeResult> Scheduler::submit(const VerificationSpec &Spec,
   // certificate queries always execute (no memoized outcome could redo
   // the write) and never populate the cache.
   const bool Cacheable = UseCache && Spec.CertificatePath.empty();
-  // Server-default cascade: a craft query whose spec leaves `cascade`
-  // unset adopts the daemon's policy here, BEFORE the cache key is
-  // built, so the normalized query and an explicit twin share one cache
-  // entry (and a cached single-rung verdict never answers a cascade
-  // request, or vice versa).
-  VerificationSpec Prepared = Spec;
-  if (Prepared.Verifier == SpecVerifier::Craft &&
-      Prepared.Cascade.Mode == CascadeMode::Unset)
-    Prepared.Cascade = Opts.DefaultCascade;
-  std::string Key = serveCacheKey(Prepared, Model.Hash);
+  std::string Key = serveCacheKey(Spec, Model.Hash);
 
   // 3. Deterministic attack seed, derived from the query's content alone.
+  VerificationSpec Prepared = Spec;
   if (Prepared.Attack && Prepared.AttackSeed == 0)
     Prepared.AttackSeed = serveAttackSeed(Opts.BaseSeed, Key);
 

@@ -90,12 +90,6 @@ public:
     /// ResultCache sizing.
     size_t CacheCapacity = 4096;
     size_t CacheShards = 8;
-    /// Server-default cascade policy, adopted by craft-engine queries
-    /// whose spec leaves `cascade` unset (an explicit `cascade off`
-    /// sticks). Applied during admission BEFORE the cache key is built,
-    /// so a normalized query and its explicit twin share one cache
-    /// entry. Unset = no default (historic single-rung behavior).
-    CascadePolicy DefaultCascade;
   };
 
   /// Pipeline counters, as a snapshot since this scheduler's construction.

@@ -13,7 +13,6 @@
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <optional>
@@ -26,7 +25,7 @@ CraftConfig configFor(const VerificationSpec &Spec) {
   CraftConfig Cfg;
   // The `box` engine keyword predates the pluggable-domain portfolio and
   // is kept as shorthand for craft-on-intervals; otherwise the spec's
-  // `domain` directive picks the rung the engine runs in.
+  // `domain` directive picks the domain the engine runs in.
   if (Spec.Verifier == SpecVerifier::Box)
     Cfg.Domain = VerifierDomain::Box;
   else
@@ -44,47 +43,10 @@ CraftConfig configFor(const VerificationSpec &Spec) {
   return Cfg;
 }
 
-// Cascade telemetry, resolved once at namespace scope per the
-// Telemetry.h hot-path contract. The rung_certified counters only tick
-// for cascade walks — a single-rung run is the historic direct path, not
-// a cascade hit — and count queries, not rungs.
-const telemetry::Counter CascadeEscalated =
-    telemetry::counterMetric("cascade.escalations");
-const telemetry::Counter CascadeCertifiedBox =
-    telemetry::counterMetric("cascade.rung_certified.box");
-const telemetry::Counter CascadeCertifiedZono =
-    telemetry::counterMetric("cascade.rung_certified.zono");
-const telemetry::Counter CascadeCertifiedChzono =
-    telemetry::counterMetric("cascade.rung_certified.chzono");
-const telemetry::Counter CascadeCertifiedSplit =
-    telemetry::counterMetric("cascade.rung_certified.split");
-
-const telemetry::Counter &rungCertifiedCounter(VerifierDomain D) {
-  switch (D) {
-  case VerifierDomain::Box:
-    return CascadeCertifiedBox;
-  case VerifierDomain::Zono:
-    return CascadeCertifiedZono;
-  case VerifierDomain::CHZono:
-    break;
-  }
-  return CascadeCertifiedChzono;
-}
-
 /// Milliseconds this thread spent in \p P since \p Before was taken.
 double msSince(const telemetry::PhaseTotals &Before, telemetry::Phase P) {
   return static_cast<double>(telemetry::phaseTotals().of(P) - Before.of(P)) /
          1e6;
-}
-
-/// Adds the Solver time since \p Before to the cascade rung slice of \p D,
-/// less the PGD restart the rung ran inside it (pgd_ms owns that time).
-void addRungMs(PhaseBreakdown &Phases, VerifierDomain D,
-               const telemetry::PhaseTotals &Before) {
-  for (const PhaseRow &Row : PhaseRows)
-    if (Row.Rung == D)
-      Phases.*Row.Ms += msSince(Before, telemetry::Phase::Solver) -
-                        msSince(Before, telemetry::Phase::Pgd);
 }
 
 /// Runs \p Spec against an already-loaded model. The model is shared and
@@ -193,90 +155,22 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
   switch (Spec.Verifier) {
   case SpecVerifier::Craft:
   case SpecVerifier::Box: {
-    // Cheap-first cascade walk. resolve() returns the rung ladder ending
-    // in the spec's own domain — a single rung (the historic direct run)
-    // when the cascade is off. The craft engine only ever certifies or
-    // stays undecided, never refutes, so a rung can end the walk early
-    // only by certifying — or when PGD's first restart, run inside it,
-    // refutes the query. Anything else escalates, and the final rung
-    // (then the split engine, when split-depth engages it) is exactly the
-    // direct run — cascade verdicts match direct verdicts by
-    // construction.
-    const std::vector<VerifierDomain> Rungs =
-        Spec.Cascade.resolve(Cfg.Domain, Model.latentDim());
-    const bool Cascading = Rungs.size() > 1;
-    const bool SplitRung = Spec.SplitDepth > 0;
-
-    bool WalkCertified = false;
-    std::optional<VerifierDomain> RefutedAt;
-    bool LastContainment = false;
-    double WalkMargin = -1e300;
-    // A direct split run (cascade off) skips the whole-box probe and goes
-    // straight to the split engine, as it always has.
-    if (!SplitRung || Cascading) {
-      for (size_t R = 0; R < Rungs.size(); ++R) {
-        if (R > 0 && Control.stopRequested())
-          break; // Budget gone: a costlier rung would be cut short too.
-        CraftConfig RungCfg = Cfg;
-        RungCfg.Domain = Rungs[R];
-        const telemetry::PhaseTotals RungBefore = telemetry::phaseTotals();
-        CraftVerifier Ver(Model, RungCfg);
-        CraftResult Res = [&] {
-          telemetry::PhaseTimer SolverPhase(telemetry::Phase::Solver);
-          return Ver.verifyRegion(Spec.InLo, Spec.InHi, Spec.TargetClass,
-                                  BeforePhase2);
-        }();
-        SolverIterations += static_cast<uint64_t>(Res.TotalIterations);
-        if (Timing && Cascading)
-          addRungMs(Out.Phases, Rungs[R], RungBefore);
-        Out.Containment = Out.Containment || Res.Containment;
-        LastContainment = Res.Containment;
-        WalkMargin = std::max(WalkMargin, Res.BestMargin);
-        if (Res.Certified) {
-          WalkCertified = true;
-          if (Cascading) {
-            Out.CascadeRung = verifierDomainName(Rungs[R]);
-            rungCertifiedCounter(Rungs[R]).increment();
-          }
-          break;
-        }
-        if (AttackRefuted) {
-          RefutedAt = Rungs[R];
-          break;
-        }
-        if (Cascading && R + 1 < Rungs.size()) {
-          ++Out.CascadeEscalations;
-          CascadeEscalated.increment();
-        }
-      }
-      Out.Certified = WalkCertified;
-      Out.MarginLower = WalkMargin;
-      if (!SplitRung || WalkCertified) {
-        Out.Detail = LastContainment ? "abstract post-fixpoint found"
-                                     : "no containment within budget";
-        if (Cascading) {
-          const std::string Escalations =
-              std::to_string(Out.CascadeEscalations) + " escalations";
-          if (WalkCertified)
-            Out.Detail += "; cascade certified at rung '" +
-                          Out.CascadeRung + "' (" + Escalations + ")";
-          else if (RefutedAt)
-            Out.Detail += "; cascade ended at rung '" +
-                          std::string(verifierDomainName(*RefutedAt)) +
-                          "' (" + Escalations + ")";
-          else
-            Out.Detail += "; cascade exhausted after " + Escalations;
-        }
-      }
-    }
-
-    if (SplitRung && !WalkCertified &&
-        !(Cascading && Control.stopRequested())) {
-      if (Cascading) {
-        // Escalating past the final domain rung into the split engine.
-        ++Out.CascadeEscalations;
-        CascadeEscalated.increment();
-      }
+    // One engine run in the spec's domain, or, when split-depth is set,
+    // the split engine instead.
+    if (Spec.SplitDepth <= 0) {
+      CraftVerifier Ver(Model, Cfg);
+      CraftResult Res = [&] {
+        telemetry::PhaseTimer SolverPhase(telemetry::Phase::Solver);
+        return Ver.verifyRegion(Spec.InLo, Spec.InHi, Spec.TargetClass,
+                                BeforePhase2);
+      }();
+      SolverIterations += static_cast<uint64_t>(Res.TotalIterations);
+      Out.Certified = Res.Certified;
+      Out.Containment = Res.Containment;
+      Out.MarginLower = Res.BestMargin;
+      Out.Detail = Res.Containment ? "abstract post-fixpoint found"
+                                   : "no containment within budget";
+    } else {
       SplitOptions Split;
       Split.MaxDepth = Spec.SplitDepth;
       Split.Jobs = Spec.SplitJobs == 0 ? -1 : Spec.SplitJobs;
@@ -300,8 +194,8 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
       }();
       SolverIterations += Res.NumVerifierCalls;
       Out.Certified = Res.Certified;
-      Out.Containment = Out.Containment || Res.NumVerifierCalls > 0;
-      Out.MarginLower = Res.Certified ? 0.0 : std::max(WalkMargin, -1.0);
+      Out.Containment = Res.NumVerifierCalls > 0;
+      Out.MarginLower = Res.Certified ? 0.0 : -1.0;
       Out.Refuted = Res.Refuted;
       if (Res.NumPgdProbes > 0 || Res.RefutedByPgd)
         Out.AttackSeed = Split.ProbeSeedBase;
@@ -319,16 +213,6 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
                      std::to_string(Res.NumWaves) + " waves, " +
                      std::to_string(Res.CertifiedVolumeFraction * 100.0) +
                      "% volume certified";
-      }
-      if (Cascading) {
-        if (Res.Certified || Res.Refuted) {
-          Out.CascadeRung = "split";
-          if (Res.Certified)
-            CascadeCertifiedSplit.increment();
-        }
-        Out.Detail += "; after cascade (" +
-                      std::to_string(Out.CascadeEscalations) +
-                      " escalations)";
       }
     }
     break;
@@ -410,19 +294,10 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
       // the root alone does not certify). Diagnose instead of re-running.
       Out.Detail += "; certificates are not yet supported for split runs";
     } else {
-      // A cascade-certified query re-proves in the certifying rung's
-      // domain. The witness machinery is zonotope-based, so a Box
-      // certification re-proves in CH-Zonotope (the certificate records
-      // the domain the proof actually used).
       // Cfg carries the query's RunControl: a deadline that lands during
       // the witness search stops it.
-      CraftConfig CertCfg = Cfg;
-      if (!Out.CascadeRung.empty())
-        if (std::optional<VerifierDomain> Rung =
-                parseVerifierDomain(Out.CascadeRung))
-          CertCfg.Domain = *Rung;
       if (auto Cert = certifyRegion(Model, Spec.InLo, Spec.InHi,
-                                    Spec.TargetClass, CertCfg)) {
+                                    Spec.TargetClass, Cfg)) {
         Out.CertificateWritten =
             saveCertificate(*Cert, Spec.CertificatePath);
         if (!Out.CertificateWritten)

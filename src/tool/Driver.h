@@ -62,11 +62,6 @@ struct PhaseBreakdown {
   double PgdMs = 0.0;
   /// Certificate construction + save.
   double CertificateMs = 0.0;
-  /// Per-rung engine time of a cascade walk (slices of SolverMs, one per
-  /// domain; all zero when the cascade is off or timing is disabled).
-  double RungBoxMs = 0.0;
-  double RungZonoMs = 0.0;
-  double RungChzonoMs = 0.0;
   /// Solver iterations to convergence (Craft/Box: fixpoint iterations;
   /// split runs: verifier calls across all waves). Travels with the
   /// breakdown, so it is zero when unpopulated; the engines' own
@@ -75,39 +70,28 @@ struct PhaseBreakdown {
 };
 
 /// One millisecond slice of a PhaseBreakdown: the driver folds it from a
-/// telemetry Phase delta or a cascade Rung's Solver time; rows with
-/// neither are set by the serve scheduler.
+/// telemetry Phase delta; rows without one are set by the serve
+/// scheduler.
 struct PhaseRow {
   const char *Key; ///< In the wire "timings" object and on `--timings`.
   double PhaseBreakdown::*Ms;
   std::optional<telemetry::Phase> Phase;
-  std::optional<VerifierDomain> Rung;
-
-  /// Rung slices are sent only when non-zero, so single-rung envelopes
-  /// keep their historic bytes.
-  bool carried(const PhaseBreakdown &Ph) const {
-    return !Rung || Ph.*Ms > 0.0;
-  }
 };
 
 /// Every slice of a PhaseBreakdown, in wire order. The driver fold, the
 /// wire encoder and decoder, and `craft verify --timings` all loop over
 /// this list, so a new phase is one telemetry::Phase entry plus one row.
 inline constexpr PhaseRow PhaseRows[] = {
-    {"queue_wait_ms", &PhaseBreakdown::QueueWaitMs, {}, {}},
-    {"cache_probe_ms", &PhaseBreakdown::CacheProbeMs, {}, {}},
-    {"model_load_ms", &PhaseBreakdown::ModelLoadMs, {}, {}},
-    {"solver_ms", &PhaseBreakdown::SolverMs, telemetry::Phase::Solver, {}},
+    {"queue_wait_ms", &PhaseBreakdown::QueueWaitMs, {}},
+    {"cache_probe_ms", &PhaseBreakdown::CacheProbeMs, {}},
+    {"model_load_ms", &PhaseBreakdown::ModelLoadMs, {}},
+    {"solver_ms", &PhaseBreakdown::SolverMs, telemetry::Phase::Solver},
     {"consolidation_ms", &PhaseBreakdown::ConsolidationMs,
-     telemetry::Phase::Consolidation, {}},
-    {"split_ms", &PhaseBreakdown::SplitMs, telemetry::Phase::Split, {}},
-    {"pgd_ms", &PhaseBreakdown::PgdMs, telemetry::Phase::Pgd, {}},
+     telemetry::Phase::Consolidation},
+    {"split_ms", &PhaseBreakdown::SplitMs, telemetry::Phase::Split},
+    {"pgd_ms", &PhaseBreakdown::PgdMs, telemetry::Phase::Pgd},
     {"certificate_ms", &PhaseBreakdown::CertificateMs,
-     telemetry::Phase::Certificate, {}},
-    {"rung_box_ms", &PhaseBreakdown::RungBoxMs, {}, VerifierDomain::Box},
-    {"rung_zono_ms", &PhaseBreakdown::RungZonoMs, {}, VerifierDomain::Zono},
-    {"rung_chzono_ms", &PhaseBreakdown::RungChzonoMs, {},
-     VerifierDomain::CHZono},
+     telemetry::Phase::Certificate},
 };
 
 /// Key of PhaseBreakdown::SolverIterations, carried after the rows.
@@ -142,12 +126,8 @@ struct RunOutcome {
   bool CertificateWritten = false;
   /// RNG seed the PGD refutation pass ran with (0 = pass did not run).
   uint64_t AttackSeed = 0;
-  /// Cascade runs only: \ref verifierDomainName of the rung that settled
-  /// the verdict ("split" when the split engine did); empty when the
-  /// cascade was off or no rung certified.
+  /// Never set; kept only because perfbench's parity check reads them.
   std::string CascadeRung;
-  /// Cascade runs only: times the query escalated to a more expensive
-  /// rung (the last escalation being to the split engine when engaged).
   int CascadeEscalations = 0;
   /// Human-readable failure/summary detail.
   std::string Detail;

@@ -40,9 +40,9 @@ void appendVector(std::string &Out, const char *Name, const Vector &V) {
 } // namespace
 
 std::string craft::canonicalSpec(const VerificationSpec &Spec) {
-  // v2: domain and cascade joined the canonical form — a cached Box
-  // verdict must never answer a CH-Zonotope request (and vice versa).
-  std::string Out = "craftspec.v2;";
+  // v2: the domain joined the canonical form, so a cached Box verdict
+  // never answers a CH-Zonotope request. v3: the cascade policy left it.
+  std::string Out = "craftspec.v3;";
   Out += "verifier=";
   Out += Spec.Verifier == SpecVerifier::Craft   ? "craft"
          : Spec.Verifier == SpecVerifier::Box   ? "box"
@@ -50,7 +50,6 @@ std::string craft::canonicalSpec(const VerificationSpec &Spec) {
                                                 : "lipschitz";
   Out += ";domain=";
   Out += verifierDomainName(Spec.Domain);
-  Out += ";cascade=" + Spec.Cascade.render();
   Out += ";target=" + std::to_string(Spec.TargetClass) + ";";
   appendVector(Out, "lo", Spec.InLo);
   appendVector(Out, "hi", Spec.InHi);

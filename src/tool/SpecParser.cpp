@@ -300,19 +300,15 @@ private:
                                   "' (box, zono, chzono)");
       Base.Domain = *D;
     } else if (Kw == "cascade") {
+      // Parsed and ignored: specs written for the retired cascade use it.
       if (Line.size() != 2)
-        return error(Head,
-                     "'cascade' takes one policy (off, adapt, full, or a "
-                     "comma-separated rung list)");
+        return error(Head, "'cascade' takes one policy (off, adapt, full)");
       if (!once(Head))
         return;
-      std::optional<CascadePolicy> P = CascadePolicy::parse(Line[1].Text);
-      if (!P)
-        return error(Line[1],
-                     "invalid cascade policy '" + Line[1].Text +
-                         "' (off, adapt, full, or distinct rungs from "
-                         "box, zono, chzono)");
-      Base.Cascade = *P;
+      if (Line[1].Text != "off" && Line[1].Text != "adapt" &&
+          Line[1].Text != "full")
+        return error(Line[1], "invalid cascade policy '" + Line[1].Text +
+                                  "' (off, adapt, full)");
     } else if (Kw == "alpha1") {
       // A bare `alpha1` was silently ignored before this arity check.
       if (Line.size() != 2)
@@ -392,9 +388,9 @@ private:
       error(End, "missing 'model' directive");
     if (Base.TargetClass < 0)
       error(End, "missing 'output robust <class>' directive");
-    // Domain selection and the cascade are craft-engine concepts: the box
-    // engine is shorthand for craft-on-Box, and crown/lipschitz have no
-    // pluggable domain at all.
+    // Domain selection is a craft-engine concept: the box engine is
+    // shorthand for craft-on-Box, and crown/lipschitz have no pluggable
+    // domain at all.
     if (SeenOnce.count("domain") && Base.Verifier != SpecVerifier::Craft)
       error(End, "'domain' requires the craft engine (use 'domain box' "
                  "instead of 'verifier box' to run craft on intervals)");

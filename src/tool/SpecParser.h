@@ -37,17 +37,17 @@
 /// hardware threads) without changing any outcome.
 ///
 /// `domain <box|zono|chzono>` selects the abstract domain the craft
-/// engine runs in, and `cascade <off|adapt|full|rung,rung,...>` walks a
-/// cheap-first domain cascade before the spec's own domain (see
-/// tool/Cascade.h). Both require the craft engine.
+/// engine runs in. `cascade <off|adapt|full>` is accepted and ignored, so
+/// specs written for the retired domain cascade still parse. Both require
+/// the craft engine.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CRAFT_TOOL_SPECPARSER_H
 #define CRAFT_TOOL_SPECPARSER_H
 
+#include "domains/DomainConcept.h"
 #include "linalg/Matrix.h"
-#include "tool/Cascade.h"
 
 #include <optional>
 #include <string>
@@ -72,10 +72,6 @@ struct VerificationSpec {
   /// Abstract domain the craft engine runs in (`domain` directive /
   /// --domain; the `box` engine shorthand pins it to Box).
   VerifierDomain Domain = VerifierDomain::CHZono;
-  /// Cheap-first domain cascade (`cascade` directive / --cascade): walk
-  /// cheaper rungs first, escalating until one certifies or the spec's
-  /// own domain has run. Off/Unset = single-rung historic behavior.
-  CascadePolicy Cascade;
   /// Knob overrides (< 0 / 0 = library default).
   double Alpha1 = -1.0;
   double Alpha2 = -1.0;

@@ -239,8 +239,7 @@ TEST(ProtocolTest, TimingsStayOptionalAndRoundTrip) {
   ASSERT_TRUE(PlainBack.has_value());
   EXPECT_FALSE(PlainBack->Outcome.Phases.Populated);
 
-  // Populated breakdown round-trips every row of the table, the rung
-  // slices included.
+  // Populated breakdown round-trips every row of the table.
   WireResult W;
   W.Outcome.ModelLoaded = true;
   PhaseBreakdown &Ph = W.Outcome.Phases;
@@ -259,8 +258,8 @@ TEST(ProtocolTest, TimingsStayOptionalAndRoundTrip) {
     EXPECT_EQ(B.*Row.Ms, Ph.*Row.Ms) << Row.Key;
   EXPECT_EQ(B.SolverIterations, 123u);
 
-  // Wire pin: key order, number format and the omit-when-zero rule of the
-  // rung slices stay byte-identical to what earlier releases sent.
+  // Wire pin: key order and number format stay byte-identical to what
+  // earlier releases sent.
   Ph = PhaseBreakdown();
   Ph.Populated = true;
   Ph.QueueWaitMs = 1.5;
@@ -271,23 +270,22 @@ TEST(ProtocolTest, TimingsStayOptionalAndRoundTrip) {
   Ph.SplitMs = 3.0;
   Ph.PgdMs = 2.0;
   Ph.CertificateMs = 0.5;
-  Ph.RungBoxMs = 0.125;
-  Ph.RungZonoMs = 4.0;
-  Ph.RungChzonoMs = 35.875;
   Ph.SolverIterations = 123;
   EXPECT_EQ(encodeResult(W).find("timings")->serialize(),
             "{\"queue_wait_ms\":1.5,\"cache_probe_ms\":0.25,"
             "\"model_load_ms\":12,\"solver_ms\":40,\"consolidation_ms\":8,"
             "\"split_ms\":3,\"pgd_ms\":2,\"certificate_ms\":0.5,"
-            "\"rung_box_ms\":0.125,\"rung_zono_ms\":4,"
-            "\"rung_chzono_ms\":35.875,\"solver_iterations\":123}");
-  Ph.RungBoxMs = 0.0;
-  Ph.RungChzonoMs = 0.0;
-  EXPECT_EQ(encodeResult(W).find("timings")->serialize(),
-            "{\"queue_wait_ms\":1.5,\"cache_probe_ms\":0.25,"
-            "\"model_load_ms\":12,\"solver_ms\":40,\"consolidation_ms\":8,"
-            "\"split_ms\":3,\"pgd_ms\":2,\"certificate_ms\":0.5,"
-            "\"rung_zono_ms\":4,\"solver_iterations\":123}");
+            "\"solver_iterations\":123}");
+  // Replies from daemons that still ran the domain cascade carry its
+  // fields; they decode, and are ignored.
+  Value Old = encodeResult(W);
+  Old.set("cascade_rung", Value::string("box"));
+  Old.set("cascade_escalations", Value::number(2.0));
+  std::optional<WireResult> OldBack = decodeResult(Old);
+  ASSERT_TRUE(OldBack.has_value());
+  EXPECT_TRUE(OldBack->Outcome.CascadeRung.empty());
+  EXPECT_EQ(OldBack->Outcome.CascadeEscalations, 0);
+  EXPECT_EQ(encodeResult(*OldBack).serialize(), encodeResult(W).serialize());
 
   // A non-object "timings" member is a malformed result.
   Value Bad = encodeResult(Plain);
@@ -308,10 +306,6 @@ TEST(ProtocolTest, OutOfRangeTimingsAndCountsAreMalformed) {
     std::string Error;
     std::optional<Value> N = json::parse(Bad, Error);
     ASSERT_TRUE(N.has_value()) << Error;
-
-    Value Escalations = Good;
-    Escalations.set("cascade_escalations", *N);
-    EXPECT_FALSE(decodeResult(Escalations).has_value()) << Bad;
 
     Value Iterations = Good;
     Value T = *Good.find("timings");
@@ -374,7 +368,7 @@ TEST(SpecCanonTest, IdenticalSpecsShareKeysDifferentSpecsDoNot) {
   EXPECT_EQ(canonicalSpec(A), canonicalSpec(B));
 }
 
-TEST(SpecCanonTest, DomainAndCascadeSeparateKeys) {
+TEST(SpecCanonTest, DomainSeparatesKeysCascadeDoesNot) {
   VerificationSpec A = canonSpec();
   // The engine's abstract domain changes the computation, so it must
   // change the key.
@@ -383,23 +377,32 @@ TEST(SpecCanonTest, DomainAndCascadeSeparateKeys) {
   EXPECT_NE(canonicalSpec(A), canonicalSpec(B));
   B.Domain = VerifierDomain::Zono;
   EXPECT_NE(canonicalSpec(A), canonicalSpec(B));
-  // So must the cascade policy (a cascade can settle at a cheaper rung,
-  // which changes margins and telemetry attribution).
-  B = canonSpec();
-  B.Cascade = *CascadePolicy::parse("adapt");
-  EXPECT_NE(canonicalSpec(A), canonicalSpec(B));
-  VerificationSpec C = canonSpec();
-  C.Cascade = *CascadePolicy::parse("full");
-  EXPECT_NE(canonicalSpec(B), canonicalSpec(C));
-  // Unset and an explicit `cascade off` execute identically and share a
-  // canonical form (and thus a serve cache entry) ...
-  B = canonSpec();
-  B.Cascade = *CascadePolicy::parse("off");
-  EXPECT_EQ(canonicalSpec(A), canonicalSpec(B));
-  // ... as do `full` and its expansion.
-  B = canonSpec();
-  B.Cascade = *CascadePolicy::parse("box,zono");
-  EXPECT_EQ(canonicalSpec(B), canonicalSpec(C));
+
+  // Through the parser: `domain` reaches the spec, and the ignored
+  // `cascade` directive leaves the cache key as it is without it.
+  const std::string Body = "model m.bin\n"
+                           "output robust 1\n"
+                           "input box\n"
+                           "lo 0.1 0.2\n"
+                           "hi 0.3 0.4\n";
+  auto keyOf = [](const std::string &Source) {
+    SpecParseResult Parsed = parseSpec(Source);
+    EXPECT_TRUE(Parsed.ok()) << Source;
+    return Parsed.ok() ? serveCacheKey(*Parsed.Spec, 7) : std::string();
+  };
+  SpecParseResult Zono = parseSpec("domain zono\n" + Body);
+  ASSERT_TRUE(Zono.ok());
+  EXPECT_EQ(Zono.Spec->Domain, VerifierDomain::Zono);
+  const std::string Plain = keyOf(Body);
+  EXPECT_NE(keyOf("domain zono\n" + Body), Plain);
+  for (const char *Policy : {"off", "adapt", "full"}) {
+    EXPECT_EQ(keyOf("cascade " + std::string(Policy) + "\n" + Body), Plain)
+        << Policy;
+    EXPECT_EQ(keyOf("domain zono\ncascade " + std::string(Policy) + "\n" +
+                    Body),
+              keyOf("domain zono\n" + Body))
+        << Policy;
+  }
 }
 
 TEST(SpecCanonTest, AttackSeedDerivesFromContentOnly) {

@@ -349,7 +349,7 @@ std::optional<VerificationSpec> lambdaOptQuery(const CraftConfig &Cfg,
       CraftResult R =
           CraftVerifier(model(), NoLambda).verifyRobustness(S.X, S.Label, Eps);
       if (R.ChosenAlpha2 < 0.0 || R.Certified ||
-          R.BestMargin <= -Cfg.LambdaOptMarginWindow ||
+          R.BestMargin <= -LambdaOptMarginWindow ||
           pgdAttack(model(), Solver, S.X, S.Label, Attack).FoundAdversarial)
         continue;
       VerificationSpec Spec;
@@ -557,7 +557,6 @@ TEST(ConfigTest, Phase2BudgetBoundsIterations) {
   TinyFixed.Alpha2 = FullFixed.Alpha2 = 0.05;
   CraftConfig TinyLambda = TinyFixed;
   TinyLambda.LambdaOptLevel = 2;
-  TinyLambda.LambdaOptMarginWindow = 1e300; // Every undecided query.
   CraftVerifier TinyV(model(), Tiny), FullV(model(), Full);
   CraftVerifier TinyFixedV(model(), TinyFixed), FullFixedV(model(), FullFixed);
   CraftVerifier TinyLambdaV(model(), TinyLambda);

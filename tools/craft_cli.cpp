@@ -63,13 +63,11 @@ static int usage() {
       stderr,
       "usage:\n"
       "  craft verify [--jobs N] [--deadline-ms N] [--timings]\n"
-      "               [--domain box|zono|chzono]\n"
-      "               [--cascade off|adapt|full|rung,...] <spec-file>...\n"
+      "               [--domain box|zono|chzono] <spec-file>...\n"
       "  craft split [--jobs N] [--depth N] <spec-file>...\n"
       "  craft serve [--port N] [--stdio] [--jobs N] [--max-batch N]\n"
       "              [--cache-entries N] [--queue-capacity N]\n"
       "              [--high-water N] [--max-conns N]\n"
-      "              [--cascade off|adapt|full|rung,...]\n"
       "              [--trace-out FILE]\n"
       "  craft client --port N [--no-cache] [--ping] [--stats]\n"
       "               [--metrics] [--deadline-ms N] [--timeout-ms N]\n"
@@ -124,15 +122,10 @@ const char *verdictName(const RunOutcome &Out) {
                                 : "not certified";
 }
 
-/// The closing lines `craft verify` and `craft client` share: cascade
-/// attribution, detail, and the witness point of a refutation (split
-/// refinement and the PGD pass both carry one).
-void printCascadeDetailWitness(const RunOutcome &Out) {
-  if (!Out.CascadeRung.empty() || Out.CascadeEscalations > 0)
-    std::printf("cascade      rung %s, %d escalation%s\n",
-                Out.CascadeRung.empty() ? "(none)" : Out.CascadeRung.c_str(),
-                Out.CascadeEscalations,
-                Out.CascadeEscalations == 1 ? "" : "s");
+/// The closing lines `craft verify` and `craft client` share: detail,
+/// and the witness point of a refutation (split refinement and the PGD
+/// pass both carry one).
+void printDetailWitness(const RunOutcome &Out) {
   if (!Out.Detail.empty())
     std::printf("detail       %s\n", Out.Detail.c_str());
   if (!Out.Refuted || Out.Counterexample.empty())
@@ -155,7 +148,7 @@ void printOutcome(const VerificationSpec &Spec, const RunOutcome &Out) {
     std::printf("containment  %s\n", Out.Containment ? "yes" : "no");
   std::printf("margin       %.6f\n", Out.MarginLower);
   std::printf("time         %.3f ms\n", Out.TimeSeconds * 1e3);
-  printCascadeDetailWitness(Out);
+  printDetailWitness(Out);
   if (!Spec.CertificatePath.empty() && Out.Certified)
     std::printf("certificate  %s\n",
                 Out.CertificateWritten ? Spec.CertificatePath.c_str()
@@ -174,16 +167,14 @@ void printTimings(const RunOutcome &Out) {
   const PhaseBreakdown &Ph = Out.Phases;
   std::printf("timings     ");
   for (const PhaseRow &Row : PhaseRows)
-    if (Row.carried(Ph))
-      std::printf(" %s=%.3f", Row.Key, Ph.*Row.Ms);
+    std::printf(" %s=%.3f", Row.Key, Ph.*Row.Ms);
   std::printf(" %s=%llu\n", SolverIterationsKey,
               static_cast<unsigned long long>(Ph.SolverIterations));
 }
 
 int runVerify(const std::vector<std::string> &Files, int Jobs,
               double DeadlineMs, bool Timings,
-              std::optional<VerifierDomain> Domain,
-              std::optional<CascadePolicy> Cascade) {
+              std::optional<VerifierDomain> Domain) {
   std::vector<VerificationSpec> Specs;
   std::vector<const std::string *> Sources; // Spec I came from *Sources[I].
   bool ParseFailed = false;
@@ -203,26 +194,21 @@ int runVerify(const std::vector<std::string> &Files, int Jobs,
   if (ParseFailed)
     return ExitError;
 
-  // --domain / --cascade override every query, mirroring the spec
-  // directives — and, like them, they only make sense for the craft
-  // engine (the `box` engine keyword is craft-on-intervals shorthand).
-  if (Domain || Cascade)
+  // --domain overrides every query, mirroring the spec directive — and,
+  // like it, only makes sense for the craft engine (the `box` engine
+  // keyword is craft-on-intervals shorthand).
+  if (Domain)
     for (size_t I = 0; I < Specs.size(); ++I) {
       if (Specs[I].Verifier != SpecVerifier::Craft &&
           Specs[I].Verifier != SpecVerifier::Box) {
         std::fprintf(stderr,
-                     "error: %s requires the craft engine, but query %zu "
-                     "(%s) uses another verifier\n",
-                     Domain ? "--domain" : "--cascade", I + 1,
-                     Sources[I]->c_str());
+                     "error: --domain requires the craft engine, but query "
+                     "%zu (%s) uses another verifier\n",
+                     I + 1, Sources[I]->c_str());
         return ExitError;
       }
-      if (Domain) {
-        Specs[I].Verifier = SpecVerifier::Craft;
-        Specs[I].Domain = *Domain;
-      }
-      if (Cascade)
-        Specs[I].Cascade = *Cascade;
+      Specs[I].Verifier = SpecVerifier::Craft;
+      Specs[I].Domain = *Domain;
     }
 
   // Workers would race writing the same witness file: the parser suffixes
@@ -406,21 +392,6 @@ int runServe(int Argc, char **Argv) {
       if (!V || !parseCount(V, "--max-conns", 1L << 16, N) || N < 1)
         return ExitError;
       Opts.MaxConnections = static_cast<size_t>(N);
-    } else if (std::strcmp(Argv[I], "--cascade") == 0) {
-      const char *V = needValue("--cascade");
-      if (!V)
-        return ExitError;
-      std::optional<CascadePolicy> P = CascadePolicy::parse(V);
-      if (!P) {
-        std::fprintf(stderr,
-                     "error: invalid cascade policy '%s' (off, adapt, "
-                     "full, or distinct rungs from box, zono, chzono)\n",
-                     V);
-        return ExitError;
-      }
-      // Server default: craft queries whose spec leaves `cascade` unset
-      // adopt this policy at admission (see Scheduler::Options).
-      Opts.Sched.DefaultCascade = *P;
     } else if (std::strcmp(Argv[I], "--trace-out") == 0) {
       const char *V = needValue("--trace-out");
       if (!V)
@@ -577,7 +548,7 @@ int runClient(int Argc, char **Argv) {
       std::printf("margin       %.6f\n", Out.MarginLower);
       std::printf("time         %.3f ms\n", Out.TimeSeconds * 1e3);
       std::printf("cached       %s\n", R.Cached ? "yes" : "no");
-      printCascadeDetailWitness(Out);
+      printDetailWitness(Out);
     }
     std::printf("server time  %.3f ms\n", Reply->ServerMs);
   }
@@ -632,7 +603,6 @@ int main(int Argc, char **Argv) {
     long DeadlineMs = -1; // < 0 = no budget.
     bool Timings = false;
     std::optional<VerifierDomain> Domain;
-    std::optional<CascadePolicy> Cascade;
     std::vector<std::string> Files;
     for (int I = 2; I < Argc; ++I) {
       if (std::strcmp(Argv[I], "--jobs") == 0 ||
@@ -661,17 +631,6 @@ int main(int Argc, char **Argv) {
                        Argv[I]);
           return 2;
         }
-      } else if (std::strcmp(Argv[I], "--cascade") == 0) {
-        if (I + 1 >= Argc)
-          return usage();
-        Cascade = CascadePolicy::parse(Argv[++I]);
-        if (!Cascade) {
-          std::fprintf(stderr,
-                       "error: invalid cascade policy '%s' (off, adapt, "
-                       "full, or distinct rungs from box, zono, chzono)\n",
-                       Argv[I]);
-          return 2;
-        }
       } else if (Argv[I][0] == '-') {
         std::fprintf(stderr, "error: unknown option '%s'\n", Argv[I]);
         return usage();
@@ -682,7 +641,7 @@ int main(int Argc, char **Argv) {
     if (Files.empty())
       return usage();
     return runVerify(Files, Jobs, static_cast<double>(DeadlineMs), Timings,
-                     Domain, Cascade);
+                     Domain);
   }
   if (std::strcmp(Argv[1], "split") == 0) {
     int Jobs = 1;
