@@ -11,9 +11,9 @@
 //   hot   the identical queries again — served from the ResultCache.
 //
 // A third phase floods a deliberately starved daemon (one worker, batch
-// 1, queue capacity 2, shed high-water 1) with uncacheable queries from
-// every client at once. Under saturation the contract is fail-fast:
-// past the high-water mark a submission is answered immediately with an
+// 1, queue capacity 1) with uncacheable queries from every client at
+// once. Under saturation the contract is fail-fast: when the queue is
+// full a submission is answered immediately with an
 // ok:false "overloaded" envelope instead of queueing without bound, so
 // the tail latency (serve_overload_p99) stays bounded and the shed rate
 // (serve_shed_rate, direction=higher: a DROP means the daemon went back
@@ -143,18 +143,17 @@ struct OverloadStats {
   double ShedRate = 0.0; ///< Fraction answered with "overloaded".
 };
 
-/// Floods a starved daemon (worker pool of 1, batch 1, queue capacity 2,
-/// shed high-water 1) with \p Clients * \p PerClient uncacheable copies
-/// of \p SpecText. Shed answers are expected and timed like any other
-/// response; any other failure aborts the bench.
+/// Floods a starved daemon (worker pool of 1, batch 1, queue capacity 1)
+/// with \p Clients * \p PerClient uncacheable copies of \p SpecText.
+/// Shed answers are expected and timed like any other response; any
+/// other failure aborts the bench.
 OverloadStats runOverloadPhase(const std::string &SpecText, size_t Clients,
                                size_t PerClient) {
   ServerOptions Opts;
   Opts.Port = 0;
   Opts.Sched.Jobs = 1;
   Opts.Sched.MaxBatch = 1;
-  Opts.Sched.QueueCapacity = 2;
-  Opts.Sched.ShedHighWater = 1;
+  Opts.Sched.QueueCapacity = 1;
   Server Daemon(Opts);
   std::string Error;
   if (!Daemon.start(Error)) {

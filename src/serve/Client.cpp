@@ -189,20 +189,6 @@ bool ServeClient::ping(std::string &Error) {
   return Doc && Doc->boolOr("ok", false) && Doc->boolOr("pong", false);
 }
 
-std::optional<Value> ServeClient::stats(std::string &Error) {
-  Request Req;
-  Req.Id = NextId++;
-  Req.Method = "stats";
-  std::optional<Value> Doc = idempotentRoundTrip(Req, Error);
-  if (!Doc)
-    return std::nullopt;
-  if (!Doc->boolOr("ok", false)) {
-    Error = envelopeError(*Doc);
-    return std::nullopt;
-  }
-  return Doc;
-}
-
 std::optional<Value> ServeClient::metrics(std::string &Error) {
   Request Req;
   Req.Id = NextId++;

@@ -24,7 +24,7 @@
 ///   | ok:false code "draining"         | yes       | yes         |
 ///   | any other ok:false               | no        | —           |
 ///
-/// Only idempotent methods (verify, ping, stats, metrics) go through the retry
+/// Only idempotent methods (verify, ping, metrics) go through the retry
 /// wrapper; shutdown and drain are sent exactly once. Backoff jitter is
 /// seeded from RetryPolicy::Seed through taskSeed, so a fixed seed gives
 /// a byte-identical retry schedule — chaos tests rely on this.
@@ -100,9 +100,6 @@ public:
   /// True when the daemon answers a ping.
   bool ping(std::string &Error);
 
-  /// Fetches the stats envelope.
-  std::optional<json::Value> stats(std::string &Error);
-
   /// Fetches the full telemetry-registry snapshot (counters, gauges,
   /// histogram percentiles) as the `metrics` envelope.
   std::optional<json::Value> metrics(std::string &Error);
@@ -116,7 +113,7 @@ public:
   bool requestDrain(std::string &Error);
 
   /// Machine-readable "code" from the last ok:false envelope ("",
-  /// "overloaded", "draining"). Valid after a failed verify/ping/stats.
+  /// "overloaded", "draining"). Valid after a failed verify/ping/metrics.
   const std::string &lastErrorCode() const { return LastErrorCode; }
 
   void close() { Chan.reset(); }

@@ -521,9 +521,8 @@ serve::decodeRequest(const std::string &Line, std::string &Error) {
       return std::nullopt;
     }
     Req.Model = Model->asString();
-  } else if (Req.Method != "stats" && Req.Method != "metrics" &&
-             Req.Method != "ping" && Req.Method != "drain" &&
-             Req.Method != "shutdown") {
+  } else if (Req.Method != "metrics" && Req.Method != "ping" &&
+             Req.Method != "drain" && Req.Method != "shutdown") {
     Error = "unknown method '" + Req.Method + "'";
     return std::nullopt;
   }

@@ -17,8 +17,7 @@
 ///       "cache": <bool, default true>,
 ///       "deadline_ms": <ms, optional: per-request wall-clock budget>}
 ///      {"id": <n>, "method": "info", "model": "<path>"}
-///      {"id": <n>, "method": "stats" | "metrics" | "ping" | "drain" |
-///       "shutdown"}
+///      {"id": <n>, "method": "metrics" | "ping" | "drain" | "shutdown"}
 ///  - the response schema:
 ///      {"id": <n>, "ok": true, "results": [<result>...],
 ///       "server_ms": <t>}           (verify)
@@ -127,7 +126,7 @@ namespace serve {
 struct Request {
   /// Client-chosen correlation id, echoed on the response (0 if absent).
   int64_t Id = 0;
-  /// "verify", "info", "stats", "metrics", "ping", "drain", "shutdown".
+  /// "verify", "info", "metrics", "ping", "drain", "shutdown".
   std::string Method;
   std::string SpecText; ///< verify: the spec file contents.
   std::string Model;    ///< info: the model path.

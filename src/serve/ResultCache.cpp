@@ -3,17 +3,14 @@
 #include "serve/ResultCache.h"
 
 #include "support/Telemetry.h"
-#include "tool/SpecCanon.h"
 
 using namespace craft;
 using namespace craft::serve;
 
 namespace {
 
-/// Process-wide cache traffic; per-instance Stats are deltas against the
-/// construction-time baseline.
-const telemetry::Counter CacheHits =
-    telemetry::counterMetric("serve.cache.hits");
+/// Process-wide cache traffic (hits are counted by the scheduler as
+/// serve.cache_hits).
 const telemetry::Counter CacheMisses =
     telemetry::counterMetric("serve.cache.misses");
 const telemetry::Counter CacheInsertions =
@@ -21,80 +18,42 @@ const telemetry::Counter CacheInsertions =
 const telemetry::Counter CacheEvictions =
     telemetry::counterMetric("serve.cache.evictions");
 
-ResultCache::Stats cacheTotals() {
-  ResultCache::Stats S;
-  S.Hits = CacheHits.value();
-  S.Misses = CacheMisses.value();
-  S.Insertions = CacheInsertions.value();
-  S.Evictions = CacheEvictions.value();
-  return S;
-}
-
 } // namespace
 
-ResultCache::ResultCache(size_t Capacity, size_t Shards) {
-  Base = cacheTotals();
-  if (Capacity < 1)
-    Capacity = 1;
-  if (Shards < 1)
-    Shards = 1;
-  if (Shards > Capacity)
-    Shards = Capacity; // No zero-capacity shards.
-  PerShardCapacity = (Capacity + Shards - 1) / Shards;
-  ShardList.reserve(Shards);
-  for (size_t I = 0; I < Shards; ++I)
-    ShardList.push_back(std::make_unique<Shard>());
-}
-
-ResultCache::Shard &ResultCache::shardFor(const std::string &Key) {
-  // FNV-1a, not std::hash: the shard choice (and with it the eviction
-  // pattern) is identical on every platform and standard library.
-  return *ShardList[fnv1a64(Key.data(), Key.size()) % ShardList.size()];
-}
+ResultCache::ResultCache(size_t Capacity)
+    : Capacity(Capacity < 1 ? 1 : Capacity) {}
 
 std::optional<RunOutcome> ResultCache::lookup(const std::string &Key) {
-  Shard &S = shardFor(Key);
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  auto It = S.Index.find(std::string_view(Key));
-  if (It == S.Index.end()) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Index.find(std::string_view(Key));
+  if (It == Index.end()) {
     CacheMisses.increment();
     return std::nullopt;
   }
-  CacheHits.increment();
-  S.Lru.splice(S.Lru.begin(), S.Lru, It->second); // Refresh recency.
+  Lru.splice(Lru.begin(), Lru, It->second); // Refresh recency.
   return It->second->second;
 }
 
 void ResultCache::insert(const std::string &Key,
                          const RunOutcome &Outcome) {
-  Shard &S = shardFor(Key);
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  auto It = S.Index.find(std::string_view(Key));
-  if (It != S.Index.end()) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Index.find(std::string_view(Key));
+  if (It != Index.end()) {
     It->second->second = Outcome;
-    S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
+    Lru.splice(Lru.begin(), Lru, It->second);
     return;
   }
-  if (S.Lru.size() >= PerShardCapacity) {
-    S.Index.erase(std::string_view(S.Lru.back().first));
-    S.Lru.pop_back();
+  if (Lru.size() >= Capacity) {
+    Index.erase(std::string_view(Lru.back().first));
+    Lru.pop_back();
     CacheEvictions.increment();
   }
-  S.Lru.emplace_front(Key, Outcome);
-  S.Index.emplace(std::string_view(S.Lru.front().first), S.Lru.begin());
+  Lru.emplace_front(Key, Outcome);
+  Index.emplace(std::string_view(Lru.front().first), Lru.begin());
   CacheInsertions.increment();
 }
 
-ResultCache::Stats ResultCache::stats() const {
-  Stats Out = cacheTotals();
-  Out.Hits -= Base.Hits;
-  Out.Misses -= Base.Misses;
-  Out.Insertions -= Base.Insertions;
-  Out.Evictions -= Base.Evictions;
-  for (const auto &SPtr : ShardList) {
-    Shard &S = *SPtr;
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    Out.Entries += S.Lru.size();
-  }
-  return Out;
+size_t ResultCache::size() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Lru.size();
 }

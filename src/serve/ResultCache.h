@@ -1,23 +1,21 @@
-//===- serve/ResultCache.h - Sharded LRU outcome cache ----------*- C++ -*-===//
+//===- serve/ResultCache.h - LRU outcome cache ------------------*- C++ -*-===//
 //
 // Part of the Craft reproduction (PLDI 2023).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Memoization of verification outcomes: a sharded LRU cache keyed by the
-/// serve cache key (canonical spec serialization + semantic model hash —
-/// see tool/SpecCanon.h). A hit returns the stored RunOutcome verbatim,
-/// including its original TimeSeconds, so a repeated query's payload is
-/// byte-identical to the first answer; only the transport-level `cached`
-/// flag differs.
+/// Memoization of verification outcomes: one exact LRU behind one mutex,
+/// keyed by the serve cache key (canonical spec serialization + semantic
+/// model hash — see tool/SpecCanon.h). A hit returns the stored RunOutcome
+/// verbatim, including its original TimeSeconds, so a repeated query's
+/// payload is byte-identical to the first answer; only the
+/// transport-level `cached` flag differs.
 ///
-/// Sharding bounds lock contention under concurrent serve traffic: the
-/// key's FNV-1a hash picks the shard (stable across platforms, so
-/// eviction behavior is reproducible), and each shard runs an independent
-/// exact LRU under its own mutex. Capacity is enforced per shard
-/// (ceil(Capacity / Shards) each), which bounds total entries by
-/// Capacity + Shards - 1.
+/// Traffic is counted on the process-wide telemetry registry
+/// (`serve.cache.misses`, `.insertions`, `.evictions`; hits are the
+/// scheduler's `serve.cache_hits`) and read through the `metrics`
+/// protocol method.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,37 +24,21 @@
 
 #include "tool/Driver.h"
 
-#include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace craft {
 namespace serve {
 
-/// Thread-safe sharded LRU map from cache key to RunOutcome.
+/// Thread-safe LRU map from cache key to RunOutcome.
 class ResultCache {
 public:
-  /// Snapshot since this cache's construction. The live series are the
-  /// process-wide `serve.cache.*` counters on the telemetry registry;
-  /// stats() subtracts the construction-time baseline, so per-instance
-  /// semantics are unchanged. Entries is a live fold of the shards.
-  struct Stats {
-    uint64_t Hits = 0;
-    uint64_t Misses = 0;
-    uint64_t Insertions = 0;
-    uint64_t Evictions = 0;
-    size_t Entries = 0;
-  };
-
-  /// \p Capacity total entries across \p Shards shards (both floored
-  /// at 1).
-  explicit ResultCache(size_t Capacity = 4096, size_t Shards = 8);
+  /// \p Capacity entries (floored at 1).
+  explicit ResultCache(size_t Capacity = 4096);
 
   ResultCache(const ResultCache &) = delete;
   ResultCache &operator=(const ResultCache &) = delete;
@@ -65,32 +47,24 @@ public:
   /// nullopt (counting a miss).
   std::optional<RunOutcome> lookup(const std::string &Key);
 
-  /// Inserts (or refreshes) \p Key, evicting the shard's least recently
-  /// used entry when the shard is full. Re-inserting an existing key
+  /// Inserts (or refreshes) \p Key, evicting the least recently used
+  /// entry when the cache is full. Re-inserting an existing key
   /// overwrites its value — outcomes for one key are identical by the
   /// determinism contract, so this is only reached by racing misses.
   void insert(const std::string &Key, const RunOutcome &Outcome);
 
-  Stats stats() const;
-  size_t shardCount() const { return ShardList.size(); }
+  /// Entries currently held.
+  size_t size() const;
 
 private:
-  struct Shard {
-    std::mutex Mutex;
-    /// Front = most recently used. Node owns the key string; the index
-    /// below views it (list nodes never move).
-    std::list<std::pair<std::string, RunOutcome>> Lru;
-    std::unordered_map<std::string_view,
-                       std::list<std::pair<std::string, RunOutcome>>::iterator>
-        Index;
-  };
-
-  Shard &shardFor(const std::string &Key);
-
-  size_t PerShardCapacity;
-  std::vector<std::unique_ptr<Shard>> ShardList;
-  /// Registry totals at construction (Entries unused); see Stats.
-  Stats Base;
+  size_t Capacity;
+  mutable std::mutex Mutex;
+  /// Front = most recently used. Node owns the key string; the index
+  /// below views it (list nodes never move).
+  std::list<std::pair<std::string, RunOutcome>> Lru;
+  std::unordered_map<std::string_view,
+                     std::list<std::pair<std::string, RunOutcome>>::iterator>
+      Index;
 };
 
 } // namespace serve

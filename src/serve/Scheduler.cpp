@@ -6,8 +6,6 @@
 #include "support/Telemetry.h"
 #include "tool/SpecCanon.h"
 
-#include <algorithm>
-
 using namespace craft;
 using namespace craft::serve;
 
@@ -20,14 +18,12 @@ std::future<ServeResult> readyResult(ServeResult Result) {
   return F;
 }
 
-/// The scheduler pipeline's process-wide series. Per-instance Stats are
-/// deltas against a construction-time baseline of these.
+/// The scheduler pipeline's process-wide series, read through the
+/// `metrics` protocol method.
 const telemetry::Counter StatSubmitted =
     telemetry::counterMetric("serve.submitted");
 const telemetry::Counter StatCacheHits =
     telemetry::counterMetric("serve.cache_hits");
-const telemetry::Counter StatCoalesced =
-    telemetry::counterMetric("serve.coalesced");
 const telemetry::Counter StatExecuted =
     telemetry::counterMetric("serve.executed");
 const telemetry::Counter StatBatches = telemetry::counterMetric("serve.batches");
@@ -37,29 +33,17 @@ const telemetry::Counter StatDeadlineExpired =
 /// Admission-queue depth, sampled at every enqueue and batch formation.
 const telemetry::Gauge QueueDepthGauge =
     telemetry::gaugeMetric("serve.queue_depth");
+/// Largest batch dispatched so far.
 const telemetry::Gauge MaxBatchGauge = telemetry::gaugeMetric("serve.max_batch");
 /// Admission-to-dispatch wait per executed job (only observed while
 /// timing is enabled — the values are clock reads).
 const telemetry::Histogram QueueWaitHist =
     telemetry::histogramMetric("serve.queue_wait_ns");
 
-Scheduler::Stats registryTotals() {
-  Scheduler::Stats S;
-  S.Submitted = StatSubmitted.value();
-  S.CacheHits = StatCacheHits.value();
-  S.Coalesced = StatCoalesced.value();
-  S.Executed = StatExecuted.value();
-  S.Batches = StatBatches.value();
-  S.Shed = StatShed.value();
-  S.DeadlineExpired = StatDeadlineExpired.value();
-  return S;
-}
-
 } // namespace
 
 Scheduler::Scheduler(const Options &Opts)
-    : Opts(Opts), Cache(Opts.CacheCapacity, Opts.CacheShards),
-      Queue(Opts.QueueCapacity), Base(registryTotals()) {
+    : Opts(Opts), Cache(Opts.CacheCapacity), Queue(Opts.QueueCapacity) {
   // craft-lint: allow(conc-thread) — spawn of the joined dispatcher.
   Dispatcher = std::thread([this] {
     telemetry::setCurrentThreadLabel("serve dispatch");
@@ -74,20 +58,6 @@ void Scheduler::stop() {
   Queue.close();
   if (Dispatcher.joinable())
     Dispatcher.join();
-}
-
-Scheduler::Stats Scheduler::stats() const {
-  const Stats Now = registryTotals();
-  Stats S;
-  S.Submitted = Now.Submitted - Base.Submitted;
-  S.CacheHits = Now.CacheHits - Base.CacheHits;
-  S.Coalesced = Now.Coalesced - Base.Coalesced;
-  S.Executed = Now.Executed - Base.Executed;
-  S.Batches = Now.Batches - Base.Batches;
-  S.MaxBatchSeen = MaxBatchSeen.load();
-  S.Shed = Now.Shed - Base.Shed;
-  S.DeadlineExpired = Now.DeadlineExpired - Base.DeadlineExpired;
-  return S;
 }
 
 std::future<ServeResult> Scheduler::submit(const VerificationSpec &Spec,
@@ -128,126 +98,76 @@ std::future<ServeResult> Scheduler::submit(const VerificationSpec &Spec,
   const bool Cacheable = UseCache && Spec.CertificatePath.empty();
   std::string Key = serveCacheKey(Spec, Model.Hash);
 
-  // 3. Deterministic attack seed, derived from the query's content alone.
+  // 3. Cache probe. Deadline queries probe too (a hit is instant and
+  // deterministic); they just never populate.
+  if (Cacheable) {
+    if (std::optional<RunOutcome> Hit = Cache.lookup(Key)) {
+      StatCacheHits.increment();
+      ServeResult R;
+      R.Outcome = std::move(*Hit);
+      R.Cached = true;
+      R.ModelHash = Model.Hash;
+      return readyResult(std::move(R));
+    }
+  }
+
+  // 4. Deterministic attack seed, derived from the query's content alone
+  // (the batch driver's base seed, so both front ends share one stream).
   VerificationSpec Prepared = Spec;
   if (Prepared.Attack && Prepared.AttackSeed == 0)
-    Prepared.AttackSeed = serveAttackSeed(Opts.BaseSeed, Key);
+    Prepared.AttackSeed = serveAttackSeed(BatchOptions().BaseSeed, Key);
 
-  std::unique_ptr<Job> NewJob;
-  std::future<ServeResult> Future;
-  {
-    std::lock_guard<std::mutex> Lock(InFlightMutex);
-    if (Cacheable && !HasDeadline) {
-      // 4. Coalesce with an identical in-flight query. Deadline queries
-      // never coalesce: each submission's budget is its own, and a job
-      // listed for coalescing must also be cache-publishable.
-      auto It = InFlight.find(Key);
-      if (It != InFlight.end()) {
-        It->second->Waiters.emplace_back();
-        StatCoalesced.increment();
-        return It->second->Waiters.back().get_future();
-      }
-    }
-    if (Cacheable) {
-      // 5. Cache probe, under the admission lock. finishJob publishes
-      // to the cache before delisting from InFlight, and both steps of
-      // this probe hold the lock, so an identical query always either
-      // joins the in-flight job or sees its cached outcome — a key is
-      // never executed twice. (Deadline queries probe too — a hit is
-      // instant and deterministic — they just never populate.)
-      if (std::optional<RunOutcome> Hit = Cache.lookup(Key)) {
-        StatCacheHits.increment();
-        ServeResult R;
-        R.Outcome = *Hit;
-        R.Cached = true;
-        R.ModelHash = Model.Hash;
-        return readyResult(std::move(R));
-      }
-    }
-    // 6. Admit a fresh job. A deadline job runs with UseCache=false
-    // semantics from here on: not listed for coalescing, outcome never
-    // inserted — whether the budget suffices is submission timing, not
-    // query content, and must not poison the deterministic cache.
-    NewJob = std::make_unique<Job>();
-    NewJob->Spec = std::move(Prepared);
-    NewJob->Model = Model.Model;
-    NewJob->ModelHash = Model.Hash;
-    NewJob->Key = Key;
-    NewJob->UseCache = Cacheable && !HasDeadline;
-    NewJob->DeadlineAt = DeadlineAt;
-    // Phase attribution: everything between model resolution and here is
-    // key canonicalization + coalesce/cache probing; the queue wait runs
-    // from this timestamp until dispatch picks the job up.
-    NewJob->AdmitNs = telemetry::monotonicNanos();
-    NewJob->CacheProbeMs =
-        static_cast<double>(NewJob->AdmitNs - ModelT1) / 1e6;
-    NewJob->ModelLoadMs = static_cast<double>(ModelT1 - ModelT0) / 1e6;
-    NewJob->Waiters.emplace_back();
-    Future = NewJob->Waiters.back().get_future();
-    if (NewJob->UseCache)
-      InFlight.emplace(Key, NewJob.get());
-  }
+  // 5. Admit a fresh job. A deadline job runs with UseCache=false
+  // semantics from here on: its outcome is never inserted — whether the
+  // budget suffices is submission timing, not query content, and must
+  // not poison the deterministic cache.
+  auto NewJob = std::make_unique<Job>();
+  NewJob->Spec = std::move(Prepared);
+  NewJob->Model = Model.Model;
+  NewJob->ModelHash = Model.Hash;
+  NewJob->Key = std::move(Key);
+  NewJob->UseCache = Cacheable && !HasDeadline;
+  NewJob->DeadlineAt = DeadlineAt;
+  // Phase attribution: everything between model resolution and here is
+  // key canonicalization + cache probing; the queue wait runs from this
+  // timestamp until dispatch picks the job up.
+  NewJob->AdmitNs = telemetry::monotonicNanos();
+  NewJob->CacheProbeMs = static_cast<double>(NewJob->AdmitNs - ModelT1) / 1e6;
+  NewJob->ModelLoadMs = static_cast<double>(ModelT1 - ModelT0) / 1e6;
+  std::future<ServeResult> Future = NewJob->Result.get_future();
 
   // Non-blocking admission (load shedding): a saturated daemon answers
   // Overloaded instead of head-of-line-blocking the connection thread.
-  // Joiners may keep attaching to the job meanwhile — it is already
-  // listed in-flight.
-  const size_t HighWater =
-      Opts.ShedHighWater > 0
-          ? std::min(Opts.ShedHighWater, Opts.QueueCapacity)
-          : Opts.QueueCapacity;
-  const bool Admitted =
-      Queue.size() < HighWater && Queue.tryPush(std::move(NewJob));
+  const bool Admitted = Queue.tryPush(std::move(NewJob));
   QueueDepthGauge.set(static_cast<int64_t>(Queue.size()));
   if (!Admitted) {
     // Shed (or shutdown raced the admission); tryPush failed without
-    // moving, so the job is still ours. Delist it first (under the lock,
-    // so no joiner can attach to a dying job), then fail every attached
-    // waiter.
-    const bool ShuttingDown = Queue.closed();
-    std::vector<std::promise<ServeResult>> Waiters;
-    {
-      std::lock_guard<std::mutex> Lock(InFlightMutex);
-      if (NewJob->UseCache)
-        InFlight.erase(NewJob->Key);
-      Waiters = std::move(NewJob->Waiters);
-    }
+    // moving, so the job is still ours.
     ServeResult R;
-    if (ShuttingDown) {
+    if (Queue.closed()) {
       R.Outcome.Detail = "server is shutting down";
     } else {
       R.Overloaded = true;
       R.Outcome.Detail = "admission queue is full";
       StatShed.increment();
     }
-    for (std::promise<ServeResult> &P : Waiters)
-      P.set_value(R);
+    NewJob->Result.set_value(std::move(R));
   }
   return Future;
 }
 
 void Scheduler::finishJob(std::unique_ptr<Job> JobPtr,
                           const RunOutcome &Outcome, bool Publish) {
-  // Publish before delisting (see the InFlight comment in the header).
   // Deadline outcomes are belt-and-braces excluded: deadline jobs carry
   // UseCache=false, and even a mislabeled one must never memoize a
   // timing-dependent result.
   if (Publish && JobPtr->UseCache && Outcome.ModelLoaded &&
       !Outcome.DeadlineExceeded)
     Cache.insert(JobPtr->Key, Outcome);
-  std::vector<std::promise<ServeResult>> Waiters;
-  {
-    std::lock_guard<std::mutex> Lock(InFlightMutex);
-    if (JobPtr->UseCache)
-      InFlight.erase(JobPtr->Key);
-    Waiters = std::move(JobPtr->Waiters);
-  }
   ServeResult R;
   R.Outcome = Outcome;
-  R.Cached = false;
   R.ModelHash = JobPtr->ModelHash;
-  for (std::promise<ServeResult> &P : Waiters)
-    P.set_value(R);
+  JobPtr->Result.set_value(std::move(R));
 }
 
 void Scheduler::dispatchLoop() {
@@ -367,10 +287,6 @@ void Scheduler::dispatchLoop() {
     StatBatches.increment();
     StatExecuted.add(Batch.size());
     MaxBatchGauge.noteMax(static_cast<int64_t>(Batch.size()));
-    for (size_t Prev = MaxBatchSeen.load();
-         Batch.size() > Prev &&
-         !MaxBatchSeen.compare_exchange_weak(Prev, Batch.size());)
-      ;
     for (const RunOutcome &Out : Outcomes)
       if (Out.DeadlineExceeded)
         StatDeadlineExpired.increment();

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The serve daemon's execution pipeline. Connection threads submit
-/// queries; a single dispatcher thread coalesces whatever is in flight
-/// into one batch and runs it through the existing batch machinery
+/// queries; a single dispatcher thread gathers whatever is queued into
+/// one batch and runs it through the existing batch machinery
 /// (runSpecBatchLoaded -> parallelForIndex), so N clients share the
 /// process-wide pool (support/ThreadPool.h) as one fan-out instead of
 /// oversubscribing the SIMD kernel tier with N independent ones; the
@@ -20,18 +20,23 @@
 /// Per-query flow in submit():
 ///  1. resolve the model through the ModelRegistry (load-once, pinned);
 ///  2. build the cache key (canonical spec + model hash);
-///  3. derive the deterministic attack seed from that key — never from
+///  3. consult the ResultCache (hit -> ready future, `Cached` set);
+///  4. derive the deterministic attack seed from the key — never from
 ///     admission order, so outcomes are independent of batch composition;
-///  4. coalesce with an identical in-flight query if one exists;
-///  5. consult the ResultCache (hit -> ready future, `Cached` set);
-///  6. otherwise enqueue on the bounded admission queue — non-blocking:
-///     past the shed high-water mark the query fails fast with an
-///     Overloaded result instead of head-of-line-blocking the
-///     connection thread (load shedding).
+///  5. enqueue on the bounded admission queue — non-blocking:
+///     when the queue is full the query fails fast with an Overloaded
+///     result instead of head-of-line-blocking the connection thread
+///     (load shedding).
 ///
-/// Determinism: a query's outcome depends only on its cache key. The
-/// jobs-1-vs-N and batched-vs-sequential equivalence is enforced by
-/// tests/test_serve.cpp.
+/// Determinism: a query's outcome depends only on its cache key. So two
+/// identical queries admitted together simply both execute: their
+/// outcomes are byte-identical and the second cache insert refreshes the
+/// first. The jobs-1-vs-N and batched-vs-sequential equivalence is
+/// enforced by tests/test_serve.cpp.
+///
+/// Traffic is counted on the process-wide telemetry registry (`serve.*`
+/// series, support/Telemetry.h) and read through the `metrics` protocol
+/// method.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,8 +54,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <vector>
 
 namespace craft {
 namespace serve {
@@ -60,15 +63,15 @@ struct ServeResult {
   RunOutcome Outcome;
   bool Cached = false;
   uint64_t ModelHash = 0; ///< 0 when the model failed to load.
-  /// Shed at admission: the queue was past the high-water mark, nothing
-  /// executed. Retryable — the protocol layer maps it to `Overloaded`.
+  /// Shed at admission: the queue was full, nothing executed. Retryable —
+  /// the protocol layer maps it to `Overloaded`.
   bool Overloaded = false;
   /// Rejected because the daemon is draining. Retryable (against a
   /// replacement instance); mapped to `Draining`.
   bool Draining = false;
 };
 
-/// Coalescing, caching scheduler in front of the verification pool.
+/// Batching, caching scheduler in front of the verification pool.
 class Scheduler {
 public:
   struct Options {
@@ -77,36 +80,12 @@ public:
     int Jobs = 1;
     /// Hard cap on queries dispatched as one batch.
     size_t MaxBatch = 64;
-    /// Admission queue bound.
+    /// Admission queue bound. Load shedding: submit never blocks — a
+    /// query arriving while the queue is full is shed with
+    /// ServeResult::Overloaded.
     size_t QueueCapacity = 1024;
-    /// Load shedding: submit never blocks — a query arriving while the
-    /// queue holds at least this many jobs (or tryPush finds it full) is
-    /// shed with ServeResult::Overloaded. 0 = QueueCapacity, i.e. shed
-    /// exactly when the queue is full.
-    size_t ShedHighWater = 0;
-    /// Base of the content-derived attack-seed stream (see
-    /// serveAttackSeed). Matches the batch driver's default vintage.
-    uint64_t BaseSeed = 20230617;
-    /// ResultCache sizing.
+    /// ResultCache entries.
     size_t CacheCapacity = 4096;
-    size_t CacheShards = 8;
-  };
-
-  /// Pipeline counters, as a snapshot since this scheduler's construction.
-  /// The live series are process-wide `serve.*` metrics on the telemetry
-  /// registry (support/Telemetry.h); stats() reads them and subtracts the
-  /// construction-time baseline, so per-instance semantics (and the
-  /// `stats` protocol envelope) are unchanged.
-  struct Stats {
-    uint64_t Submitted = 0;
-    uint64_t CacheHits = 0;
-    uint64_t Coalesced = 0; ///< Joined an identical in-flight query.
-    uint64_t Executed = 0;
-    uint64_t Batches = 0;
-    size_t MaxBatchSeen = 0;
-    uint64_t Shed = 0; ///< Rejected at admission (queue past high water).
-    /// Queries whose deadline expired (before dispatch or mid-engine).
-    uint64_t DeadlineExpired = 0;
   };
 
   explicit Scheduler(const Options &Opts);
@@ -123,10 +102,10 @@ public:
   /// \p DeadlineMs >= 0 arms a wall-clock budget starting now (queue wait
   /// counts); an expired query resolves to a DeadlineExceeded outcome.
   /// Deadline queries may be answered from the cache (a hit is instant
-  /// and deterministic) but are never coalesced, never listed in-flight,
-  /// and their outcomes are NEVER inserted into the cache — whether the
-  /// budget sufficed is a property of this submission's timing, not of
-  /// the query's content, and must not poison the deterministic cache.
+  /// and deterministic), but their outcomes are NEVER inserted into it —
+  /// whether the budget sufficed is a property of this submission's
+  /// timing, not of the query's content, and must not poison the
+  /// deterministic cache.
   std::future<ServeResult> submit(const VerificationSpec &Spec,
                                   bool UseCache = true,
                                   double DeadlineMs = -1.0);
@@ -144,12 +123,10 @@ public:
   /// Jobs currently waiting in the admission queue.
   size_t queueDepth() const { return Queue.size(); }
 
-  Stats stats() const;
-  ResultCache::Stats cacheStats() const { return Cache.stats(); }
   ModelRegistry &registry() { return Registry; }
 
 private:
-  /// One admitted (cache-missed, deduplicated) query awaiting dispatch.
+  /// One admitted (cache-missed) query awaiting dispatch.
   struct Job {
     VerificationSpec Spec;
     const MonDeq *Model = nullptr;
@@ -165,8 +142,7 @@ private:
     uint64_t AdmitNs = 0;
     double CacheProbeMs = 0.0;
     double ModelLoadMs = 0.0;
-    /// Every submitter waiting on this query (1 + coalesced joiners).
-    std::vector<std::promise<ServeResult>> Waiters;
+    std::promise<ServeResult> Result;
   };
 
   void dispatchLoop();
@@ -179,24 +155,6 @@ private:
   ModelRegistry Registry;
   ResultCache Cache;
   MpmcQueue<std::unique_ptr<Job>> Queue;
-
-  /// Key -> in-flight job (queued or executing), for coalescing. A job
-  /// stays listed from admission until finishJob, which inserts the
-  /// outcome into the cache *before* delisting; submit probes InFlight
-  /// and the cache under this one mutex, so an identical query always
-  /// either joins the job's waiters or finds the cached outcome — a key
-  /// is never executed twice concurrently.
-  std::unordered_map<std::string, Job *> InFlight;
-  mutable std::mutex InFlightMutex;
-
-  /// Registry totals at construction: stats() reports current - Base, so
-  /// each instance sees only its own traffic even though the serve.*
-  /// series are process-wide.
-  Stats Base;
-  /// Largest batch this instance dispatched. A high-water mark has no
-  /// meaningful process-wide delta, so it stays on the instance (the
-  /// registry's serve.max_batch gauge tracks the process-wide max).
-  std::atomic<size_t> MaxBatchSeen{0};
 
   std::atomic<bool> Stopping{false};
   std::atomic<bool> Draining{false};

@@ -331,19 +331,8 @@ void Server::runStdio(std::FILE *In, std::FILE *Out) {
   }
 }
 
-std::string Server::handleLine(const std::string &Line,
-                               bool &ShutdownRequested) {
-  LineOutcome Out;
-  std::string Response = handleLine(Line, Out);
-  ShutdownRequested = Out.ShutdownRequested;
-  if (Out.DrainRequested)
-    beginDrain(); // This caller cannot see the flag; act directly.
-  return Response;
-}
-
 std::string Server::handleLine(const std::string &Line, LineOutcome &Act) {
   Act = LineOutcome();
-  Requests.fetch_add(1);
   std::string Error;
   std::optional<Request> Req = decodeRequest(Line, Error);
   if (!Req) {
@@ -387,43 +376,6 @@ std::string Server::handleLine(const std::string &Line, LineOutcome &Act) {
     Doc.set("id", Value::number(static_cast<double>(Req->Id)));
     Doc.set("ok", Value::boolean(true));
     Doc.set("draining", Value::boolean(true));
-    return Doc.serialize();
-  }
-
-  if (Req->Method == "stats") {
-    Scheduler::Stats S = Sched.stats();
-    ResultCache::Stats C = Sched.cacheStats();
-    Value Doc = Value::object();
-    Doc.set("id", Value::number(static_cast<double>(Req->Id)));
-    Doc.set("ok", Value::boolean(true));
-    Doc.set("requests", Value::number(static_cast<double>(Requests.load())));
-    Doc.set("draining", Value::boolean(DrainStarted.load()));
-    Value Sch = Value::object();
-    Sch.set("submitted", Value::number(static_cast<double>(S.Submitted)));
-    Sch.set("cache_hits", Value::number(static_cast<double>(S.CacheHits)));
-    Sch.set("coalesced", Value::number(static_cast<double>(S.Coalesced)));
-    Sch.set("executed", Value::number(static_cast<double>(S.Executed)));
-    Sch.set("batches", Value::number(static_cast<double>(S.Batches)));
-    Sch.set("max_batch", Value::number(static_cast<double>(S.MaxBatchSeen)));
-    Sch.set("shed", Value::number(static_cast<double>(S.Shed)));
-    Sch.set("deadline_expired",
-            Value::number(static_cast<double>(S.DeadlineExpired)));
-    Sch.set("queue_depth",
-            Value::number(static_cast<double>(Sched.queueDepth())));
-    Doc.set("scheduler", std::move(Sch));
-    Value Ca = Value::object();
-    Ca.set("hits", Value::number(static_cast<double>(C.Hits)));
-    Ca.set("misses", Value::number(static_cast<double>(C.Misses)));
-    Ca.set("insertions", Value::number(static_cast<double>(C.Insertions)));
-    Ca.set("evictions", Value::number(static_cast<double>(C.Evictions)));
-    Ca.set("entries", Value::number(static_cast<double>(C.Entries)));
-    Doc.set("cache", std::move(Ca));
-    Value Mo = Value::object();
-    Mo.set("known", Value::number(
-                        static_cast<double>(Sched.registry().size())));
-    Mo.set("loaded", Value::number(static_cast<double>(
-                         Sched.registry().loadedCount())));
-    Doc.set("models", std::move(Mo));
     return Doc.serialize();
   }
 

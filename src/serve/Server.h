@@ -10,7 +10,7 @@
 /// loopback TCP socket, and answers them through the admission scheduler
 /// (model registry + result cache + batched dispatch). Each TCP
 /// connection gets one reader thread that handles its requests in order;
-/// concurrency across connections is what the scheduler coalesces into
+/// concurrency across connections is what the scheduler gathers into
 /// batches. Finished connection threads are reaped by the accept loop so
 /// a long-lived daemon does not accumulate dead threads, and a
 /// max-connections cap turns further connects into an immediate
@@ -127,10 +127,6 @@ public:
   /// embedded caller use the same entry point.
   std::string handleLine(const std::string &Line, LineOutcome &Out);
 
-  /// Compatibility form: shutdown flag only; a drain request is applied
-  /// directly (beginDrain()) since the caller cannot see it.
-  std::string handleLine(const std::string &Line, bool &ShutdownRequested);
-
 private:
   void acceptLoop();
   void connectionLoop(SocketFd Socket);
@@ -163,7 +159,6 @@ private:
 
   std::atomic<bool> Stopping{false};
   std::atomic<bool> DrainStarted{false};
-  std::atomic<uint64_t> Requests{0};
   std::mutex ShutdownMutex;
   std::condition_variable ShutdownCv;
 

@@ -362,13 +362,24 @@ craft::runSpecBatch(const std::vector<VerificationSpec> &Specs,
                     const BatchOptions &Opts) {
   // Load each distinct model once and share the read-only instance across
   // workers; a multi-input spec would otherwise reload its model per query.
-  std::map<std::string, std::optional<MonDeq>> Models;
+  std::map<std::string, std::optional<MonDeq>> Loaded;
   for (const VerificationSpec &Spec : Specs)
-    Models.emplace(Spec.ModelPath, std::nullopt);
-  for (auto &Entry : Models) {
+    Loaded.emplace(Spec.ModelPath, std::nullopt);
+  for (auto &Entry : Loaded) {
     Entry.second = MonDeq::load(Entry.first);
     if (Entry.second)
       Entry.second->fbAlphaBound(); // Warm the lazy cache before fan-out.
+  }
+
+  std::vector<VerificationSpec> Seeded = Specs;
+  std::vector<const MonDeq *> Models(Specs.size());
+  for (size_t I = 0; I < Specs.size(); ++I) {
+    // Per-task RNG seeding: keyed by batch position, not by worker, so the
+    // batch outcome is identical for every job count.
+    if (Seeded[I].Attack && Seeded[I].AttackSeed == 0)
+      Seeded[I].AttackSeed = taskSeed(Opts.BaseSeed, I);
+    const std::optional<MonDeq> &Model = Loaded.at(Specs[I].ModelPath);
+    Models[I] = Model ? &*Model : nullptr;
   }
 
   // One budget shared by the whole batch: every worker polls the same
@@ -376,21 +387,8 @@ craft::runSpecBatch(const std::vector<VerificationSpec> &Specs,
   // that were still unresolved when it expired.
   RunControl Control;
   Control.DeadlineAt = Deadline(Opts.DeadlineMs);
-  std::vector<RunOutcome> Outcomes(Specs.size());
-  parallelForIndex(Specs.size(), Opts.Jobs, [&](size_t I) {
-    VerificationSpec Spec = Specs[I];
-    // Per-task RNG seeding: keyed by batch position, not by worker, so the
-    // batch outcome is identical for every job count.
-    if (Spec.Attack && Spec.AttackSeed == 0)
-      Spec.AttackSeed = taskSeed(Opts.BaseSeed, I);
-    const std::optional<MonDeq> &Model = Models.at(Spec.ModelPath);
-    if (!Model) {
-      Outcomes[I].Detail = "cannot load model '" + Spec.ModelPath + "'";
-      return;
-    }
-    Outcomes[I] = runSpecOn(Spec, *Model, Control);
-  });
-  return Outcomes;
+  return runSpecBatchLoaded(Seeded, Models, Opts.Jobs,
+                            std::vector<RunControl>(Specs.size(), Control));
 }
 
 SplitRunOutcome craft::runSplitCertification(const VerificationSpec &Spec,

@@ -152,8 +152,9 @@ RunOutcome runSpecLoaded(const VerificationSpec &Spec, const MonDeq &Model);
 /// those slots report a load failure outcome. Unlike runSpecBatch, specs
 /// run exactly as given: no per-index attack-seed derivation, so outcomes
 /// depend only on each spec's own content, never on its position. This is
-/// the serve scheduler's dispatch path, where batches are formed by
-/// admission timing and positions are not reproducible.
+/// the one batch fan-out: the serve scheduler dispatches through it (its
+/// batches form by admission timing, so positions are not reproducible),
+/// and runSpecBatch calls it once it has loaded models and seeded specs.
 ///
 /// Controls[I] (when present) is polled by spec I's engine at
 /// iteration/wave boundaries, and a spec cut short without a verdict
@@ -175,8 +176,8 @@ struct BatchOptions {
   /// the task's position in the batch, never on scheduling.
   uint64_t BaseSeed = 20230617; // PLDI 2023 vintage.
   /// Wall-clock budget shared by the whole batch (< 0 = none). The clock
-  /// starts when runSpecBatch is entered; specs still unresolved when it
-  /// expires report DeadlineExceeded.
+  /// starts once runSpecBatch has loaded the batch's models; specs still
+  /// unresolved when it expires report DeadlineExceeded.
   double DeadlineMs = -1.0;
 };
 

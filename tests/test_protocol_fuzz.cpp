@@ -42,7 +42,7 @@ std::vector<std::string> corpus() {
   Unicode.SpecText = "model caf\xc3\xa9.bin\nepsilon 0.1\n\xf0\x9f\x98\x80";
   Lines.push_back(encodeRequest(Unicode));
 
-  for (const char *Method : {"info", "stats", "ping", "drain", "shutdown"}) {
+  for (const char *Method : {"info", "metrics", "ping", "drain", "shutdown"}) {
     Request Req;
     Req.Id = 3;
     Req.Method = Method;

@@ -3,7 +3,7 @@
 // Tests for the persistent verification service (src/serve/): JSON and
 // protocol round-trips, canonical spec keys, the bounded MPMC admission
 // queue, the pinned model registry, ResultCache hit/miss/eviction
-// determinism, the admission scheduler's caching/coalescing/jobs-1-vs-N
+// determinism, the admission scheduler's caching/batching/jobs-1-vs-N
 // contracts, and the server's request handling through handleLine (the
 // socket transports are covered by the process-level test_serve_e2e).
 //
@@ -21,6 +21,7 @@
 #include "serve/Scheduler.h"
 #include "serve/Server.h"
 #include "support/MpmcQueue.h"
+#include "support/Telemetry.h"
 #include "tool/SpecCanon.h"
 
 #include <gtest/gtest.h>
@@ -34,6 +35,23 @@
 using namespace craft;
 using namespace craft::serve;
 using json::Value;
+
+namespace {
+
+/// Movement of registry counter \p Name since \p Before. The serve series
+/// are process-wide, so every count a test asserts is a delta.
+uint64_t counterDelta(const telemetry::MetricsSnapshot &Before,
+                      const std::string &Name) {
+  auto Read = [&Name](const telemetry::MetricsSnapshot &S) -> uint64_t {
+    for (const auto &[N, V] : S.Counters)
+      if (N == Name)
+        return V;
+    return 0;
+  };
+  return Read(telemetry::snapshotMetrics()) - Read(Before);
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // JSON
@@ -606,23 +624,22 @@ RunOutcome markedOutcome(double Margin) {
 } // namespace
 
 TEST(ResultCacheTest, HitMissAndStats) {
-  ResultCache Cache(16, 4);
+  const telemetry::MetricsSnapshot Before = telemetry::snapshotMetrics();
+  ResultCache Cache(16);
   EXPECT_FALSE(Cache.lookup("a").has_value());
   Cache.insert("a", markedOutcome(1.0));
   std::optional<RunOutcome> Hit = Cache.lookup("a");
   ASSERT_TRUE(Hit.has_value());
   EXPECT_DOUBLE_EQ(Hit->MarginLower, 1.0);
-  ResultCache::Stats S = Cache.stats();
-  EXPECT_EQ(S.Hits, 1u);
-  EXPECT_EQ(S.Misses, 1u);
-  EXPECT_EQ(S.Insertions, 1u);
-  EXPECT_EQ(S.Entries, 1u);
-  EXPECT_EQ(S.Evictions, 0u);
+  EXPECT_EQ(counterDelta(Before, "serve.cache.misses"), 1u);
+  EXPECT_EQ(counterDelta(Before, "serve.cache.insertions"), 1u);
+  EXPECT_EQ(counterDelta(Before, "serve.cache.evictions"), 0u);
+  EXPECT_EQ(Cache.size(), 1u);
 }
 
 TEST(ResultCacheTest, EvictionIsLruAndDeterministic) {
-  // One shard, capacity 3: full control over the LRU order.
-  ResultCache Cache(3, 1);
+  const telemetry::MetricsSnapshot Before = telemetry::snapshotMetrics();
+  ResultCache Cache(3);
   Cache.insert("a", markedOutcome(1));
   Cache.insert("b", markedOutcome(2));
   Cache.insert("c", markedOutcome(3));
@@ -633,11 +650,11 @@ TEST(ResultCacheTest, EvictionIsLruAndDeterministic) {
   EXPECT_TRUE(Cache.lookup("a").has_value());
   EXPECT_TRUE(Cache.lookup("c").has_value());
   EXPECT_TRUE(Cache.lookup("d").has_value());
-  EXPECT_EQ(Cache.stats().Evictions, 1u);
-  EXPECT_EQ(Cache.stats().Entries, 3u);
+  EXPECT_EQ(counterDelta(Before, "serve.cache.evictions"), 1u);
+  EXPECT_EQ(Cache.size(), 3u);
 
   // The same insertion sequence reproduces the same eviction pattern.
-  ResultCache Cache2(3, 1);
+  ResultCache Cache2(3);
   Cache2.insert("a", markedOutcome(1));
   Cache2.insert("b", markedOutcome(2));
   Cache2.insert("c", markedOutcome(3));
@@ -647,20 +664,24 @@ TEST(ResultCacheTest, EvictionIsLruAndDeterministic) {
 }
 
 TEST(ResultCacheTest, ReinsertRefreshesInsteadOfDuplicating) {
-  ResultCache Cache(2, 1);
+  ResultCache Cache(2);
   Cache.insert("a", markedOutcome(1));
   Cache.insert("a", markedOutcome(9));
-  EXPECT_EQ(Cache.stats().Entries, 1u);
+  EXPECT_EQ(Cache.size(), 1u);
   EXPECT_DOUBLE_EQ(Cache.lookup("a")->MarginLower, 9.0);
 }
 
-TEST(ResultCacheTest, ShardsBoundTotalCapacity) {
-  ResultCache Cache(8, 4);
+TEST(ResultCacheTest, CapacityBoundsTotalEntries) {
+  const telemetry::MetricsSnapshot Before = telemetry::snapshotMetrics();
+  ResultCache Cache(8);
   for (int I = 0; I < 100; ++I)
     Cache.insert("key" + std::to_string(I), markedOutcome(I));
-  // Per-shard cap is ceil(8/4) = 2 -> at most 8 entries total.
-  EXPECT_LE(Cache.stats().Entries, 8u);
-  EXPECT_GE(Cache.stats().Evictions, 92u);
+  // One global LRU: exactly the 8 most recent keys survive.
+  EXPECT_EQ(Cache.size(), 8u);
+  EXPECT_EQ(counterDelta(Before, "serve.cache.evictions"), 92u);
+  EXPECT_TRUE(Cache.lookup("key99").has_value());
+  EXPECT_TRUE(Cache.lookup("key92").has_value());
+  EXPECT_FALSE(Cache.lookup("key91").has_value());
 }
 
 //===----------------------------------------------------------------------===//
@@ -668,6 +689,7 @@ TEST(ResultCacheTest, ShardsBoundTotalCapacity) {
 //===----------------------------------------------------------------------===//
 
 TEST(SchedulerTest, SecondIdenticalQueryIsAByteIdenticalCacheHit) {
+  const telemetry::MetricsSnapshot Before = telemetry::snapshotMetrics();
   Scheduler::Options Opts;
   Opts.Jobs = 2;
   Scheduler Sched(Opts);
@@ -686,11 +708,12 @@ TEST(SchedulerTest, SecondIdenticalQueryIsAByteIdenticalCacheHit) {
   EXPECT_EQ(std::memcmp(&First.Outcome.TimeSeconds,
                         &Second.Outcome.TimeSeconds, sizeof(double)),
             0);
-  EXPECT_EQ(Sched.stats().CacheHits, 1u);
-  EXPECT_EQ(Sched.stats().Executed, 1u);
+  EXPECT_EQ(counterDelta(Before, "serve.cache_hits"), 1u);
+  EXPECT_EQ(counterDelta(Before, "serve.executed"), 1u);
 }
 
 TEST(SchedulerTest, MissingModelFailsFastWithoutExecution) {
+  const telemetry::MetricsSnapshot Before = telemetry::snapshotMetrics();
   Scheduler::Options Opts;
   Scheduler Sched(Opts);
   VerificationSpec Spec = serveSpec(0, 0.02);
@@ -698,7 +721,7 @@ TEST(SchedulerTest, MissingModelFailsFastWithoutExecution) {
   ServeResult R = Sched.submit(Spec).get();
   EXPECT_FALSE(R.Outcome.ModelLoaded);
   EXPECT_NE(R.Outcome.Detail.find("cannot load model"), std::string::npos);
-  EXPECT_EQ(Sched.stats().Executed, 0u);
+  EXPECT_EQ(counterDelta(Before, "serve.executed"), 0u);
 }
 
 TEST(SchedulerTest, JobsAndBatchingNeverChangeOutcomes) {
@@ -724,7 +747,7 @@ TEST(SchedulerTest, JobsAndBatchingNeverChangeOutcomes) {
   }
   ASSERT_EQ(Baseline.size(), Specs.size());
 
-  // jobs=4, concurrent submission: admission batching coalesces these
+  // jobs=4, concurrent submission: admission batching gathers these
   // into multi-query batches, and the pool fans each batch out.
   for (int Round = 0; Round < 2; ++Round) {
     Scheduler::Options Opts;
@@ -744,7 +767,7 @@ TEST(SchedulerTest, JobsAndBatchingNeverChangeOutcomes) {
   }
 }
 
-TEST(SchedulerTest, ConcurrentIdenticalQueriesExecuteOnce) {
+TEST(SchedulerTest, ConcurrentIdenticalQueriesAgree) {
   Scheduler::Options Opts;
   Opts.Jobs = 2;
   Scheduler Sched(Opts);
@@ -757,18 +780,18 @@ TEST(SchedulerTest, ConcurrentIdenticalQueriesExecuteOnce) {
   std::vector<ServeResult> Results;
   for (std::future<ServeResult> &F : Futures)
     Results.push_back(F.get());
+  // Copies admitted together may each execute; by the determinism
+  // contract they agree byte for byte, cached or not.
   for (int I = 1; I < N; ++I)
     expectSameOutcome(Results[0].Outcome, Results[I].Outcome,
                       "identical query " + std::to_string(I));
-  Scheduler::Stats S = Sched.stats();
-  EXPECT_EQ(S.Submitted, (uint64_t)N);
-  EXPECT_EQ(S.Executed, 1u)
-      << "coalescing + cache must collapse identical queries into one "
-         "execution";
-  EXPECT_EQ(S.CacheHits + S.Coalesced, (uint64_t)(N - 1));
+  ServeResult After = Sched.submit(Spec).get();
+  EXPECT_TRUE(After.Cached) << "a settled query must be cached";
+  expectSameOutcome(Results[0].Outcome, After.Outcome, "cached copy");
 }
 
 TEST(SchedulerTest, UncachedSubmissionsBypassTheCache) {
+  const telemetry::MetricsSnapshot Before = telemetry::snapshotMetrics();
   Scheduler::Options Opts;
   Scheduler Sched(Opts);
   VerificationSpec Spec = serveSpec(2, 0.02);
@@ -776,17 +799,18 @@ TEST(SchedulerTest, UncachedSubmissionsBypassTheCache) {
   ServeResult B = Sched.submit(Spec, /*UseCache=*/false).get();
   EXPECT_FALSE(A.Cached);
   EXPECT_FALSE(B.Cached);
-  EXPECT_EQ(Sched.stats().Executed, 2u);
+  EXPECT_EQ(counterDelta(Before, "serve.executed"), 2u);
   expectSameOutcome(A.Outcome, B.Outcome, "uncached determinism");
 }
 
 TEST(SchedulerTest, SameCertificatePathQueriesSerializeSafely) {
-  // Certificate queries bypass cache and coalescing, so N concurrent
+  // Certificate queries bypass the cache, so N concurrent
   // submissions all execute — but two of them must never share a batch
   // (saveCertificate would race on the file). The dispatcher defers
   // duplicates to later batches; afterwards the witness must be intact.
   const char *CertPath = "/tmp/craft_serve_cert.bin";
   std::remove(CertPath);
+  const telemetry::MetricsSnapshot Before = telemetry::snapshotMetrics();
   Scheduler::Options Opts;
   Opts.Jobs = 4;
   Scheduler Sched(Opts);
@@ -803,7 +827,7 @@ TEST(SchedulerTest, SameCertificatePathQueriesSerializeSafely) {
     EXPECT_TRUE(R.Outcome.CertificateWritten) << R.Outcome.Detail;
     EXPECT_FALSE(R.Cached) << "certificate queries are never memoized";
   }
-  EXPECT_EQ(Sched.stats().Executed, (uint64_t)N);
+  EXPECT_EQ(counterDelta(Before, "serve.executed"), (uint64_t)N);
 
   auto Model = MonDeq::load(serveFixture().ModelPath);
   auto Cert = loadCertificate(CertPath);
@@ -836,11 +860,12 @@ struct InProcessServer {
     Opts.Sched.Jobs = 2;
     return Opts;
   }
-  Value handle(const std::string &Line, bool *WasShutdown = nullptr) {
-    bool Flag = false;
-    std::string Response = Daemon.handleLine(Line, Flag);
-    if (WasShutdown)
-      *WasShutdown = Flag;
+  Value handle(const std::string &Line,
+               Server::LineOutcome *Act = nullptr) {
+    Server::LineOutcome Out;
+    std::string Response = Daemon.handleLine(Line, Out);
+    if (Act)
+      *Act = Out;
     std::string Error;
     std::optional<Value> Doc = json::parse(Response, Error);
     EXPECT_TRUE(Doc.has_value()) << Response << " -> " << Error;
@@ -872,6 +897,7 @@ std::string smokeSpecText(double Epsilon) {
 } // namespace
 
 TEST(ServerTest, AnswersPingStatsAndInfo) {
+  // `stats` is gone: the registry is read through `metrics`.
   ServeFixture &Fix = serveFixture();
   InProcessServer S;
   Value Pong = S.handle("{\"id\":1,\"method\":\"ping\"}");
@@ -894,10 +920,10 @@ TEST(ServerTest, AnswersPingStatsAndInfo) {
   EXPECT_EQ(InfoDoc.stringOr("hash", ""), HashHex);
 
   Value Stats = S.handle("{\"id\":3,\"method\":\"stats\"}");
-  EXPECT_TRUE(Stats.boolOr("ok", false));
-  ASSERT_NE(Stats.find("cache"), nullptr);
-  ASSERT_NE(Stats.find("scheduler"), nullptr);
-  EXPECT_EQ(Stats.find("models")->numberOr("loaded", -1), 1.0);
+  EXPECT_FALSE(Stats.boolOr("ok", true));
+  EXPECT_NE(Stats.stringOr("error", "").find("unknown method"),
+            std::string::npos)
+      << Stats.serialize();
 }
 
 TEST(ServerTest, MetricsEnvelopeExposesRegistry) {
@@ -997,9 +1023,10 @@ TEST(ServerTest, ReportsSpecDiagnosticsAndBadJson) {
 
 TEST(ServerTest, ShutdownRequestSetsFlagAndAcks) {
   InProcessServer S;
-  bool WasShutdown = false;
-  Value Ack = S.handle("{\"id\":4,\"method\":\"shutdown\"}", &WasShutdown);
-  EXPECT_TRUE(WasShutdown);
+  Server::LineOutcome Act;
+  Value Ack = S.handle("{\"id\":4,\"method\":\"shutdown\"}", &Act);
+  EXPECT_TRUE(Act.ShutdownRequested);
+  EXPECT_FALSE(Act.DrainRequested);
   EXPECT_TRUE(Ack.boolOr("ok", false));
   S.Daemon.shutdown();
   EXPECT_TRUE(S.Daemon.shuttingDown());

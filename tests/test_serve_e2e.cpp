@@ -241,14 +241,15 @@ TEST(ServeE2eTest, FullLifecycleWithClientBinaryAndCache) {
         << "query " << I << ": cached payload must be byte-identical";
   }
 
-  // Stats must agree: all 12 queries submitted, only 3 executed.
-  std::optional<json::Value> Stats = Client.stats(Error);
-  ASSERT_TRUE(Stats.has_value()) << Error;
-  const json::Value *Sched = Stats->find("scheduler");
-  ASSERT_NE(Sched, nullptr);
-  EXPECT_EQ(Sched->numberOr("submitted", -1), 12.0);
-  EXPECT_EQ(Sched->numberOr("executed", -1), 3.0);
-  EXPECT_EQ(Sched->numberOr("cache_hits", -1), 9.0);
+  // The daemon's registry must agree (a fresh process, so its counters
+  // are this test's traffic): all 12 queries submitted, only 3 executed.
+  std::optional<json::Value> Metrics = Client.metrics(Error);
+  ASSERT_TRUE(Metrics.has_value()) << Error;
+  const json::Value *Counters = Metrics->find("counters");
+  ASSERT_NE(Counters, nullptr);
+  EXPECT_EQ(Counters->numberOr("serve.submitted", -1), 12.0);
+  EXPECT_EQ(Counters->numberOr("serve.executed", -1), 3.0);
+  EXPECT_EQ(Counters->numberOr("serve.cache_hits", -1), 9.0);
 
   // Clean shutdown: ack arrives, daemon exits 0.
   EXPECT_TRUE(Client.requestShutdown(Error)) << Error;

@@ -2,7 +2,7 @@
 //
 // Drives every serve degradation path through the real in-process stack
 // (scheduler, server, sockets, client): deterministic fault injection
-// (CRAFT_FAULT sites), load shedding at the admission high-water mark,
+// (CRAFT_FAULT sites), load shedding when the admission queue is full,
 // per-request deadlines and their never-cached contract, graceful drain,
 // client retry/reconnect, the stdio transport's shutdown responsiveness,
 // id echo on malformed requests, and the connection cap.
@@ -18,6 +18,7 @@
 #include "support/FaultInjection.h"
 #include "support/Rng.h"
 #include "support/Socket.h"
+#include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -44,6 +45,19 @@ static const bool FaultEnvNeutralized = [] {
 }();
 
 namespace {
+
+/// Movement of registry counter \p Name since \p Before. The serve series
+/// are process-wide, so every count a test asserts is a delta.
+uint64_t counterDelta(const telemetry::MetricsSnapshot &Before,
+                      const std::string &Name) {
+  auto Read = [&Name](const telemetry::MetricsSnapshot &S) -> uint64_t {
+    for (const auto &[N, V] : S.Counters)
+      if (N == Name)
+        return V;
+    return 0;
+  };
+  return Read(telemetry::snapshotMetrics()) - Read(Before);
+}
 
 /// Arms a fault spec for one test scope and always disarms on exit, so a
 /// failing assertion cannot leak faults into the next test.
@@ -209,12 +223,12 @@ TEST(FaultInjectionTest, ModelLoadFaultIsTransientNotPinned) {
 // Scheduler: shedding, deadlines, dispatch faults
 //===----------------------------------------------------------------------===//
 
-TEST(SchedulerFaultTest, SubmitShedsAtHighWaterWithoutBlocking) {
+TEST(SchedulerFaultTest, SubmitShedsWhenQueueFullWithoutBlocking) {
+  const telemetry::MetricsSnapshot Before = telemetry::snapshotMetrics();
   Scheduler::Options Opts;
   Opts.Jobs = 1;
   Opts.MaxBatch = 1;
-  Opts.QueueCapacity = 4;
-  Opts.ShedHighWater = 1;
+  Opts.QueueCapacity = 1;
   Scheduler Sched(Opts);
 
   // Occupy the dispatcher: a slow attack query plus a 25 ms dispatch
@@ -232,8 +246,8 @@ TEST(SchedulerFaultTest, SubmitShedsAtHighWaterWithoutBlocking) {
   std::future<ServeResult> Queued = Sched.submit(faultSpec(0.1, 1.0), false);
   std::future<ServeResult> Shed = Sched.submit(faultSpec(0.1, 2.0), false);
   // The shed future is ready IMMEDIATELY — while the queue still holds
-  // the queued job — which is exactly what "submit never blocks past the
-  // high-water mark" means.
+  // the queued job — which is exactly what "submit never blocks on a
+  // full queue" means.
   ASSERT_EQ(Shed.wait_for(std::chrono::seconds(0)),
             std::future_status::ready)
       << "a shed submission must resolve without waiting on the queue";
@@ -242,7 +256,7 @@ TEST(SchedulerFaultTest, SubmitShedsAtHighWaterWithoutBlocking) {
   EXPECT_NE(ShedResult.Outcome.Detail.find("admission queue"),
             std::string::npos)
       << ShedResult.Outcome.Detail;
-  EXPECT_GE(Sched.stats().Shed, 1u);
+  EXPECT_GE(counterDelta(Before, "serve.shed"), 1u);
 
   ServeResult BusyResult = Busy.get();
   ServeResult QueuedResult = Queued.get();
@@ -253,6 +267,7 @@ TEST(SchedulerFaultTest, SubmitShedsAtHighWaterWithoutBlocking) {
 }
 
 TEST(SchedulerFaultTest, DeadlineOutcomeIsNeverCached) {
+  const telemetry::MetricsSnapshot Before = telemetry::snapshotMetrics();
   Scheduler::Options Opts;
   Opts.Jobs = 1;
   Scheduler Sched(Opts);
@@ -264,7 +279,7 @@ TEST(SchedulerFaultTest, DeadlineOutcomeIsNeverCached) {
       << Expired.Outcome.Detail;
   EXPECT_FALSE(Expired.Outcome.Certified);
   EXPECT_FALSE(Expired.Cached);
-  EXPECT_GE(Sched.stats().DeadlineExpired, 1u);
+  EXPECT_GE(counterDelta(Before, "serve.deadline_expired"), 1u);
 
   // The SAME query without a deadline must execute fresh — a cache hit
   // here would mean the deadline outcome was memoized.
@@ -398,7 +413,7 @@ TEST(ServeFaultsTest, DeadlineExceededEndToEndOverTcp) {
   ASSERT_TRUE(Client.requestShutdown(Error)) << Error;
 }
 
-TEST(ServeFaultsTest, DrainFinishesInFlightAndRejectsNew) {
+TEST(ServeFaultsTest, DrainFinishesAdmittedWorkAndRejectsNew) {
   ServerOptions SO;
   SO.Sched.Jobs = 1;
   TcpServer S(SO);
@@ -410,6 +425,7 @@ TEST(ServeFaultsTest, DrainFinishesInFlightAndRejectsNew) {
   // before phase 2, in well under a millisecond each, so a 25 ms
   // dispatch stall keeps it in flight while B drains and submits.
   FaultGuard Guard("sched.dispatch:stall:every=1");
+  const telemetry::MetricsSnapshot Before = telemetry::snapshotMetrics();
   std::string SlowError;
   std::optional<VerifyReply> SlowReply;
   std::thread A([&] {
@@ -426,15 +442,8 @@ TEST(ServeFaultsTest, DrainFinishesInFlightAndRejectsNew) {
   ServeClient B;
   std::string Error;
   ASSERT_TRUE(B.connect(Port, Error)) << Error;
-  for (;;) {
-    std::optional<Value> Stats = B.stats(Error);
-    ASSERT_TRUE(Stats.has_value()) << Error;
-    const Value *Sch = Stats->find("scheduler");
-    ASSERT_NE(Sch, nullptr);
-    if (Sch->numberOr("submitted", 0) >= 4.0)
-      break;
+  while (counterDelta(Before, "serve.submitted") < 4)
     std::this_thread::yield();
-  }
   ASSERT_TRUE(B.requestDrain(Error)) << Error;
   // The ack is written before the transport applies the drain (the
   // response must escape the socket first), so wait for the flag.

@@ -67,10 +67,9 @@ static int usage() {
       "  craft split [--jobs N] [--depth N] <spec-file>...\n"
       "  craft serve [--port N] [--stdio] [--jobs N] [--max-batch N]\n"
       "              [--cache-entries N] [--queue-capacity N]\n"
-      "              [--high-water N] [--max-conns N]\n"
-      "              [--trace-out FILE]\n"
-      "  craft client --port N [--no-cache] [--ping] [--stats]\n"
-      "               [--metrics] [--deadline-ms N] [--timeout-ms N]\n"
+      "              [--max-conns N] [--trace-out FILE]\n"
+      "  craft client --port N [--no-cache] [--ping] [--metrics]\n"
+      "               [--deadline-ms N] [--timeout-ms N]\n"
       "               [--retries N] [--drain] [--shutdown]\n"
       "               [<spec-file>...]\n"
       "  craft info <model.bin>\n"
@@ -380,12 +379,6 @@ int runServe(int Argc, char **Argv) {
       if (!V || !parseCount(V, "--queue-capacity", 1L << 20, N) || N < 1)
         return ExitError;
       Opts.Sched.QueueCapacity = static_cast<size_t>(N);
-    } else if (std::strcmp(Argv[I], "--high-water") == 0) {
-      const char *V = needValue("--high-water");
-      long N = 0;
-      if (!V || !parseCount(V, "--high-water", 1L << 20, N) || N < 1)
-        return ExitError;
-      Opts.Sched.ShedHighWater = static_cast<size_t>(N);
     } else if (std::strcmp(Argv[I], "--max-conns") == 0) {
       const char *V = needValue("--max-conns");
       long N = 0;
@@ -439,7 +432,7 @@ int runServe(int Argc, char **Argv) {
 
 int runClient(int Argc, char **Argv) {
   int Port = -1;
-  bool NoCache = false, Ping = false, Stats = false, Shutdown = false;
+  bool NoCache = false, Ping = false, Shutdown = false;
   bool Drain = false, Metrics = false;
   long DeadlineMs = -1, TimeoutMs = 0, Retries = 0;
   std::vector<std::string> Files;
@@ -455,8 +448,6 @@ int runClient(int Argc, char **Argv) {
       NoCache = true;
     } else if (std::strcmp(Argv[I], "--ping") == 0) {
       Ping = true;
-    } else if (std::strcmp(Argv[I], "--stats") == 0) {
-      Stats = true;
     } else if (std::strcmp(Argv[I], "--metrics") == 0) {
       Metrics = true;
     } else if (std::strcmp(Argv[I], "--shutdown") == 0) {
@@ -489,7 +480,7 @@ int runClient(int Argc, char **Argv) {
     std::fprintf(stderr, "error: craft client needs --port N\n");
     return usage();
   }
-  if (Files.empty() && !Ping && !Stats && !Metrics && !Shutdown && !Drain)
+  if (Files.empty() && !Ping && !Metrics && !Shutdown && !Drain)
     return usage();
 
   serve::ServeClient Client;
@@ -553,14 +544,6 @@ int runClient(int Argc, char **Argv) {
     std::printf("server time  %.3f ms\n", Reply->ServerMs);
   }
 
-  if (Stats) {
-    std::optional<json::Value> Doc = Client.stats(Error);
-    if (!Doc) {
-      std::fprintf(stderr, "error: stats failed: %s\n", Error.c_str());
-      return ExitError;
-    }
-    std::printf("%s\n", Doc->serialize().c_str());
-  }
   if (Metrics) {
     std::optional<json::Value> Doc = Client.metrics(Error);
     if (!Doc) {
