@@ -15,7 +15,7 @@
 
 #include "BenchCommon.h"
 
-#include "core/DomainSplitting.h"
+#include "core/SplitEngine.h"
 #include "data/Hcas.h"
 #include "support/Timer.h"
 
@@ -63,14 +63,14 @@ int main() {
 
   CraftConfig Config = craftConfigFor(*Spec);
   Config.LambdaOptLevel = 0; // Many small regions; keep each cheap.
-  int MaxDepth = 8; // Depth controls region count (not a sample count).
+  SplitOptions Opts; // Depth controls region count (not a sample count).
   if (const char *Env = std::getenv("CRAFT_SPLIT_DEPTH"))
-    MaxDepth = std::max(1, std::atoi(Env));
+    Opts.MaxDepth = std::max(1, std::atoi(Env));
   // CRAFT_JOBS fans the region waves out across workers (0 = all
   // hardware threads); the result is identical for every value.
+  Opts.Jobs = benchJobs();
   WallTimer SplitClock;
-  SplitResult Res = certifyByDomainSplitting(Model, Config, SliceLo,
-                                             SliceHi, MaxDepth, benchJobs());
+  SplitResult Res = runSplitEngine(Model, Config, SliceLo, SliceHi, Opts);
 
   std::printf("certified fraction of the slice: %.1f%%  (%zu regions, %zu "
               "certified, %zu verifier calls, %zu waves, %.1f s)\n\n",

@@ -35,7 +35,7 @@
 #include "BenchCommon.h"
 #include "BenchJson.h"
 
-#include "core/DomainSplitting.h"
+#include "core/SplitEngine.h"
 #include "data/GaussianMixture.h"
 #include "support/Rng.h"
 
@@ -79,6 +79,7 @@ CraftConfig workloadConfig() {
 bool sameSplit(const SplitResult &A, const SplitResult &B) {
   if (std::memcmp(&A.CertifiedFraction, &B.CertifiedFraction,
                   sizeof(double)) != 0 ||
+      A.Certified != B.Certified || A.Refuted != B.Refuted ||
       A.NumCertified != B.NumCertified ||
       A.NumVerifierCalls != B.NumVerifierCalls ||
       A.NumWaves != B.NumWaves || A.Regions.size() != B.Regions.size())
@@ -88,14 +89,6 @@ bool sameSplit(const SplitResult &A, const SplitResult &B) {
         A.Regions[I].CertifiedClass != B.Regions[I].CertifiedClass)
       return false;
   return true;
-}
-
-bool sameBnB(const BranchAndBoundResult &A, const BranchAndBoundResult &B) {
-  return A.Certified == B.Certified && A.Refuted == B.Refuted &&
-         A.NumVerifierCalls == B.NumVerifierCalls &&
-         A.NumLeaves == B.NumLeaves && A.NumWaves == B.NumWaves &&
-         std::memcmp(&A.CertifiedVolumeFraction,
-                     &B.CertifiedVolumeFraction, sizeof(double)) == 0;
 }
 
 } // namespace
@@ -115,13 +108,16 @@ int main() {
   const Vector Lo(5, 0.3), Hi(5, 0.7);
 
   // Global certification workload (the Fig. 11 shape).
+  SplitOptions GlobalOpts;
+  GlobalOpts.MaxDepth = Depth;
+  GlobalOpts.Jobs = 1;
   WallTimer T1;
-  SplitResult GlobalSerial =
-      certifyByDomainSplitting(Model, Config, Lo, Hi, Depth, /*Jobs=*/1);
+  SplitResult GlobalSerial = runSplitEngine(Model, Config, Lo, Hi, GlobalOpts);
   double GlobalSerialSec = T1.seconds();
+  GlobalOpts.Jobs = -1;
   WallTimer T2;
   SplitResult GlobalParallel =
-      certifyByDomainSplitting(Model, Config, Lo, Hi, Depth, /*Jobs=*/-1);
+      runSplitEngine(Model, Config, Lo, Hi, GlobalOpts);
   double GlobalParallelSec = T2.seconds();
 
   std::printf("global  depth %d: %zu regions, %zu verifier calls, %zu "
@@ -142,19 +138,16 @@ int main() {
     BnbLo[I] = std::max(BnbLo[I] - 0.012, 0.0);
     BnbHi[I] = std::min(BnbHi[I] + 0.012, 1.0);
   }
-  int Target = SampleClass;
-  SplitOptions BnbSerial;
-  BnbSerial.MaxDepth = Depth;
-  BnbSerial.Jobs = 1;
+  SplitOptions BnbOpts;
+  BnbOpts.MaxDepth = Depth;
+  BnbOpts.Jobs = 1;
+  BnbOpts.TargetClass = SampleClass;
   WallTimer T3;
-  BranchAndBoundResult BnbA =
-      verifyRobustnessSplit(Model, Config, BnbLo, BnbHi, Target, BnbSerial);
+  SplitResult BnbA = runSplitEngine(Model, Config, BnbLo, BnbHi, BnbOpts);
   double BnbSerialSec = T3.seconds();
-  SplitOptions BnbParallel = BnbSerial;
-  BnbParallel.Jobs = -1;
+  BnbOpts.Jobs = -1;
   WallTimer T4;
-  BranchAndBoundResult BnbB =
-      verifyRobustnessSplit(Model, Config, BnbLo, BnbHi, Target, BnbParallel);
+  SplitResult BnbB = runSplitEngine(Model, Config, BnbLo, BnbHi, BnbOpts);
   double BnbParallelSec = T4.seconds();
 
   std::printf("bnb     depth %d: %s, %zu verifier calls, %zu leaves\n",
@@ -162,7 +155,7 @@ int main() {
               BnbA.Certified  ? "certified"
               : BnbA.Refuted  ? "refuted"
                               : "undecided",
-              BnbA.NumVerifierCalls, BnbA.NumLeaves);
+              BnbA.NumVerifierCalls, BnbA.Regions.size());
   std::printf("bnb     serial %.3f s, parallel(%zu) %.3f s  ->  %.2fx\n\n",
               BnbSerialSec, Hardware, BnbParallelSec,
               BnbSerialSec / BnbParallelSec);
@@ -204,7 +197,7 @@ int main() {
                  GlobalSerial.NumVerifierCalls);
     Ok = false;
   }
-  if (!sameSplit(GlobalSerial, GlobalParallel) || !sameBnB(BnbA, BnbB)) {
+  if (!sameSplit(GlobalSerial, GlobalParallel) || !sameSplit(BnbA, BnbB)) {
     std::fprintf(stderr, "FAIL: serial and parallel outcomes differ — the "
                          "jobs-1-vs-N determinism contract is broken\n");
     Ok = false;

@@ -11,7 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/DomainSplitting.h"
+#include "core/SplitEngine.h"
 #include "data/Hcas.h"
 #include "nn/ModelZoo.h"
 #include "nn/Training.h"
@@ -22,8 +22,9 @@
 using namespace craft;
 
 int main(int Argc, char **Argv) {
-  int MaxDepth = Argc > 1 ? std::atoi(Argv[1]) : 9;
-  int Jobs = Argc > 2 ? std::atoi(Argv[2]) : 1;
+  SplitOptions Opts; // Global mode: each region keeps its own advisory.
+  Opts.MaxDepth = Argc > 1 ? std::atoi(Argv[1]) : 9;
+  Opts.Jobs = Argc > 2 ? std::atoi(Argv[2]) : 1;
 
   const ModelSpec *Spec = findModelSpec("hcas_fc100");
   MonDeq Model = getOrTrainModel(*Spec);
@@ -39,8 +40,7 @@ int main(int Argc, char **Argv) {
   CraftConfig Config;
   Config.Alpha1 = 0.06;
   Config.LambdaOptLevel = 0;
-  SplitResult Res =
-      certifyByDomainSplitting(Model, Config, Lo, Hi, MaxDepth, Jobs);
+  SplitResult Res = runSplitEngine(Model, Config, Lo, Hi, Opts);
 
   std::printf("certified %.1f%% of the encounter region "
               "(%zu regions, %zu certified)\n",

@@ -74,14 +74,11 @@ struct WaveSlot {
 
 } // namespace
 
-SplitEngineResult craft::runSplitEngine(const MonDeq &Model,
-                                        const CraftConfig &Config,
-                                        const Vector &Lo, const Vector &Hi,
-                                        const SplitEngineOptions &Opts) {
-  SplitEngineResult Result;
-  Result.EffectiveMaxDepth =
-      std::clamp(Opts.MaxDepth, 0, MaxSupportedSplitDepth);
-  const int Eff = Result.EffectiveMaxDepth;
+SplitResult craft::runSplitEngine(const MonDeq &Model,
+                                  const CraftConfig &Config, const Vector &Lo,
+                                  const Vector &Hi, const SplitOptions &Opts) {
+  SplitResult Result;
+  const int Eff = std::clamp(Opts.MaxDepth, 0, MaxSupportedSplitDepth);
   Result.TotalUnits = 1ull << Eff;
   if (Lo.empty() || Lo.size() != Hi.size())
     return Result; // Malformed box: nothing certified.
@@ -105,11 +102,9 @@ SplitEngineResult craft::runSplitEngine(const MonDeq &Model,
       // refutation early-abort): the remaining frontier becomes undecided
       // leaves so the unit accounting stays exact and the partial result
       // stays sound.
-      for (WorkItem &Item : Frontier) {
-        ++Result.NumUndecided;
-        Result.Leaves.push_back({Item.Path, Item.Depth, std::move(Item.Lo),
-                                 std::move(Item.Hi), -1});
-      }
+      for (WorkItem &Item : Frontier)
+        Result.Regions.push_back({Item.Path, Item.Depth, std::move(Item.Lo),
+                                  std::move(Item.Hi), -1});
       Frontier.clear();
       break;
     }
@@ -164,8 +159,8 @@ SplitEngineResult craft::runSplitEngine(const MonDeq &Model,
         int Class = Refutation ? Opts.TargetClass : Slots[I].ProbeClass;
         Result.CertifiedUnits += unitsAt(Item.Depth);
         ++Result.NumCertified;
-        Result.Leaves.push_back({Item.Path, Item.Depth, std::move(Item.Lo),
-                                 std::move(Item.Hi), Class});
+        Result.Regions.push_back({Item.Path, Item.Depth, std::move(Item.Lo),
+                                  std::move(Item.Hi), Class});
         continue;
       }
       double Mid = 0.0;
@@ -173,9 +168,8 @@ SplitEngineResult craft::runSplitEngine(const MonDeq &Model,
           Item.Depth < Eff ? splitDimension(Item.Lo, Item.Hi, Mid) : -1;
       if (Dim < 0) {
         // Depth budget exhausted or nothing splittable: undecided leaf.
-        ++Result.NumUndecided;
-        Result.Leaves.push_back({Item.Path, Item.Depth, std::move(Item.Lo),
-                                 std::move(Item.Hi), -1});
+        Result.Regions.push_back({Item.Path, Item.Depth, std::move(Item.Lo),
+                                  std::move(Item.Hi), -1});
         continue;
       }
       WorkItem LoHalf{Item.Path << 1, Item.Depth + 1, Item.Lo, Item.Hi,
@@ -195,9 +189,9 @@ SplitEngineResult craft::runSplitEngine(const MonDeq &Model,
   // the early abort again lands on a deterministic boundary: every probe
   // of a chunk runs, the lowest-path refutation wins, later chunks are
   // skipped.
-  if (Refutation && Opts.PgdProbes && Result.NumUndecided > 0) {
-    std::vector<const SplitLeaf *> Targets;
-    for (const SplitLeaf &L : Result.Leaves) {
+  if (Refutation && Opts.PgdProbes) {
+    std::vector<const SplitRegion *> Targets;
+    for (const SplitRegion &L : Result.Regions) {
       if (L.CertifiedClass >= 0)
         continue;
       // Point leaves have no ball to attack (their center probe already
@@ -223,7 +217,7 @@ SplitEngineResult craft::runSplitEngine(const MonDeq &Model,
       const size_t End = std::min(Begin + Chunk, Targets.size());
       Probes.assign(End - Begin, ProbeSlot{});
       parallelForIndex(End - Begin, Opts.Jobs, [&](size_t I) {
-        const SplitLeaf &L = *Targets[Begin + I];
+        const SplitRegion &L = *Targets[Begin + I];
         double Eps = 0.0;
         for (size_t D = 0; D < L.Lo.size(); ++D)
           Eps = std::max(Eps, 0.5 * (L.Hi[D] - L.Lo[D]));
@@ -262,6 +256,14 @@ SplitEngineResult craft::runSplitEngine(const MonDeq &Model,
         }
       }
     }
+  }
+  if (!Result.Refuted) {
+    // Exact leaf-unit accounting: no rounding guard needed — a fully
+    // certified tree sums to the root's units exactly, degenerate
+    // dimensions included.
+    Result.CertifiedFraction = static_cast<double>(Result.CertifiedUnits) /
+                               static_cast<double>(Result.TotalUnits);
+    Result.Certified = Result.CertifiedUnits == Result.TotalUnits;
   }
   return Result;
 }

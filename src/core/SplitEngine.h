@@ -1,15 +1,31 @@
-//===- core/SplitEngine.h - Parallel split work-queue -----------*- C++ -*-===//
+//===- core/SplitEngine.h - Domain splitting --------------------*- C++ -*-===//
 //
 // Part of the Craft reproduction (PLDI 2023).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The branch-and-bound work-queue engine behind both domain-splitting
-/// entry points (core/DomainSplitting.h): a frontier worklist of
-/// path-encoded regions expanded in waves; each parallel phase of a wave
-/// is one parallelForIndex fan-out (support/ThreadPool.h), so inside a
-/// batch query it borrows idle pool workers and never starts a thread.
+/// Domain splitting: the one engine behind both uses of it. runSplitEngine
+/// with a SplitOptions is the only entry point, in one of two modes:
+///
+///  - global mode (TargetClass < 0): the paper's Section 6.2 global
+///    certification (`craft split`). The input space is bisected along the
+///    widest dimension; each region is certified with Craft against the
+///    class predicted at its center; regions that fail are split further
+///    until the depth budget is exhausted. The certified fraction of the
+///    box is the headline metric (the paper reports 82.8% on the HCAS
+///    input space). Nothing refutes.
+///  - refutation mode (TargetClass >= 0): branch-and-bound local
+///    robustness (`split-depth` in a spec). Every region is certified
+///    against the target class, and a misclassified region center is a
+///    definitive counterexample that aborts the remaining expansion.
+///    Neither Certified nor Refuted means the depth budget ran out
+///    undecided (the verifier is incomplete, Section 5.2).
+///
+/// The engine is a frontier worklist of path-encoded regions expanded in
+/// waves; each parallel phase of a wave is one parallelForIndex fan-out
+/// (support/ThreadPool.h), so inside a batch query it borrows idle pool
+/// workers and never starts a thread.
 ///
 /// Region identity is the bisection path (root = 1, low child = P << 1,
 /// high child = P << 1 | 1), so a region's box, probe seed, and processing
@@ -25,31 +41,32 @@
 ///     region. A refutation in phase 1 aborts the whole search before this
 ///     phase starts — that is the early-abort broadcast, applied at wave
 ///     granularity precisely so outcomes stay byte-identical for
-///     jobs = 1 vs N. A child region starts Craft's phase 2 from its
-///     parent's Phase2End (core/Verifier.h): the last state of the
-///     parent's FB main run, at the parent's alpha, with no phase 1 and
-///     no line search. That state contains Fix(X_parent), which contains
-///     Fix(X_child) since X_child is a subset of X_parent, and FB
-///     tightening is sound for any alpha in [0,1] (Thm 3.1 / 3.3 / 5.1).
-///     Its error-term ids are renumbered 1..k, and the child mints its
-///     own above k on its thread, so no input term aliases an inherited
-///     one; results depend only on the relative order of ids, so a
-///     child's result does not depend on the thread that runs it. Both
-///     children share the parent's copy, freed after their wave. Roots,
-///     and children of a parent that left no state (no containment, width
-///     abort, Box, PR phase 2, same-iteration ablation), run Craft in
-///     full.
+///     jobs = 1 vs N. Unlike the paper, which verifies each region from
+///     scratch, a child region starts Craft's phase 2 from its parent's
+///     Phase2End (core/Verifier.h): the last state of the parent's FB main
+///     run, at the parent's alpha, with no phase 1 and no line search.
+///     That state contains Fix(X_parent), which contains Fix(X_child)
+///     since X_child is a subset of X_parent, and FB tightening is sound
+///     for any alpha in [0,1] (Thm 3.1 / 3.3 / 5.1), so the start is
+///     sound. Its error-term ids are renumbered 1..k, and the child mints
+///     its own above k on its thread, so no input term aliases an
+///     inherited one; results depend only on the relative order of ids,
+///     so a child's result does not depend on the thread that runs it.
+///     Both children share the parent's copy, freed after their wave.
+///     Roots, and children of a parent that left no state (no
+///     containment, width abort, Box, PR phase 2, same-iteration
+///     ablation), run Craft in full.
 ///  3. expand (sequential): uncertified regions below the depth budget are
 ///     bisected along their widest splittable dimension and their children
 ///     appended to the next frontier in path order.
 ///
 /// Certified measure is tracked by exact leaf accounting: a leaf at depth
-/// d owns exactly 2^(EffectiveMaxDepth - d) units of the root's
-/// 2^EffectiveMaxDepth, in integer arithmetic, so a fully certified box
-/// reports fraction 1.0 exactly — including boxes with degenerate
-/// (zero-width) dimensions, whose geometric volume is 0 and which the old
-/// volume-ratio bookkeeping could never certify. measureOf() is the
-/// matching geometric measure over non-degenerate dimensions only.
+/// d owns exactly 2^(MaxDepth - d) units of the root's 2^MaxDepth (the
+/// budget after clamping), in integer arithmetic, so a fully certified
+/// box reports fraction 1.0 exactly — including boxes with degenerate
+/// (zero-width) dimensions, whose geometric volume is 0 and which a
+/// volume ratio could never certify. measureOf() is the matching
+/// geometric measure over non-degenerate dimensions only.
 ///
 /// Undecided max-depth leaves can optionally be attacked with PGD probes,
 /// seeded per region as taskSeed(ProbeSeedBase, path), run in fixed-size
@@ -83,8 +100,8 @@ constexpr int MaxSupportedSplitDepth = 62;
 /// empty product), never 0 — callers divide by this.
 double measureOf(const Vector &Lo, const Vector &Hi);
 
-/// Engine knobs.
-struct SplitEngineOptions {
+/// Settings of one split run.
+struct SplitOptions {
   /// Bisections allowed on any root-to-leaf path (clamped to
   /// MaxSupportedSplitDepth).
   int MaxDepth = 8;
@@ -104,8 +121,8 @@ struct SplitEngineOptions {
   uint64_t ProbeSeedBase = 20230617;
 };
 
-/// One leaf of the finished (or aborted) splitting tree.
-struct SplitLeaf {
+/// One leaf region of the finished (or aborted) splitting tree.
+struct SplitRegion {
   RegionPath Path = 1;
   int Depth = 0;
   Vector Lo, Hi;
@@ -114,10 +131,10 @@ struct SplitLeaf {
   int CertifiedClass = -1;
 };
 
-/// Aggregate engine outcome.
-struct SplitEngineResult {
+/// Outcome of one split run.
+struct SplitResult {
   /// Leaves in wave (breadth-first path) order. Partial when Refuted.
-  std::vector<SplitLeaf> Leaves;
+  std::vector<SplitRegion> Regions;
   bool Refuted = false;
   bool RefutedByPgd = false; ///< Witness came from a PGD probe.
   Vector Counterexample;     ///< Valid when Refuted.
@@ -125,35 +142,27 @@ struct SplitEngineResult {
   uint64_t PgdSeed = 0; ///< Seed of the refuting PGD probe (0 otherwise).
   size_t NumVerifierCalls = 0;
   size_t NumCertified = 0; ///< Certified leaves.
-  size_t NumUndecided = 0; ///< Undecided leaves.
   size_t NumWaves = 0;
   size_t NumPgdProbes = 0;
-  /// Exact leaf accounting in units of 2^-EffectiveMaxDepth of the root:
-  /// CertifiedUnits == TotalUnits iff every leaf certified.
+  /// Exact leaf accounting in units of 2^-MaxDepth of the root (the
+  /// clamped budget): CertifiedUnits == TotalUnits iff every leaf
+  /// certified.
   uint64_t CertifiedUnits = 0;
   uint64_t TotalUnits = 0;
-  int EffectiveMaxDepth = 0;
-
-  /// Certified fraction of the root box under the unit measure; exactly
-  /// 1.0 when every leaf certified (degenerate dimensions included).
-  double certifiedFraction() const {
-    return TotalUnits == 0
-               ? 0.0
-               : static_cast<double>(CertifiedUnits) /
-                     static_cast<double>(TotalUnits);
-  }
-  bool fullyCertified() const {
-    return !Refuted && TotalUnits != 0 && CertifiedUnits == TotalUnits;
-  }
+  /// CertifiedUnits / TotalUnits: exactly 1.0 when every leaf certified
+  /// (degenerate dimensions included). 0 when Refuted.
+  double CertifiedFraction = 0.0;
+  /// Every leaf certified (never when Refuted): the property holds.
+  bool Certified = false;
 };
 
-/// Runs the work-queue engine on the box [Lo, Hi]. \p Model is strictly
-/// read-only (its lazy alpha-bound cache is warmed before fan-out), so one
-/// instance is shared by every worker.
-SplitEngineResult runSplitEngine(const MonDeq &Model,
-                                 const CraftConfig &Config, const Vector &Lo,
-                                 const Vector &Hi,
-                                 const SplitEngineOptions &Opts);
+/// Runs the split engine on the box [Lo, Hi] (see the file comment for
+/// the two modes). \p Model is strictly read-only (its lazy alpha-bound
+/// cache is warmed before fan-out), so one instance is shared by every
+/// worker.
+SplitResult runSplitEngine(const MonDeq &Model, const CraftConfig &Config,
+                           const Vector &Lo, const Vector &Hi,
+                           const SplitOptions &Opts);
 
 } // namespace craft
 

@@ -107,14 +107,6 @@ Vector craft::cwiseMin(const Vector &A, const Vector &B) {
   return Out;
 }
 
-Vector craft::cwiseProduct(const Vector &A, const Vector &B) {
-  assert(A.size() == B.size() && "vector size mismatch");
-  Vector Out(A.size());
-  for (size_t I = 0, E = A.size(); I < E; ++I)
-    Out[I] = A[I] * B[I];
-  return Out;
-}
-
 //===----------------------------------------------------------------------===//
 // Matrix
 //===----------------------------------------------------------------------===//
@@ -268,14 +260,4 @@ Vector craft::operator*(const Matrix &M, const Vector &V) {
   Vector Out(M.rows());
   kernels::gemv(Out, M, V);
   return Out;
-}
-
-double craft::frobeniusNorm(const Matrix &M) {
-  double Sum = 0.0;
-  for (size_t R = 0; R < M.rows(); ++R) {
-    const double *Row = M.rowData(R);
-    for (size_t C = 0; C < M.cols(); ++C)
-      Sum += Row[C] * Row[C];
-  }
-  return std::sqrt(Sum);
 }

@@ -86,8 +86,6 @@ double dot(const Vector &A, const Vector &B);
 Vector cwiseMax(const Vector &A, const Vector &B);
 /// Elementwise minimum of two equally sized vectors.
 Vector cwiseMin(const Vector &A, const Vector &B);
-/// Elementwise product.
-Vector cwiseProduct(const Vector &A, const Vector &B);
 
 /// Dense row-major double-precision matrix.
 class Matrix {
@@ -159,9 +157,6 @@ Matrix operator-(Matrix Lhs, const Matrix &Rhs);
 Matrix operator*(double Scale, Matrix M);
 Matrix operator*(const Matrix &A, const Matrix &B);
 Vector operator*(const Matrix &M, const Vector &V);
-
-/// Frobenius norm.
-double frobeniusNorm(const Matrix &M);
 
 } // namespace craft
 

@@ -5,8 +5,8 @@
 #include "attack/Pgd.h"
 #include "cert/Certify.h"
 #include "cert/Checker.h"
-#include "core/DomainSplitting.h"
 #include "core/LipschitzCert.h"
+#include "core/SplitEngine.h"
 #include "core/UnrolledCrown.h"
 #include "core/Verifier.h"
 #include "support/Telemetry.h"
@@ -43,6 +43,33 @@ CraftConfig configFor(const VerificationSpec &Spec) {
   return Cfg;
 }
 
+/// Loads \p Spec's model; a failure is reported in \p Out.
+template <typename Outcome>
+std::optional<MonDeq> loadModel(const VerificationSpec &Spec, Outcome &Out) {
+  std::optional<MonDeq> Model = MonDeq::load(Spec.ModelPath);
+  Out.ModelLoaded = Model.has_value();
+  if (!Model)
+    Out.Detail = "cannot load model '" + Spec.ModelPath + "'";
+  return Model;
+}
+
+/// False, with \p Out flagged as an error, when \p Spec's input region
+/// does not have \p Model's input dimension. Spec/model mismatches are
+/// errors, not verdicts: the query never ran, and reporting it
+/// "undecided" would hide a broken pipeline (exit 3 instead of 2 from the
+/// CLI).
+template <typename Outcome>
+bool inputFits(const VerificationSpec &Spec, const MonDeq &Model,
+               Outcome &Out) {
+  if (Spec.InLo.size() == Model.inputDim())
+    return true;
+  Out.Error = true;
+  Out.Detail = "input region has dimension " +
+               std::to_string(Spec.InLo.size()) + " but the model takes " +
+               std::to_string(Model.inputDim());
+  return false;
+}
+
 /// Milliseconds this thread spent in \p P since \p Before was taken.
 double msSince(const telemetry::PhaseTotals &Before, telemetry::Phase P) {
   return static_cast<double>(telemetry::phaseTotals().of(P) - Before.of(P)) /
@@ -59,16 +86,8 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
                      const RunControl &Control = {}) {
   RunOutcome Out;
   Out.ModelLoaded = true;
-  // Spec/model mismatches are errors, not verdicts: the query never ran,
-  // and reporting it "undecided" would hide a broken pipeline (exit 3
-  // instead of 2 from the CLI).
-  if (Spec.InLo.size() != Model.inputDim()) {
-    Out.Error = true;
-    Out.Detail = "input region has dimension " +
-                 std::to_string(Spec.InLo.size()) + " but the model takes " +
-                 std::to_string(Model.inputDim());
+  if (!inputFits(Spec, Model, Out))
     return Out;
-  }
   if (Spec.TargetClass < 0 ||
       Spec.TargetClass >= (int)Model.outputDim()) {
     Out.Error = true;
@@ -174,6 +193,7 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
       SplitOptions Split;
       Split.MaxDepth = Spec.SplitDepth;
       Split.Jobs = Spec.SplitJobs == 0 ? -1 : Spec.SplitJobs;
+      Split.TargetClass = Spec.TargetClass;
       if (Spec.Attack) {
         // PGD probes on undecided leaves, each seeded by its region path
         // from the spec seed (or the batch driver's per-index seed), so
@@ -187,10 +207,9 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
                                   ? Spec.AttackSeed
                                   : taskSeed(BatchOptions().BaseSeed, 0);
       }
-      BranchAndBoundResult Res = [&] {
+      SplitResult Res = [&] {
         telemetry::PhaseTimer SplitPhase(telemetry::Phase::Split);
-        return verifyRobustnessSplit(Model, Cfg, Spec.InLo, Spec.InHi,
-                                     Spec.TargetClass, Split);
+        return runSplitEngine(Model, Cfg, Spec.InLo, Spec.InHi, Split);
       }();
       SolverIterations += Res.NumVerifierCalls;
       Out.Certified = Res.Certified;
@@ -211,7 +230,7 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
         Out.Detail = "split verification: " +
                      std::to_string(Res.NumVerifierCalls) + " calls, " +
                      std::to_string(Res.NumWaves) + " waves, " +
-                     std::to_string(Res.CertifiedVolumeFraction * 100.0) +
+                     std::to_string(Res.CertifiedFraction * 100.0) +
                      "% volume certified";
       }
     }
@@ -324,13 +343,9 @@ RunOutcome runSpecOn(const VerificationSpec &Spec, const MonDeq &Model,
 } // namespace
 
 RunOutcome craft::runSpec(const VerificationSpec &Spec) {
-  std::optional<MonDeq> Model = MonDeq::load(Spec.ModelPath);
-  if (!Model) {
-    RunOutcome Out;
-    Out.Detail = "cannot load model '" + Spec.ModelPath + "'";
-    return Out;
-  }
-  return runSpecOn(Spec, *Model);
+  RunOutcome Out;
+  std::optional<MonDeq> Model = loadModel(Spec, Out);
+  return Model ? runSpecOn(Spec, *Model) : Out;
 }
 
 RunOutcome craft::runSpecLoaded(const VerificationSpec &Spec,
@@ -394,22 +409,15 @@ craft::runSpecBatch(const std::vector<VerificationSpec> &Specs,
 SplitRunOutcome craft::runSplitCertification(const VerificationSpec &Spec,
                                              int Jobs, int MaxDepth) {
   SplitRunOutcome Out;
-  std::optional<MonDeq> Model = MonDeq::load(Spec.ModelPath);
-  if (!Model) {
-    Out.Detail = "cannot load model '" + Spec.ModelPath + "'";
+  std::optional<MonDeq> Model = loadModel(Spec, Out);
+  if (!Model || !inputFits(Spec, *Model, Out))
     return Out;
-  }
-  Out.ModelLoaded = true;
-  if (Spec.InLo.size() != Model->inputDim()) {
-    Out.Error = true;
-    Out.Detail = "input region has dimension " +
-                 std::to_string(Spec.InLo.size()) + " but the model takes " +
-                 std::to_string(Model->inputDim());
-    return Out;
-  }
+  SplitOptions Opts; // Global mode: TargetClass stays < 0.
+  Opts.MaxDepth = MaxDepth;
+  Opts.Jobs = Jobs;
   WallTimer Clock;
-  Out.Split = certifyByDomainSplitting(*Model, configFor(Spec), Spec.InLo,
-                                       Spec.InHi, MaxDepth, Jobs);
+  Out.Split = runSplitEngine(*Model, configFor(Spec), Spec.InLo, Spec.InHi,
+                             Opts);
   Out.TimeSeconds = Clock.seconds();
   return Out;
 }

@@ -15,7 +15,7 @@
 #ifndef CRAFT_TOOL_DRIVER_H
 #define CRAFT_TOOL_DRIVER_H
 
-#include "core/DomainSplitting.h"
+#include "core/SplitEngine.h"
 #include "support/Deadline.h"
 #include "support/Telemetry.h"
 #include "tool/SpecParser.h"

@@ -2,6 +2,8 @@
 
 #include "tool/SpecParser.h"
 
+#include "core/SplitEngine.h"
+
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -111,15 +113,17 @@ private:
     return true;
   }
 
-  bool integer(const Token &T, int &Out, int Min) {
+  bool integer(const Token &T, int &Out, int Min,
+               int Max = std::numeric_limits<int>::max()) {
     double V = 0.0;
     if (!number(T, V))
       return false;
     // Range first: casting a double outside int's range is undefined.
-    if (!(V >= Min && V <= std::numeric_limits<int>::max()) ||
-        V != std::floor(V)) {
-      error(T, "expected an integer >= " + std::to_string(Min) + ", got '" +
-                   T.Text + "'");
+    if (!(V >= Min && V <= Max) || V != std::floor(V)) {
+      std::string Range = "expected an integer >= " + std::to_string(Min);
+      if (Max < std::numeric_limits<int>::max())
+        Range += " and <= " + std::to_string(Max);
+      error(T, Range + ", got '" + T.Text + "'");
       return false;
     }
     Out = static_cast<int>(V);
@@ -332,7 +336,7 @@ private:
     } else if (Kw == "split-depth") {
       if (Line.size() == 2) {
         if (once(Head))
-          integer(Line[1], Base.SplitDepth, 0);
+          integer(Line[1], Base.SplitDepth, 0, MaxSupportedSplitDepth);
       } else
         error(Head, "'split-depth' takes one integer");
     } else if (Kw == "split-jobs") {

@@ -77,7 +77,8 @@ struct VerificationSpec {
   double Alpha2 = -1.0;
   int MaxIterations = 0;
   int LambdaOptLevel = -1;
-  /// Branch-and-bound split budget for the craft engine (0 = no splits).
+  /// Branch-and-bound split budget for the craft engine (0 = no splits,
+  /// at most MaxSupportedSplitDepth).
   int SplitDepth = 0;
   /// Threads per split-engine wave, the caller included (0 = all hardware
   /// threads; capped like every fan-out, see support/ThreadPool.h). A

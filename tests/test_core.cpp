@@ -6,10 +6,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/DomainSplitting.h"
 #include "core/Householder.h"
 #include "core/KleeneVerifier.h"
 #include "core/LipschitzCert.h"
+#include "core/SplitEngine.h"
 #include "core/Verifier.h"
 #include "data/GaussianMixture.h"
 #include "linalg/Lu.h"
@@ -570,8 +570,10 @@ TEST(DomainSplittingTest, CertifiesMostOfTheGmmSpace) {
   Config.LambdaOptLevel = 0; // Speed: many small regions.
   // Depth 13 in 5-d splits each dimension ~2.6 times; deep enough for the
   // within-cluster bulk to certify while boundary shells stay uncertified.
-  SplitResult Res = certifyByDomainSplitting(
-      Model, Config, Vector(5, 0.3), Vector(5, 0.7), /*MaxDepth=*/13);
+  SplitOptions Opts;
+  Opts.MaxDepth = 13;
+  SplitResult Res =
+      runSplitEngine(Model, Config, Vector(5, 0.3), Vector(5, 0.7), Opts);
   EXPECT_GT(Res.CertifiedFraction, 0.3);
   EXPECT_GT(Res.NumCertified, 0u);
   // Region volumes partition the query box.
@@ -751,6 +753,15 @@ craft::CraftConfig bnbConfig() {
   return Cfg;
 }
 
+/// Refutation-mode split of [Lo, Hi] against the fixture's sample class.
+craft::SplitResult bnb(const BnBFixture &Fix, const Vector &Lo,
+                       const Vector &Hi, int MaxDepth) {
+  craft::SplitOptions Opts;
+  Opts.MaxDepth = MaxDepth;
+  Opts.TargetClass = Fix.SampleClass;
+  return craft::runSplitEngine(Fix.Model, bnbConfig(), Lo, Hi, Opts);
+}
+
 } // namespace
 
 TEST(BranchAndBoundTest, CertifiesWhatPlainCraftCertifies) {
@@ -764,8 +775,7 @@ TEST(BranchAndBoundTest, CertifiesWhatPlainCraftCertifies) {
   CraftVerifier Plain(Fix.Model, bnbConfig());
   if (!Plain.verifyRegion(Lo, Hi, Fix.SampleClass).Certified)
     GTEST_SKIP() << "fixture sample not plainly certifiable";
-  BranchAndBoundResult Res = verifyRobustnessSplit(
-      Fix.Model, bnbConfig(), Lo, Hi, Fix.SampleClass, /*MaxDepth=*/2);
+  SplitResult Res = bnb(Fix, Lo, Hi, /*MaxDepth=*/2);
   EXPECT_TRUE(Res.Certified);
   EXPECT_FALSE(Res.Refuted);
   EXPECT_EQ(Res.NumVerifierCalls, 1u) << "no split should be needed";
@@ -784,15 +794,14 @@ TEST(BranchAndBoundTest, SplittingExtendsTheCertifiedRadius) {
       Hi[I] = std::min(Hi[I] + Eps, 1.0);
     }
     if (!Plain.verifyRegion(Lo, Hi, Fix.SampleClass).Certified) {
-      BranchAndBoundResult Res = verifyRobustnessSplit(
-          Fix.Model, bnbConfig(), Lo, Hi, Fix.SampleClass, /*MaxDepth=*/6);
+      SplitResult Res = bnb(Fix, Lo, Hi, /*MaxDepth=*/6);
       if (Res.Refuted) {
         // Definitive: the property is genuinely false at this radius.
         FixpointSolver Solver(Fix.Model, Splitting::PeacemanRachford);
         EXPECT_NE(Solver.predict(Res.Counterexample), Fix.SampleClass);
         return;
       }
-      EXPECT_GT(Res.CertifiedVolumeFraction, 0.0);
+      EXPECT_GT(Res.CertifiedFraction, 0.0);
       EXPECT_GT(Res.NumVerifierCalls, 1u);
       return;
     }
@@ -806,8 +815,7 @@ TEST(BranchAndBoundTest, RefutesWithValidCounterexample) {
   // 3-class model; BnB must find a concrete counterexample.
   BnBFixture &Fix = bnbFixture();
   Vector Lo(Fix.Sample.size(), 0.0), Hi(Fix.Sample.size(), 1.0);
-  BranchAndBoundResult Res = verifyRobustnessSplit(
-      Fix.Model, bnbConfig(), Lo, Hi, Fix.SampleClass, /*MaxDepth=*/8);
+  SplitResult Res = bnb(Fix, Lo, Hi, /*MaxDepth=*/8);
   ASSERT_TRUE(Res.Refuted);
   FixpointSolver Solver(Fix.Model, Splitting::PeacemanRachford);
   EXPECT_NE(Solver.predict(Res.Counterexample), Fix.SampleClass);
@@ -821,18 +829,15 @@ TEST(BranchAndBoundTest, DeeperBudgetsCertifyNoLessVolume) {
     Lo[I] = std::max(Lo[I] - 0.03, 0.0);
     Hi[I] = std::min(Hi[I] + 0.03, 1.0);
   }
-  BranchAndBoundResult Shallow = verifyRobustnessSplit(
-      Fix.Model, bnbConfig(), Lo, Hi, Fix.SampleClass, /*MaxDepth=*/1);
-  BranchAndBoundResult Deep = verifyRobustnessSplit(
-      Fix.Model, bnbConfig(), Lo, Hi, Fix.SampleClass, /*MaxDepth=*/4);
+  SplitResult Shallow = bnb(Fix, Lo, Hi, /*MaxDepth=*/1);
+  SplitResult Deep = bnb(Fix, Lo, Hi, /*MaxDepth=*/4);
   if (Shallow.Refuted || Deep.Refuted) {
     // The radius crosses the decision boundary on this seed: the
     // counterexample must be genuine, which is itself the guarantee.
-    const BranchAndBoundResult &R = Shallow.Refuted ? Shallow : Deep;
+    const SplitResult &R = Shallow.Refuted ? Shallow : Deep;
     FixpointSolver Solver(Fix.Model, Splitting::PeacemanRachford);
     EXPECT_NE(Solver.predict(R.Counterexample), Fix.SampleClass);
     return;
   }
-  EXPECT_GE(Deep.CertifiedVolumeFraction,
-            Shallow.CertifiedVolumeFraction - 1e-12);
+  EXPECT_GE(Deep.CertifiedFraction, Shallow.CertifiedFraction - 1e-12);
 }

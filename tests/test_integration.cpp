@@ -8,9 +8,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "attack/Pgd.h"
-#include "core/DomainSplitting.h"
 #include "core/KleeneVerifier.h"
 #include "core/LipschitzCert.h"
+#include "core/SplitEngine.h"
 #include "core/Verifier.h"
 #include "data/GaussianMixture.h"
 #include "data/Hcas.h"
@@ -206,8 +206,10 @@ TEST(SplittingIntegrationTest, CertifiedRegionsMatchConcretePredictions) {
   CraftConfig Config;
   Config.Alpha1 = 0.05;
   Config.LambdaOptLevel = 0;
-  SplitResult Res = certifyByDomainSplitting(Net, Config, Vector(5, 0.4),
-                                             Vector(5, 0.6), 8);
+  SplitOptions Split;
+  Split.MaxDepth = 8;
+  SplitResult Res =
+      runSplitEngine(Net, Config, Vector(5, 0.4), Vector(5, 0.6), Split);
   ASSERT_GT(Res.NumCertified, 0u);
 
   Rng R(66);
@@ -233,10 +235,13 @@ TEST(SplittingIntegrationTest, DeeperSplittingCertifiesMore) {
   CraftConfig Config;
   Config.Alpha1 = 0.05;
   Config.LambdaOptLevel = 0;
-  SplitResult Shallow = certifyByDomainSplitting(Net, Config, Vector(5, 0.4),
-                                                 Vector(5, 0.6), 4);
-  SplitResult Deep = certifyByDomainSplitting(Net, Config, Vector(5, 0.4),
-                                              Vector(5, 0.6), 9);
+  SplitOptions Opts;
+  Opts.MaxDepth = 4;
+  SplitResult Shallow =
+      runSplitEngine(Net, Config, Vector(5, 0.4), Vector(5, 0.6), Opts);
+  Opts.MaxDepth = 9;
+  SplitResult Deep =
+      runSplitEngine(Net, Config, Vector(5, 0.4), Vector(5, 0.6), Opts);
   EXPECT_GE(Deep.CertifiedFraction, Shallow.CertifiedFraction - 1e-12);
 }
 
@@ -264,7 +269,9 @@ TEST(HcasIntegrationTest, TrainedAdvisoryNetworkIsCertifiable) {
   constexpr double Deg = 3.14159265358979323846 / 180.0;
   Vector Lo = HcasMdp::normalizeInput(18.0, 14.0, -90.5 * Deg);
   Vector Hi = HcasMdp::normalizeInput(22.0, 18.0, -89.5 * Deg);
-  SplitResult Res = certifyByDomainSplitting(Net, Config, Lo, Hi, 6);
+  SplitOptions Split;
+  Split.MaxDepth = 6;
+  SplitResult Res = runSplitEngine(Net, Config, Lo, Hi, Split);
   // Far-away intruder region: should be dominantly certifiable.
   EXPECT_GT(Res.CertifiedFraction, 0.2);
 }

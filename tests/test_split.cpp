@@ -3,9 +3,11 @@
 // Regression coverage for the branch-and-bound split engine
 // (core/SplitEngine.h) and its driver wiring:
 //
-//  - degenerate boxes (lo[i] == hi[i]) certify through both splitting
-//    entry points — the old volume-ratio bookkeeping computed 0/0 and
+//  - degenerate boxes (lo[i] == hi[i]) certify in both modes (global and
+//    refutation) — the old volume-ratio bookkeeping computed 0/0 and
 //    could never report Certified for them;
+//  - the two modes are one engine: where no center refutes, a
+//    refutation-mode run equals the global-mode run;
 //  - outcomes are byte-identical for jobs = 1 vs N, on fixtures whose
 //    children start phase 2 from their parent's state;
 //  - every point of a certified leaf classifies to the leaf's class;
@@ -16,7 +18,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/DomainSplitting.h"
+#include "core/SplitEngine.h"
 #include "data/GaussianMixture.h"
 #include "nn/Solvers.h"
 #include "nn/Training.h"
@@ -96,8 +98,18 @@ bool sameVector(const Vector &A, const Vector &B) {
           std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0);
 }
 
-void expectSameBnB(const BranchAndBoundResult &A,
-                   const BranchAndBoundResult &B, const char *What) {
+/// Split options for \p MaxDepth and \p TargetClass (< 0 = global mode).
+SplitOptions splitOpts(int MaxDepth, int TargetClass, int Jobs = 1) {
+  SplitOptions Opts;
+  Opts.MaxDepth = MaxDepth;
+  Opts.TargetClass = TargetClass;
+  Opts.Jobs = Jobs;
+  return Opts;
+}
+
+/// Every field of two split results agrees, the fraction in every bit.
+void expectSameSplit(const SplitResult &A, const SplitResult &B,
+                     const char *What) {
   EXPECT_EQ(A.Certified, B.Certified) << What;
   EXPECT_EQ(A.Refuted, B.Refuted) << What;
   EXPECT_EQ(A.RefutedByPgd, B.RefutedByPgd) << What;
@@ -105,30 +117,20 @@ void expectSameBnB(const BranchAndBoundResult &A,
   EXPECT_EQ(A.CounterexamplePath, B.CounterexamplePath) << What;
   EXPECT_EQ(A.PgdSeed, B.PgdSeed) << What;
   EXPECT_EQ(A.NumVerifierCalls, B.NumVerifierCalls) << What;
-  EXPECT_EQ(A.NumLeaves, B.NumLeaves) << What;
-  EXPECT_EQ(A.NumUndecided, B.NumUndecided) << What;
+  EXPECT_EQ(A.NumCertified, B.NumCertified) << What;
   EXPECT_EQ(A.NumWaves, B.NumWaves) << What;
   EXPECT_EQ(A.NumPgdProbes, B.NumPgdProbes) << What;
-  EXPECT_EQ(std::memcmp(&A.CertifiedVolumeFraction,
-                        &B.CertifiedVolumeFraction, sizeof(double)),
-            0)
-      << What << ": fractions differ in some bit ("
-      << A.CertifiedVolumeFraction << " vs " << B.CertifiedVolumeFraction
-      << ")";
-}
-
-void expectSameSplit(const SplitResult &A, const SplitResult &B,
-                     const char *What) {
+  EXPECT_EQ(A.CertifiedUnits, B.CertifiedUnits) << What;
+  EXPECT_EQ(A.TotalUnits, B.TotalUnits) << What;
   EXPECT_EQ(std::memcmp(&A.CertifiedFraction, &B.CertifiedFraction,
                         sizeof(double)),
             0)
-      << What;
-  EXPECT_EQ(A.NumCertified, B.NumCertified) << What;
-  EXPECT_EQ(A.NumVerifierCalls, B.NumVerifierCalls) << What;
-  EXPECT_EQ(A.NumWaves, B.NumWaves) << What;
+      << What << ": fractions differ in some bit (" << A.CertifiedFraction
+      << " vs " << B.CertifiedFraction << ")";
   ASSERT_EQ(A.Regions.size(), B.Regions.size()) << What;
   for (size_t I = 0; I < A.Regions.size(); ++I) {
     EXPECT_EQ(A.Regions[I].Path, B.Regions[I].Path) << What << " #" << I;
+    EXPECT_EQ(A.Regions[I].Depth, B.Regions[I].Depth) << What << " #" << I;
     EXPECT_EQ(A.Regions[I].CertifiedClass, B.Regions[I].CertifiedClass)
         << What << " #" << I;
     EXPECT_TRUE(sameVector(A.Regions[I].Lo, B.Regions[I].Lo))
@@ -161,12 +163,12 @@ TEST(SplitDegenerateTest, RootCertifiesDegenerateBox) {
     GTEST_SKIP() << "fixture sample not plainly certifiable";
 
   // The box is degenerate in dimensions 2..4: the old volume bookkeeping
-  // reported CertifiedVolumeFraction = 0/0 = 0 and could never certify.
-  BranchAndBoundResult Res = verifyRobustnessSplit(
-      Fix.Model, splitConfig(), Lo, Hi, Fix.SampleClass, /*MaxDepth=*/3);
+  // reported a certified fraction of 0/0 = 0 and could never certify.
+  SplitResult Res = runSplitEngine(Fix.Model, splitConfig(), Lo, Hi,
+                                   splitOpts(3, Fix.SampleClass));
   EXPECT_TRUE(Res.Certified);
   EXPECT_FALSE(Res.Refuted);
-  EXPECT_DOUBLE_EQ(Res.CertifiedVolumeFraction, 1.0);
+  EXPECT_DOUBLE_EQ(Res.CertifiedFraction, 1.0);
   EXPECT_EQ(Res.NumVerifierCalls, 1u) << "the root region must certify";
 }
 
@@ -176,10 +178,10 @@ TEST(SplitDegenerateTest, PointBoxCertifies) {
   CraftVerifier Plain(Fix.Model, splitConfig());
   if (!Plain.verifyRegion(Lo, Hi, Fix.SampleClass).Certified)
     GTEST_SKIP() << "point box not plainly certifiable";
-  BranchAndBoundResult Res = verifyRobustnessSplit(
-      Fix.Model, splitConfig(), Lo, Hi, Fix.SampleClass, /*MaxDepth=*/2);
+  SplitResult Res = runSplitEngine(Fix.Model, splitConfig(), Lo, Hi,
+                                   splitOpts(2, Fix.SampleClass));
   EXPECT_TRUE(Res.Certified);
-  EXPECT_DOUBLE_EQ(Res.CertifiedVolumeFraction, 1.0);
+  EXPECT_DOUBLE_EQ(Res.CertifiedFraction, 1.0);
 }
 
 TEST(SplitDegenerateTest, MustSplitDegenerateBoxCertifiesVolume) {
@@ -194,14 +196,14 @@ TEST(SplitDegenerateTest, MustSplitDegenerateBoxCertifiesVolume) {
     degenerateBox(Fix.Sample, Eps, 2, Lo, Hi);
     if (Plain.verifyRegion(Lo, Hi, Fix.SampleClass).Certified)
       continue;
-    BranchAndBoundResult Res = verifyRobustnessSplit(
-        Fix.Model, splitConfig(), Lo, Hi, Fix.SampleClass, /*MaxDepth=*/6);
+    SplitResult Res = runSplitEngine(Fix.Model, splitConfig(), Lo, Hi,
+                                     splitOpts(6, Fix.SampleClass));
     if (Res.Refuted) {
       // Genuinely false at this widening: the witness must be real.
       EXPECT_NE(Solver.predict(Res.Counterexample), Fix.SampleClass);
       return;
     }
-    EXPECT_GT(Res.CertifiedVolumeFraction, 0.0);
+    EXPECT_GT(Res.CertifiedFraction, 0.0);
     EXPECT_GT(Res.NumVerifierCalls, 1u);
     EXPECT_GT(Res.NumWaves, 1u);
     return;
@@ -213,8 +215,8 @@ TEST(SplitDegenerateTest, GlobalSplittingCertifiesDegenerateBox) {
   SplitFixture &Fix = fixture();
   Vector Lo, Hi;
   degenerateBox(Fix.Sample, 0.005, 2, Lo, Hi);
-  SplitResult Res = certifyByDomainSplitting(Fix.Model, splitConfig(), Lo,
-                                             Hi, /*MaxDepth=*/4);
+  SplitResult Res =
+      runSplitEngine(Fix.Model, splitConfig(), Lo, Hi, splitOpts(4, -1));
   // The old volume ratio reported 0% on any fixed-dimension slice.
   EXPECT_GT(Res.CertifiedFraction, 0.0);
   EXPECT_GT(Res.NumCertified, 0u);
@@ -242,22 +244,17 @@ TEST(SplitDeterminismTest, BnBOutcomesAreByteIdenticalAcrossJobs) {
   for (double Eps : {0.08, 0.03, 0.02}) {
     Vector Lo, Hi;
     degenerateBox(Fix.Sample, Eps, 4, Lo, Hi);
-    SplitOptions Serial;
-    Serial.MaxDepth = 5;
-    Serial.Jobs = 1;
-    BranchAndBoundResult Baseline = verifyRobustnessSplit(
-        Fix.Model, splitConfig(), Lo, Hi, Fix.SampleClass, Serial);
+    SplitResult Baseline = runSplitEngine(Fix.Model, splitConfig(), Lo, Hi,
+                                          splitOpts(5, Fix.SampleClass));
     EXPECT_GT(Baseline.NumVerifierCalls + (Baseline.Refuted ? 1u : 0u), 1u)
         << "workload too trivial to exercise the waves";
     for (int Jobs : {2, 4, -1}) {
-      SplitOptions Parallel = Serial;
-      Parallel.Jobs = Jobs;
-      BranchAndBoundResult Res = verifyRobustnessSplit(
-          Fix.Model, splitConfig(), Lo, Hi, Fix.SampleClass, Parallel);
-      expectSameBnB(Baseline, Res,
-                    ("eps=" + std::to_string(Eps) +
-                     " jobs=" + std::to_string(Jobs))
-                        .c_str());
+      SplitResult Res = runSplitEngine(Fix.Model, splitConfig(), Lo, Hi,
+                                       splitOpts(5, Fix.SampleClass, Jobs));
+      expectSameSplit(Baseline, Res,
+                      ("eps=" + std::to_string(Eps) +
+                       " jobs=" + std::to_string(Jobs))
+                          .c_str());
     }
   }
   EXPECT_GT(inheritedStarts(), StartsBefore)
@@ -268,15 +265,42 @@ TEST(SplitDeterminismTest, GlobalOutcomesAreByteIdenticalAcrossJobs) {
   SplitFixture &Fix = fixture();
   const uint64_t StartsBefore = inheritedStarts();
   SplitResult Baseline =
-      certifyByDomainSplitting(Fix.Model, splitConfig(), Vector(5, 0.35),
-                               Vector(5, 0.65), /*MaxDepth=*/6, /*Jobs=*/1);
+      runSplitEngine(Fix.Model, splitConfig(), Vector(5, 0.35),
+                     Vector(5, 0.65), splitOpts(6, -1, /*Jobs=*/1));
   EXPECT_GT(Baseline.Regions.size(), 1u);
   EXPECT_GT(inheritedStarts(), StartsBefore)
       << "no child started from its parent's state";
   SplitResult Par =
-      certifyByDomainSplitting(Fix.Model, splitConfig(), Vector(5, 0.35),
-                               Vector(5, 0.65), /*MaxDepth=*/6, /*Jobs=*/3);
+      runSplitEngine(Fix.Model, splitConfig(), Vector(5, 0.35),
+                     Vector(5, 0.65), splitOpts(6, -1, /*Jobs=*/3));
   expectSameSplit(Baseline, Par, "jobs=3");
+}
+
+TEST(SplitModesTest, RefutationModeWithoutRefutationEqualsGlobalMode) {
+  // Global and refutation mode are one engine: they differ only in the
+  // class each region is certified against. On a box where every region
+  // center classifies to the target (no refutation, no PGD probes), the
+  // two modes must agree in every field, at every job count.
+  SplitFixture &Fix = fixture();
+  Vector Lo, Hi;
+  degenerateBox(Fix.Sample, 0.02, 4, Lo, Hi);
+  for (int Jobs : {1, 4}) {
+    const std::string What = "jobs=" + std::to_string(Jobs);
+    SplitResult Refutation =
+        runSplitEngine(Fix.Model, splitConfig(), Lo, Hi,
+                       splitOpts(5, Fix.SampleClass, Jobs));
+    ASSERT_FALSE(Refutation.Refuted)
+        << "a region center left the target class; pick a smaller box";
+    EXPECT_GT(Refutation.Regions.size(), 1u)
+        << "workload too trivial to exercise the waves";
+    SplitResult Global = runSplitEngine(Fix.Model, splitConfig(), Lo, Hi,
+                                        splitOpts(5, -1, Jobs));
+    expectSameSplit(Refutation, Global, What.c_str());
+    RecordProperty("regions_" + What,
+                   std::to_string(Refutation.Regions.size()));
+    RecordProperty("certified_" + What,
+                   std::to_string(Refutation.NumCertified));
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -288,17 +312,14 @@ TEST(SplitSoundnessTest, CertifiedLeavesClassifyConcretelyToTheirClass) {
   // a certified leaf must classify to the leaf's class: its corners and
   // seeded interior samples are checked with the concrete solver.
   SplitFixture &Fix = fixture();
-  SplitEngineOptions Opts;
-  Opts.MaxDepth = 7;
-  Opts.Jobs = 4;
   const uint64_t StartsBefore = inheritedStarts();
-  SplitEngineResult Run = runSplitEngine(Fix.Model, splitConfig(),
-                                         Vector(5, 0.3), Vector(5, 0.7), Opts);
+  SplitResult Run = runSplitEngine(Fix.Model, splitConfig(), Vector(5, 0.3),
+                                   Vector(5, 0.7), splitOpts(7, -1, 4));
   EXPECT_GT(inheritedStarts(), StartsBefore);
   FixpointSolver Solver(Fix.Model, Splitting::PeacemanRachford);
   Rng R(93);
   size_t Leaves = 0, Points = 0;
-  for (const SplitLeaf &L : Run.Leaves) {
+  for (const SplitRegion &L : Run.Regions) {
     if (L.CertifiedClass < 0)
       continue;
     ++Leaves;
@@ -328,34 +349,22 @@ TEST(SplitParityTest, ShortStallWindowCertifiesNoLess) {
   // waits 12. The shorter window hands children an earlier state of their
   // parent's main run, and it must not certify fewer units of the box.
   SplitFixture &Fix = fixture();
-  SplitEngineOptions Opts;
-  Opts.MaxDepth = 7;
-  Opts.Jobs = 1;
   CraftConfig Long = splitConfig();
   Long.Phase2Window = 4;
   const Vector Lo(5, 0.3), Hi(5, 0.7);
-  SplitEngineResult Short1 =
-      runSplitEngine(Fix.Model, splitConfig(), Lo, Hi, Opts);
-  SplitEngineResult Long1 = runSplitEngine(Fix.Model, Long, Lo, Hi, Opts);
-  Opts.Jobs = 4;
-  SplitEngineResult Short4 =
-      runSplitEngine(Fix.Model, splitConfig(), Lo, Hi, Opts);
+  SplitResult Short1 =
+      runSplitEngine(Fix.Model, splitConfig(), Lo, Hi, splitOpts(7, -1, 1));
+  SplitResult Long1 =
+      runSplitEngine(Fix.Model, Long, Lo, Hi, splitOpts(7, -1, 1));
+  SplitResult Short4 =
+      runSplitEngine(Fix.Model, splitConfig(), Lo, Hi, splitOpts(7, -1, 4));
   EXPECT_GE(Short1.CertifiedUnits, Long1.CertifiedUnits);
   EXPECT_GT(Short1.CertifiedUnits, 0u);
   RecordProperty("certified_units", std::to_string(Short1.CertifiedUnits));
   RecordProperty("certified_units_window4",
                  std::to_string(Long1.CertifiedUnits));
 
-  EXPECT_EQ(Short1.CertifiedUnits, Short4.CertifiedUnits);
-  EXPECT_EQ(Short1.NumVerifierCalls, Short4.NumVerifierCalls);
-  EXPECT_EQ(Short1.NumWaves, Short4.NumWaves);
-  ASSERT_EQ(Short1.Leaves.size(), Short4.Leaves.size());
-  for (size_t I = 0; I < Short1.Leaves.size(); ++I) {
-    const SplitLeaf &A = Short1.Leaves[I], &B = Short4.Leaves[I];
-    EXPECT_EQ(A.Path, B.Path) << "#" << I;
-    EXPECT_EQ(A.CertifiedClass, B.CertifiedClass) << "#" << I;
-    EXPECT_TRUE(sameVector(A.Lo, B.Lo) && sameVector(A.Hi, B.Hi)) << "#" << I;
-  }
+  expectSameSplit(Short1, Short4, "jobs=4");
 }
 
 //===----------------------------------------------------------------------===//
@@ -368,8 +377,8 @@ TEST(SplitAbortTest, RootProbeRefutesWithoutVerifierCalls) {
   FixpointSolver Solver(Fix.Model, Splitting::PeacemanRachford);
   Vector Center = 0.5 * (Lo + Hi);
   int WrongClass = (Solver.predict(Center) + 1) % 3;
-  BranchAndBoundResult Res = verifyRobustnessSplit(
-      Fix.Model, splitConfig(), Lo, Hi, WrongClass, /*MaxDepth=*/6);
+  SplitResult Res = runSplitEngine(Fix.Model, splitConfig(), Lo, Hi,
+                                   splitOpts(6, WrongClass));
   ASSERT_TRUE(Res.Refuted);
   EXPECT_FALSE(Res.RefutedByPgd);
   EXPECT_EQ(Res.NumVerifierCalls, 0u)
@@ -381,20 +390,18 @@ TEST(SplitAbortTest, RootProbeRefutesWithoutVerifierCalls) {
 TEST(SplitAbortTest, DeepRefutationIsDeterministicAcrossJobs) {
   SplitFixture &Fix = fixture();
   Vector Lo(5, 0.0), Hi(5, 1.0);
-  SplitOptions Serial;
-  Serial.MaxDepth = 8;
-  Serial.Jobs = 1;
-  BranchAndBoundResult Baseline = verifyRobustnessSplit(
-      Fix.Model, splitConfig(), Lo, Hi, Fix.SampleClass, Serial);
+  SplitResult Baseline = runSplitEngine(Fix.Model, splitConfig(), Lo, Hi,
+                                        splitOpts(8, Fix.SampleClass));
   ASSERT_TRUE(Baseline.Refuted)
       << "the whole input cube must cross a decision boundary";
   FixpointSolver Solver(Fix.Model, Splitting::PeacemanRachford);
   EXPECT_NE(Solver.predict(Baseline.Counterexample), Fix.SampleClass);
-  SplitOptions Parallel = Serial;
-  Parallel.Jobs = 4;
-  BranchAndBoundResult Res = verifyRobustnessSplit(
-      Fix.Model, splitConfig(), Lo, Hi, Fix.SampleClass, Parallel);
-  expectSameBnB(Baseline, Res, "refuting run, jobs=4");
+  SplitResult Res = runSplitEngine(Fix.Model, splitConfig(), Lo, Hi,
+                                   splitOpts(8, Fix.SampleClass, 4));
+  expectSameSplit(Baseline, Res, "refuting run, jobs=4");
+  // A refuted run reports nothing certified.
+  EXPECT_FALSE(Res.Certified);
+  EXPECT_EQ(Res.CertifiedFraction, 0.0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -410,13 +417,11 @@ TEST(SplitPgdProbeTest, ProbesRefuteUndecidedLeaves) {
   // so nothing refutes concretely, the verifier cannot certify the whole
   // cube, and the root becomes an undecided leaf — only the PGD probe can
   // find the (existing) counterexample.
-  SplitOptions Opts;
-  Opts.MaxDepth = 0;
+  SplitOptions Opts = splitOpts(0, Target);
   Opts.PgdProbes = true;
   Opts.Pgd.InputLo = 0.0;
   Opts.Pgd.InputHi = 1.0;
-  BranchAndBoundResult Res = verifyRobustnessSplit(
-      Fix.Model, splitConfig(), Lo, Hi, Target, Opts);
+  SplitResult Res = runSplitEngine(Fix.Model, splitConfig(), Lo, Hi, Opts);
   ASSERT_TRUE(Res.Refuted) << "PGD must refute over the whole input cube";
   EXPECT_TRUE(Res.RefutedByPgd);
   EXPECT_EQ(Res.CounterexamplePath, 1u);

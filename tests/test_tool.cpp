@@ -122,6 +122,21 @@ TEST(SpecParserTest, DiagnosesBadNumber) {
                  "expected a number", 3);
 }
 
+TEST(SpecParserTest, SplitDepthIsBoundedByTheEngine) {
+  // The engine cannot account deeper trees exactly; the parser must
+  // refuse them rather than let the engine clamp silently (the serve cache
+  // key would otherwise split one computation across two entries).
+  const std::string Head = "model m.bin\ninput box\nlo 0\nhi 1\n"
+                           "output robust 0\n";
+  SpecParseResult R = parseSpec(
+      Head + "split-depth " + std::to_string(MaxSupportedSplitDepth) + "\n");
+  ASSERT_TRUE(R.ok());
+  EXPECT_EQ(R.Spec->SplitDepth, MaxSupportedSplitDepth);
+  expectOneError(Head + "split-depth " +
+                     std::to_string(MaxSupportedSplitDepth + 1) + "\n",
+                 "expected an integer >= 0 and <= 62", 6);
+}
+
 TEST(SpecParserTest, DiagnosesMissingModel) {
   expectOneError("input box\nlo 0\nhi 1\noutput robust 0\n",
                  "missing 'model'", 4);

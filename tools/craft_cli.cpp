@@ -283,7 +283,7 @@ int runSplit(const std::vector<std::string> &Files, int Jobs, bool HaveJobs,
         HaveJobs ? Jobs : (Spec.SplitJobs == 0 ? -1 : Spec.SplitJobs);
     int QueryDepth = Depth > 0 ? static_cast<int>(Depth)
                      : Spec.SplitDepth > 0 ? Spec.SplitDepth
-                                           : 8;
+                                           : SplitOptions().MaxDepth;
     SplitRunOutcome Out = runSplitCertification(Spec, QueryJobs, QueryDepth);
     if (!Out.ModelLoaded || Out.Error) {
       std::fprintf(stderr, "error: %s\n", Out.Detail.c_str());
@@ -629,7 +629,7 @@ int main(int Argc, char **Argv) {
   if (std::strcmp(Argv[1], "split") == 0) {
     int Jobs = 1;
     bool HaveJobs = false;
-    long Depth = 0; // 0 = defer to the spec's split-depth (or 8).
+    long Depth = 0; // 0 = defer to the spec's split-depth (or the default).
     std::vector<std::string> Files;
     for (int I = 2; I < Argc; ++I) {
       if (std::strcmp(Argv[I], "--jobs") == 0 ||
