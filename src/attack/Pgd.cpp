@@ -177,13 +177,15 @@ void PgdAttack::runRestart(Restart &Rs, const std::atomic<bool> &Cut) const {
     // Margin-loss PGD: ascend y_target - y_label (targeted) or
     // y_runnerup - y_label (untargeted). The margin coefficient vector is
     // hoisted out of the step loop and rewritten in place (two entries
-    // per step) instead of reallocated. Each step runs one forward solve:
-    // to the gradient's tolerance first, then the same run continues to
-    // the logits' tolerance — bitwise what separate logits() and
-    // inputGradient() solves would give. The loop ends early when a
-    // step's logits Y (bitwise Solver.logits(Adv)) are adversarial, or
-    // when a step leaves Adv unchanged (a fixed point: every later step
-    // would redo it); either way the closing prediction is argmax(Y).
+    // per step) instead of reallocated. Each step runs one forward solve
+    // and one U x: to the gradient's tolerance first, then the same run
+    // continues to the logits' tolerance, and the gradient reads its
+    // activation pattern from the same carried U x — bitwise what
+    // separate logits() and inputGradient() solves would give. The loop
+    // ends early when a step's logits Y (bitwise Solver.logits(Adv)) are
+    // adversarial, or when a step leaves Adv unchanged (a fixed point:
+    // every later step would redo it); either way the closing prediction
+    // is argmax(Y).
     Vector Coef(Model.outputDim(), 0.0);
     int Pred = -1;
     for (int S = 0; S < Opts.Steps; ++S) {
@@ -199,8 +201,8 @@ void PgdAttack::runRestart(Restart &Rs, const std::atomic<bool> &Cut) const {
       }
       Coef[Rival] = 1.0;
       Coef[Label] = -1.0;
-      Vector G = inputGradient(Model, Adv, ZGrad, Coef, Opts.NeumannTerms,
-                               &Adjoint);
+      Vector G = inputGradient(Model, ZGrad, Fix.InputProduct, Coef,
+                               Opts.NeumannTerms, &Adjoint);
       ++Rs.Gradients;
       Coef[Rival] = 0.0;
       Coef[Label] = 0.0;

@@ -21,6 +21,15 @@
 /// Within a restart, exact (LU) adjoint solves share one AdjointSolver,
 /// which factorizes again only when the activation pattern changes.
 ///
+/// One U x per step: an ODI or margin step computes the input drive U x
+/// once (nn/Solvers.h). A margin step's gradient-tolerance solve, its
+/// continuation to the logits tolerance and the gradient's activation
+/// pattern all read the product its first solve carries out; the
+/// continuation is given the same iterate it solved for. So a target
+/// computes one `concrete.input_products` per `pgd.gradients` it takes,
+/// plus at most one: the solve of the step whose logits are already
+/// adversarial, or the closing prediction when its steps run out.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CRAFT_ATTACK_PGD_H

@@ -37,8 +37,10 @@ struct KernelTable {
   void (*Gemv)(VectorView, ConstMatrixView, ConstVectorView, double, double);
   void (*GemvAbs)(VectorView, ConstMatrixView, ConstVectorView, double,
                   double);
+  void (*GemvTransposed)(VectorView, ConstMatrixView, ConstVectorView);
   void (*RowAbsSums)(VectorView, ConstMatrixView, double);
   void (*Axpy)(VectorView, double, ConstVectorView);
+  void (*LuEliminate)(MatrixView);
   void (*Scale)(VectorView, double);
   double (*NormInf)(ConstVectorView);
 };

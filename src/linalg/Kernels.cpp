@@ -371,10 +371,13 @@ void kernels::gemvTransposed(VectorView Out, ConstMatrixView M,
   assert(Out.size() == M.cols() && "gemvTransposed output size mismatch");
   assert(noAlias(Out, M) && "gemvTransposed output aliases M");
   assert(noAlias(Out, V) && "gemvTransposed output aliases V");
-  const KernelTable &T = *dispatch().Table;
-  kernels::fill(Out, 0.0);
-  for (size_t R = 0, E = M.rows(); R < E; ++R)
-    T.Axpy(Out, V[R], M.rowVec(R));
+  dispatch().Table->GemvTransposed(Out, M, V);
+}
+
+void kernels::luEliminate(MatrixView T) {
+  assert(T.rows() == T.cols() && T.rows() > 0 &&
+         "luEliminate needs a non-empty square trailing block");
+  dispatch().Table->LuEliminate(T);
 }
 
 void kernels::axpy(VectorView Y, double A, ConstVectorView X) {

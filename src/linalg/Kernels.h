@@ -8,9 +8,8 @@
 /// In-place, destination-passing dense kernels over the view layer
 /// (linalg/Views.h): the allocation-free core the CH-Zonotope and Kleene
 /// hot paths run on. The allocating Matrix/Vector operators are thin
-/// wrappers over these. gemvTransposed (M^T v without materializing M^T)
-/// and LuDecomposition's elimination loops are sweeps of the dispatched
-/// axpy, so they inherit its operation order.
+/// wrappers over these. LuDecomposition factors with one luEliminate call
+/// per pivot; its multi-right-hand-side solve sweeps the dispatched axpy.
 ///
 /// Conventions:
 ///  - The serial kernel path never heap-allocates. Scratch (e.g. gemm's
@@ -114,11 +113,19 @@ void gemv(VectorView Out, ConstMatrixView M, ConstVectorView V,
 void gemvAbs(VectorView Out, ConstMatrixView M, ConstVectorView V,
              double Alpha = 1.0, double Beta = 0.0);
 
-/// Out = M^T * V without materializing M^T: zeroes Out, then sweeps the
-/// rows of M with the dispatched axpy (Out += V[r] * M(r, :)), so each
+/// Out = M^T * V without materializing M^T: blocks of output columns
+/// accumulate in registers while the kernel sweeps the rows of M, so each
 /// output element is reduced over ascending r with a single accumulator —
-/// bitwise equal to gemv on the explicit transpose.
+/// bitwise equal to gemv on the explicit transpose. Every load is a
+/// contiguous run of one row, so a caller that keeps a matrix's transpose
+/// reads it faster through this kernel than gemv reads the matrix.
 void gemvTransposed(VectorView Out, ConstMatrixView M, ConstVectorView V);
+
+/// One elimination step of partial-pivot LU on the square trailing block
+/// \p T, whose row 0 is the pivot row (swapped in, T(0,0) nonzero): every
+/// T(r,0) below it becomes the multiplier l = T(r,0) * (1 / T(0,0)), and a
+/// row with l != 0 gets its columns 1.. updated as an axpy with -l.
+void luEliminate(MatrixView T);
 
 /// Y += A * X.
 void axpy(VectorView Y, double A, ConstVectorView X);

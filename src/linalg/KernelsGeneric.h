@@ -9,8 +9,9 @@
 /// lane abstraction (linalg/Simd.h) and instantiated once per backend TU
 /// (KernelsScalar.cpp / KernelsAvx2.cpp / KernelsAvx512.cpp). Vectorization
 /// is strictly across *independent output elements* — j-lanes in gemm,
-/// row-lanes in the gemv-family reductions — so instantiating at a
-/// different lane width never reorders any per-element reduction.
+/// row-lanes in the gemv-family reductions, column-lanes in gemvTransposed
+/// and luEliminate — so instantiating at a different lane width never
+/// reorders any per-element reduction.
 ///
 /// Canonical per-element operation order (identical in every backend, every
 /// lane width, every remainder path, and every thread tiling):
@@ -20,8 +21,17 @@
 ///                Out = Beta == 0 ? acc : acc + Beta * Out   (Beta == 0
 ///                never reads Out)
 ///   gemv(Abs):   same shape over columns of row i (|M| applied per load)
+///   gemvTransposed: Out[c] = ((0 + V[0]*M(0,c)) + V[1]*M(1,c)) + ...,
+///                ascending rows r, no Alpha/Beta step — bitwise gemv
+///                (Alpha 1, Beta 0) on the explicit transpose, since
+///                products commute exactly and acc * 1 is acc
 ///   rowAbsSums:  acc over |M(i, c)| ascending c, then the Beta combine
 ///   axpy:        Y[i] = Y[i] + (A * X[i])
+///   luEliminate: one partial-pivot LU step on a trailing block T whose
+///                row 0 is the pivot row: per row r >= 1,
+///                l = T(r,0) * (1 / T(0,0)), T(r,0) = l, and unless
+///                l == 0, T(r,c) = T(r,c) + ((-l) * T(0,c)) for c >= 1
+///                (the axpy above with -l; r - l*u rounds like r + (-l)*u)
 ///   scale:       X[i] = A * X[i]
 ///   normInf:     max-reduction (exact: max never rounds on finite data)
 ///
@@ -33,6 +43,8 @@
 /// (contiguous rows, cache-line-aligned base) and holds a 4-row x 1-lane
 /// block of accumulators in registers across the full inner dimension; the
 /// packed values are exact copies, so packing never changes results.
+/// gemvTransposed holds up to 8 lanes of output columns in registers while
+/// it sweeps the rows of M, so every load is a contiguous slice of one row.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -247,6 +259,67 @@ void rowAbsSumsBody(VectorView Out, ConstMatrixView M, double Beta) {
   }
 }
 
+/// One register pass of gemvTransposed: output columns [C0, C0 + NB * W)
+/// accumulate in NB registers across every row of M.
+template <class L, size_t NB>
+void gemvTransposedPass(double *Out, ConstMatrixView M, ConstVectorView V,
+                        size_t C0) {
+  constexpr size_t W = L::Width;
+  typename L::Reg Acc[NB];
+#pragma GCC unroll 8
+  for (size_t B = 0; B < NB; ++B)
+    Acc[B] = L::zero();
+  for (size_t R = 0, E = M.rows(); R < E; ++R) {
+    const typename L::Reg Vr = L::set1(V[R]);
+    const double *Row = M.row(R) + C0;
+#pragma GCC unroll 8
+    for (size_t B = 0; B < NB; ++B)
+      Acc[B] = L::add(Acc[B], L::mul(Vr, L::loadu(Row + B * W)));
+  }
+#pragma GCC unroll 8
+  for (size_t B = 0; B < NB; ++B)
+    L::storeu(Out + C0 + B * W, Acc[B]);
+}
+
+/// Out = M^T V: passes of 8 lanes while they fit, then at most one pass
+/// each of 4, 2 and 1 lanes, then the last Cols % W columns at width one
+/// in a single sweep.
+template <class L>
+void gemvTransposedBody(VectorView Out, ConstMatrixView M,
+                        ConstVectorView V) {
+  assert(M.rows() == V.size() && "gemvTransposed inner dimension mismatch");
+  assert(Out.size() == M.cols() && "gemvTransposed output size mismatch");
+  constexpr size_t W = L::Width;
+  const size_t Cols = M.cols();
+  size_t C0 = 0;
+  for (; C0 + 8 * W <= Cols; C0 += 8 * W)
+    gemvTransposedPass<L, 8>(Out.data(), M, V, C0);
+  if (C0 + 4 * W <= Cols) {
+    gemvTransposedPass<L, 4>(Out.data(), M, V, C0);
+    C0 += 4 * W;
+  }
+  if (C0 + 2 * W <= Cols) {
+    gemvTransposedPass<L, 2>(Out.data(), M, V, C0);
+    C0 += 2 * W;
+  }
+  if (C0 + W <= Cols) {
+    gemvTransposedPass<L, 1>(Out.data(), M, V, C0);
+    C0 += W;
+  }
+  const size_t Tail = Cols - C0; // < W.
+  if (Tail == 0)
+    return;
+  double Acc[W] = {};
+  for (size_t R = 0, E = M.rows(); R < E; ++R) {
+    const double Vr = V[R];
+    const double *Row = M.row(R) + C0;
+    for (size_t T = 0; T < Tail; ++T)
+      Acc[T] = Acc[T] + Vr * Row[T];
+  }
+  for (size_t T = 0; T < Tail; ++T)
+    Out[C0 + T] = Acc[T];
+}
+
 template <class L> void axpyBody(VectorView Y, double A, ConstVectorView X) {
   assert(Y.size() == X.size() && "axpy size mismatch");
   constexpr size_t W = L::Width;
@@ -259,6 +332,21 @@ template <class L> void axpyBody(VectorView Y, double A, ConstVectorView X) {
   }
   for (; I < N; ++I)
     Y[I] = Y[I] + A * X[I];
+}
+
+/// One elimination step of partial-pivot LU on the trailing block \p T
+/// (row 0 the pivot row, already swapped in and nonzero at T(0,0)).
+template <class L> void luEliminateBody(MatrixView T) {
+  const size_t Rows = T.rows(), Len = T.cols() - 1;
+  const double Inv = 1.0 / T(0, 0);
+  const ConstVectorView Pivot(T.row(0) + 1, Len);
+  for (size_t R = 1; R < Rows; ++R) {
+    double *Row = T.row(R);
+    const double Lr = Row[0] * Inv;
+    Row[0] = Lr;
+    if (Lr != 0.0)
+      axpyBody<L>(VectorView(Row + 1, Len), -Lr, Pivot);
+  }
 }
 
 template <class L> void scaleBody(VectorView X, double A) {
@@ -302,8 +390,10 @@ template <class L> KernelTable makeKernelTable() {
   T.GemmSparse = &gemmBody<L, true>;
   T.Gemv = &gemvBody<L, false>;
   T.GemvAbs = &gemvBody<L, true>;
+  T.GemvTransposed = &gemvTransposedBody<L>;
   T.RowAbsSums = &rowAbsSumsBody<L>;
   T.Axpy = &axpyBody<L>;
+  T.LuEliminate = &luEliminateBody<L>;
   T.Scale = &scaleBody<L>;
   T.NormInf = &normInfBody<L>;
   return T;

@@ -34,17 +34,7 @@ LuDecomposition::LuDecomposition(const Matrix &A) : Factors(A) {
         std::swap(Factors(K, C), Factors(Pivot, C));
       PermutationSign = -PermutationSign;
     }
-    double Inv = 1.0 / Factors(K, K);
-    for (size_t R = K + 1; R < N; ++R) {
-      double L = Factors(R, K) * Inv;
-      Factors(R, K) = L;
-      if (L == 0.0)
-        continue;
-      // Row -= L * URow as an axpy with -L: bitwise the same, since
-      // r - l*u == r + (-l)*u exactly in IEEE arithmetic.
-      kernels::axpy(VectorView(Factors.rowData(R) + K + 1, N - K - 1), -L,
-                    ConstVectorView(Factors.rowData(K) + K + 1, N - K - 1));
-    }
+    kernels::luEliminate(MatrixView(Factors).block(K, K, N - K, N - K));
   }
 }
 

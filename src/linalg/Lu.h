@@ -32,6 +32,10 @@ public:
 
   size_t dim() const { return Factors.rows(); }
 
+  /// The combined factors: L below the diagonal (unit diagonal implied),
+  /// U on and above it, rows in pivot order.
+  const Matrix &factors() const { return Factors; }
+
   /// Solves A x = b. Asserts that the matrix is non-singular.
   Vector solve(const Vector &B) const;
 

@@ -15,7 +15,8 @@ using namespace craft;
 
 FixpointSolver::FixpointSolver(const MonDeq &Model, Splitting Method,
                                double Alpha)
-    : Model(Model), Method(Method), Alpha(Alpha) {
+    : Model(Model), Method(Method), Alpha(Alpha),
+      UT(Model.weightU().transpose()) {
   if (this->Alpha <= 0.0) {
     if (Method == Splitting::ForwardBackward) {
       this->Alpha = 0.9 * Model.fbAlphaBound();
@@ -36,7 +37,7 @@ FixpointSolver::FixpointSolver(const MonDeq &Model, Splitting Method,
     LuDecomposition Lu(M);
     assert(!Lu.isSingular() &&
            "I + a(I - W) is always invertible for monotone W");
-    MInv = Lu.inverse();
+    MInvT = Lu.inverse().transpose();
   }
 }
 
@@ -44,6 +45,8 @@ namespace {
 
 const telemetry::Histogram ConcreteIterationsHist =
     telemetry::histogramMetric("concrete.iterations");
+const telemetry::Counter ConcreteInputProducts =
+    telemetry::counterMetric("concrete.input_products");
 
 /// Applies the splitting's resolvent to the pre-activation in place: ReLU
 /// for the paper's main setting (prox is scaling-invariant), prox_{a f}
@@ -67,9 +70,20 @@ void applyResolventInPlace(const MonDeq &Model, double Alpha, VectorView Pre) {
 
 } // namespace
 
-void FixpointSolver::inputDriveInto(VectorView Drive, const Vector &X) const {
-  kernels::copyInto(Drive, Model.biasZ());
-  kernels::gemv(Drive, Model.weightU(), X, 1.0, 1.0);
+Vector FixpointSolver::inputProduct(const Vector &X) const {
+  assert(X.size() == Model.inputDim() && "input size mismatch");
+  Vector UX(Model.latentDim());
+  kernels::gemvTransposed(UX, UT, X);
+  ConcreteInputProducts.increment();
+  return UX;
+}
+
+void FixpointSolver::inputDriveInto(VectorView Drive,
+                                    ConstVectorView UX) const {
+  // Bitwise gemv(Drive = b, U, x, 1, 1): acc * 1, then acc + 1 * b.
+  const Vector &B = Model.biasZ();
+  for (size_t I = 0; I < Drive.size(); ++I)
+    Drive[I] = UX[I] + B[I];
   if (Method == Splitting::PeacemanRachford)
     kernels::scale(Drive, Alpha);
 }
@@ -99,7 +113,7 @@ void FixpointSolver::prStepInto(VectorView ZNext, VectorView U,
     Sum[I] = UHalf[I] + Drive[I];
   }
   VectorView ZHalf = WS.vector(P);
-  kernels::gemv(ZHalf, MInv, Sum);
+  kernels::gemvTransposed(ZHalf, MInvT, Sum);
   for (size_t I = 0; I < P; ++I) {
     U[I] = 2.0 * ZHalf[I] - UHalf[I];
     ZNext[I] = U[I];
@@ -110,7 +124,7 @@ void FixpointSolver::prStepInto(VectorView ZNext, VectorView U,
 Vector FixpointSolver::fbStep(const Vector &X, const Vector &Z) const {
   WorkspaceScope WS;
   VectorView Drive = WS.vector(Model.latentDim());
-  inputDriveInto(Drive, X);
+  inputDriveInto(Drive, inputProduct(X));
   Vector ZNext(Model.latentDim());
   fbStepInto(ZNext, Drive, Z);
   return ZNext;
@@ -121,7 +135,7 @@ std::pair<Vector, Vector> FixpointSolver::prStep(const Vector &X,
                                                  const Vector &U) const {
   WorkspaceScope WS;
   VectorView Drive = WS.vector(Model.latentDim());
-  inputDriveInto(Drive, X);
+  inputDriveInto(Drive, inputProduct(X));
   Vector ZNext(Model.latentDim());
   Vector UNext = U;
   prStepInto(ZNext, UNext, Drive, Z);
@@ -141,6 +155,8 @@ FixpointResult FixpointSolver::solve(const Vector &X, double Tol,
 void FixpointSolver::solve(const Vector &X, FixpointResult &Res, double Tol,
                            int MaxIter) const {
   assert(X.size() == Model.inputDim() && "input size mismatch");
+  if (Res.InputProduct.empty())
+    Res.InputProduct = inputProduct(X);
   const int Start = Res.Iterations;
   // A run that stops at Tol stops at the first iterate whose residual is
   // below it, so an earlier looser stop that already meets Tol is where a
@@ -150,7 +166,7 @@ void FixpointSolver::solve(const Vector &X, FixpointResult &Res, double Tol,
     const size_t P = Model.latentDim();
     WorkspaceScope WS;
     VectorView Drive = WS.vector(P); // Constant across iterations.
-    inputDriveInto(Drive, X);
+    inputDriveInto(Drive, Res.InputProduct);
     Vector ZNext(P);
     for (int It = Res.Iterations; It < MaxIter; ++It) {
       if (Method == Splitting::ForwardBackward)

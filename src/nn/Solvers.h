@@ -13,6 +13,19 @@
 ///  - Peaceman-Rachford splitting (Eq. 9), convergent for any a > 0, using
 ///    the cached factorization of M = I + a (I - W).
 ///
+/// One product per input: the input drive U x is the largest matrix
+/// product of a solve (U is latent x input), and it does not change across
+/// iterations. A solve computes it once and carries it out in \ref
+/// FixpointResult::InputProduct; continuing that result to a tighter
+/// tolerance reuses it, and so does the implicit-function gradient
+/// (nn/Training.h), whose activation pattern is W z + U x + b. A continued
+/// solve must therefore be given the same input as the solve it continues.
+/// `concrete.input_products` counts the products computed.
+///
+/// The solver keeps U^T and, for PR, M^{-1 T}, and multiplies by them
+/// through the transposed gemv (linalg/Kernels.h), whose loads are
+/// contiguous rows; each product is bitwise gemv with U or M^{-1}.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CRAFT_NN_SOLVERS_H
@@ -42,6 +55,7 @@ enum class Splitting {
 struct FixpointResult {
   Vector Z;            ///< Fixpoint estimate z_n ~ z*(x).
   Vector U;            ///< Auxiliary PR state u_n (empty for FB).
+  Vector InputProduct; ///< U x of the solved input (see the file comment).
   int Iterations = 0;  ///< Iterations actually performed.
   bool Converged = false;
   double Residual = 0.0; ///< Final ||z_n - z_{n-1}||_2.
@@ -69,8 +83,8 @@ public:
 
   /// Iterates from s_0 = 0 until ||z_n - z_{n-1}|| < Tol or MaxIter
   /// iterations. The input drive U x + b is constant across iterations, so
-  /// it is computed once per solve; every iterate is bitwise the one \ref
-  /// fbStep / \ref prStep would produce.
+  /// it is computed once per solve (and U x kept in the result); every
+  /// iterate is bitwise the one \ref fbStep / \ref prStep would produce.
   FixpointResult solve(const Vector &X, double Tol = 1e-10,
                        int MaxIter = DefaultSolveMaxIter) const;
 
@@ -81,7 +95,9 @@ public:
   /// the first residual below its own tolerance (or at its cap), and no
   /// earlier residual met the tighter one. So if its last residual already
   /// meets \p Tol it is marked converged as is; otherwise iteration resumes
-  /// from its state, and MaxIter counts the iterations of both runs.
+  /// from its state, and MaxIter counts the iterations of both runs. The
+  /// drive is built from Res.InputProduct, which is computed only when it
+  /// is empty, so \p X must be the input \p Res was solved for.
   void solve(const Vector &X, FixpointResult &Res, double Tol,
              int MaxIter) const;
 
@@ -92,13 +108,11 @@ public:
   /// Argmax class of \ref logits.
   int predict(const Vector &X) const;
 
-  /// Solve M y = r with M = I + a (I - W) (exposed for the abstract PR
-  /// transformer, which needs M^{-1}).
-  const Matrix &solveMatrixInverse() const { return MInv; }
-
 private:
-  /// Drive = U x + b (FB) or a (U x + b) (PR).
-  void inputDriveInto(VectorView Drive, const Vector &X) const;
+  /// U x, through U^T.
+  Vector inputProduct(const Vector &X) const;
+  /// Drive = U x + b (FB) or a (U x + b) (PR), from \p UX = U x.
+  void inputDriveInto(VectorView Drive, ConstVectorView UX) const;
   /// One FB step from z into \p ZNext, given the FB input drive.
   void fbStepInto(VectorView ZNext, ConstVectorView Drive,
                   ConstVectorView Z) const;
@@ -110,7 +124,8 @@ private:
   const MonDeq &Model;
   Splitting Method;
   double Alpha;
-  Matrix MInv; ///< (I + a (I - W))^{-1}, PR only.
+  Matrix UT;    ///< U^T.
+  Matrix MInvT; ///< ((I + a (I - W))^{-1})^T, PR only.
 };
 
 /// Full forward pass: fixpoint via PR (robust default), then output layer.

@@ -185,8 +185,7 @@ TrainStats craft::trainMonDeq(MonDeq &Model, const Dataset &Train,
         FixpointResult Fix =
             Solver.solve(X, Opts.SolverTol, Opts.SolverMaxIter);
         const Vector &Z = Fix.Z;
-        Vector Pre = Model.weightW() * Z + Model.weightU() * X +
-                     Model.biasZ();
+        Vector Pre = Model.weightW() * Z + Fix.InputProduct + Model.biasZ();
         Vector DAct = activationDerivativeAt(Model, Pre);
 
         Vector Y = Model.output(Z);
@@ -253,14 +252,16 @@ Vector craft::inputGradient(const MonDeq &Model, const FixpointSolver &Solver,
                             const Vector &X, const Vector &OutCoef,
                             int NeumannTerms, AdjointSolver *Adjoint) {
   FixpointResult Fix = Solver.solve(X, InputGradientTol, InputGradientMaxIter);
-  return inputGradient(Model, X, Fix.Z, OutCoef, NeumannTerms, Adjoint);
+  return inputGradient(Model, Fix.Z, Fix.InputProduct, OutCoef, NeumannTerms,
+                       Adjoint);
 }
 
-Vector craft::inputGradient(const MonDeq &Model, const Vector &X,
-                            const Vector &Z, const Vector &OutCoef,
+Vector craft::inputGradient(const MonDeq &Model, const Vector &Z,
+                            const Vector &InputProduct, const Vector &OutCoef,
                             int NeumannTerms, AdjointSolver *Adjoint) {
   const size_t P = Model.latentDim();
-  Vector Pre = Model.weightW() * Z + Model.weightU() * X + Model.biasZ();
+  assert(InputProduct.size() == P && "input product size mismatch");
+  Vector Pre = Model.weightW() * Z + InputProduct + Model.biasZ();
   Vector DAct = activationDerivativeAt(Model, Pre);
 
   Vector DeltaZ = transposeTimes(Model.weightV(), OutCoef);

@@ -106,12 +106,13 @@ Vector inputGradient(const MonDeq &Model, const FixpointSolver &Solver,
                      const Vector &X, const Vector &OutCoef,
                      int NeumannTerms = -1, AdjointSolver *Adjoint = nullptr);
 
-/// The same gradient at a fixpoint estimate \p Z for \p X that the caller
-/// already solved for (e.g. to share one solve between the gradient and
-/// the logits).
-Vector inputGradient(const MonDeq &Model, const Vector &X, const Vector &Z,
-                     const Vector &OutCoef, int NeumannTerms = -1,
-                     AdjointSolver *Adjoint = nullptr);
+/// The same gradient at a fixpoint estimate \p Z for an input x the caller
+/// already solved for, given \p InputProduct = U x (the solve's \ref
+/// FixpointResult::InputProduct), so one solve and one U x serve both the
+/// gradient and the logits.
+Vector inputGradient(const MonDeq &Model, const Vector &Z,
+                     const Vector &InputProduct, const Vector &OutCoef,
+                     int NeumannTerms = -1, AdjointSolver *Adjoint = nullptr);
 
 } // namespace craft
 

@@ -214,6 +214,10 @@ class PgdSharedSolveTest : public ::testing::TestWithParam<bool> {};
 TEST_P(PgdSharedSolveTest, BitwiseMatchesSeparateSolves) {
   const MonDeq &Model = trainedModel();
   FixpointSolver Solver(Model, Splitting::PeacemanRachford);
+  const telemetry::Counter Gradients =
+      telemetry::counterMetric("pgd.gradients");
+  const telemetry::Counter Products =
+      telemetry::counterMetric("concrete.input_products");
   Rng R(25);
   Dataset Test = makeGaussianMixture(R, 12, 5, 3, 0.2);
   PgdOptions Opts;
@@ -230,11 +234,21 @@ TEST_P(PgdSharedSolveTest, BitwiseMatchesSeparateSolves) {
     for (size_t I = 0; I < 6; ++I) {
       const Vector X = Test.input(I);
       const int Label = Test.Labels[I];
+      const uint64_t GradientsBefore = Gradients.value();
+      const uint64_t ProductsBefore = Products.value();
       PgdResult Got = pgdAttack(Model, Solver, X, Label, Opts);
-      uint64_t Gradients = 0;
-      PgdResult Want = referencePgd(Model, Solver, X, Label, Opts, Gradients);
+      const uint64_t Taken = Gradients.value() - GradientsBefore;
+      const uint64_t Formed = Products.value() - ProductsBefore;
+      uint64_t ReferenceTaken = 0;
+      PgdResult Want =
+          referencePgd(Model, Solver, X, Label, Opts, ReferenceTaken);
       SCOPED_TRACE(I);
       expectSameResult(Got, Want);
+      // One U x per gradient, plus at most one per target (the solve
+      // that found the logits adversarial, or the closing prediction).
+      const size_t Targets = Opts.TargetAllClasses ? Model.outputDim() - 1 : 1;
+      EXPECT_GE(Formed, Taken);
+      EXPECT_LE(Formed, Taken + Opts.Restarts * Targets);
       (Got.FoundAdversarial ? Found : Missed) += 1;
     }
   }

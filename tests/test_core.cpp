@@ -15,6 +15,7 @@
 #include "linalg/Lu.h"
 #include "nn/Training.h"
 #include "support/Rng.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -255,6 +256,7 @@ void expectSameResult(const FixpointResult &A, const FixpointResult &B) {
   EXPECT_EQ(0, std::memcmp(&A.Residual, &B.Residual, sizeof(double)));
   EXPECT_TRUE(bitEqual(A.Z, B.Z));
   EXPECT_TRUE(bitEqual(A.U, B.U));
+  EXPECT_TRUE(bitEqual(A.InputProduct, B.InputProduct));
 }
 
 class SolveContinuationTest : public ::testing::TestWithParam<Splitting> {
@@ -296,6 +298,23 @@ TEST_P(SolveContinuationTest, LastResidualAlreadyMeetsTighterTolerance) {
   Solver.solve(X, Res, Tight, 2000);
   expectSameResult(Res, Before);
   expectSameResult(Res, Solver.solve(X, Tight, 2000));
+}
+
+TEST_P(SolveContinuationTest, ReusesTheCarriedInputProduct) {
+  // The continuation computes no second U x, and what it carries is
+  // bitwise the product gemv forms with U itself.
+  const telemetry::Counter Products =
+      telemetry::counterMetric("concrete.input_products");
+  uint64_t Before = Products.value();
+  FixpointResult Res = Solver.solve(X, 1e-6, 2000);
+  EXPECT_EQ(Products.value() - Before, 1u);
+  ASSERT_TRUE(Res.Converged);
+  ASSERT_GE(Res.Residual, 1e-11) << "fixture must need more iterations";
+  EXPECT_TRUE(bitEqual(Res.InputProduct, Model.weightU() * X));
+  Before = Products.value();
+  Solver.solve(X, Res, 1e-11, 2000);
+  EXPECT_EQ(Products.value() - Before, 0u);
+  expectSameResult(Res, Solver.solve(X, 1e-11, 2000));
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, SolveContinuationTest,

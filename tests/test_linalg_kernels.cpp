@@ -1,8 +1,9 @@
 //===- tests/test_linalg_kernels.cpp - Kernel/view/workspace tests --------===//
 //
 // Coverage for the allocation-free linalg kernel layer: destination-passing
-// kernels against reference loops, LU's axpy elimination against its old
-// scalar loops, zero-copy view slicing against whole-matrix results,
+// kernels against reference loops, LU's per-pivot elimination kernel
+// against the per-row axpy loop and the scalar loops before it, zero-copy
+// view slicing against whole-matrix results,
 // zero-dimension edge cases, aliasing contracts (asserted in debug
 // builds), and workspace reuse across repeated calls.
 //
@@ -167,11 +168,15 @@ TEST(GemvAbs, NeverMaterializesAbsMatrix) {
 
 TEST(GemvTransposed, BitwiseMatchesExplicitTranspose) {
   Rng R(19);
-  // Odd extents cover the axpy lane remainders; 1 x N and N x 1 the
-  // degenerate sweeps.
+  // Odd extents cover the lane remainders; 1 x N and N x 1 the degenerate
+  // sweeps. Widths of 64 columns and more (8 lanes of AVX-512) run the
+  // widest register pass, repeatedly from 128 on; 784 x 100 is the
+  // concrete solver's U^T on MNIST and 100 x 784 the gradient's U.
   const struct {
     size_t Rows, Cols;
-  } Shapes[] = {{1, 1}, {1, 9}, {9, 1}, {5, 3}, {13, 21}, {100, 87}};
+  } Shapes[] = {{1, 1},   {1, 9},    {9, 1},    {5, 3},    {13, 21},
+                {100, 87}, {3, 64},  {7, 71},   {17, 128}, {2, 135},
+                {784, 100}, {100, 784}};
   for (const auto &S : Shapes) {
     Matrix M = randomMatrix(R, S.Rows, S.Cols);
     Vector V = randomVector(R, S.Rows);
@@ -339,6 +344,63 @@ struct ScalarLu {
     return X;
   }
 };
+
+/// LU factors as the elimination loop ran before it became one
+/// luEliminate call per pivot: per row, the multiplier, then one
+/// dispatched axpy with its negation.
+Matrix perRowAxpyFactors(Matrix F) {
+  const size_t N = F.rows();
+  for (size_t K = 0; K < N; ++K) {
+    size_t Pivot = K;
+    double Best = std::fabs(F(K, K));
+    for (size_t R = K + 1; R < N; ++R)
+      if (std::fabs(F(R, K)) > Best) {
+        Best = std::fabs(F(R, K));
+        Pivot = R;
+      }
+    if (Best < 1e-13)
+      continue;
+    if (Pivot != K)
+      for (size_t C = 0; C < N; ++C)
+        std::swap(F(K, C), F(Pivot, C));
+    double Inv = 1.0 / F(K, K);
+    for (size_t R = K + 1; R < N; ++R) {
+      double L = F(R, K) * Inv;
+      F(R, K) = L;
+      if (L == 0.0)
+        continue;
+      kernels::axpy(VectorView(F.rowData(R) + K + 1, N - K - 1), -L,
+                    ConstVectorView(F.rowData(K) + K + 1, N - K - 1));
+    }
+  }
+  return F;
+}
+
+TEST(LuEliminate, FactorsMatchPerRowAxpyElimination) {
+  Rng R(22);
+  for (size_t N : {1u, 2u, 5u, 9u, 37u, 100u}) {
+    Matrix A = randomMatrix(R, N, N);
+    // Exact zeros exercise the zero-multiplier skips.
+    for (size_t I = 0; I < N; ++I)
+      A(I, (I * 7) % N) = 0.0;
+    const Matrix Want = perRowAxpyFactors(A);
+    const LuDecomposition Lu(A);
+    ASSERT_EQ(Lu.factors().rows(), N);
+    EXPECT_EQ(0, std::memcmp(Lu.factors().rowData(0), Want.rowData(0),
+                             N * N * sizeof(double)))
+        << N << "x" << N;
+  }
+  // A zero column skips its pivot: the singular path leaves that step's
+  // block as it found it, in both.
+  Matrix S = randomMatrix(R, 6, 6);
+  for (size_t I = 0; I < 6; ++I)
+    S(I, 2) = 0.0;
+  const LuDecomposition Lu(S);
+  EXPECT_TRUE(Lu.isSingular());
+  const Matrix Want = perRowAxpyFactors(S);
+  EXPECT_EQ(0, std::memcmp(Lu.factors().rowData(0), Want.rowData(0),
+                           36 * sizeof(double)));
+}
 
 TEST(LuOnAxpy, BitwiseMatchesScalarElimination) {
   Rng R(21);
@@ -694,6 +756,53 @@ TEST_P(BackendEquivalence, VectorKernelsBitwiseMatchScalar) {
     const double Max = Table.NormInf(X);
     EXPECT_EQ(0, std::memcmp(&Max, &MaxRef, sizeof(double)));
   }
+}
+
+TEST_P(BackendEquivalence, GemvTransposedBitwiseMatchesScalar) {
+  Rng R(105);
+  // 0..135 columns: at lane width 8 every count of full 8-lane passes up
+  // to two, each combination of the 4-, 2- and 1-lane passes, and every
+  // tail width 0..7 (and so every tail at width 4 too).
+  for (size_t Rows : {0u, 1u, 3u, 17u})
+    for (size_t Cols = 0; Cols <= 135; ++Cols) {
+      Matrix M = randomMatrix(R, Rows, Cols);
+      Vector V = randomVector(R, Rows);
+      Vector OutRef(Cols, 1e300), Out(Cols, -1e300);
+      Ref.GemvTransposed(OutRef, M, V);
+      Table.GemvTransposed(Out, M, V);
+      SCOPED_TRACE(testing::Message() << Rows << "x" << Cols);
+      expectBitEqual(Out, OutRef);
+    }
+  // Strided and unaligned: a block at column offset 1 of a wider parent,
+  // written into the middle of a larger vector.
+  Matrix Parent = randomMatrix(R, 40, 120);
+  ConstMatrixView M = ConstMatrixView(Parent).block(3, 1, 33, 101);
+  Vector V = randomVector(R, 33);
+  Vector WideRef(110, -7.0), Wide(110, -7.0);
+  Ref.GemvTransposed(VectorView(WideRef).slice(4, 101), M, V);
+  Table.GemvTransposed(VectorView(Wide).slice(4, 101), M, V);
+  expectBitEqual(Wide, WideRef);
+}
+
+TEST_P(BackendEquivalence, LuEliminateBitwiseMatchesScalar) {
+  Rng R(106);
+  for (size_t N : {1u, 2u, 3u, 8u, 9u, 17u, 64u, 100u}) {
+    Matrix A = randomMatrix(R, N, N);
+    for (size_t I = 1; I < N; I += 3)
+      A(I, 0) = 0.0; // Zero multipliers skip their row.
+    Matrix Got = A, Want = A;
+    Ref.LuEliminate(Want);
+    Table.LuEliminate(Got);
+    SCOPED_TRACE(N);
+    expectBitEqual(Got, Want);
+  }
+  // A trailing block of a larger matrix: strided rows, unaligned start,
+  // surroundings untouched.
+  Matrix Parent = randomMatrix(R, 30, 30);
+  Matrix Got = Parent, Want = Parent;
+  Ref.LuEliminate(MatrixView(Want).block(5, 5, 25, 25));
+  Table.LuEliminate(MatrixView(Got).block(5, 5, 25, 25));
+  expectBitEqual(Got, Want);
 }
 
 // The pool-tiled paths must be byte-identical to the untiled active

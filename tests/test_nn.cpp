@@ -249,6 +249,32 @@ TEST(ImplicitGradTest, NeumannApproximatesExact) {
   EXPECT_LT((Exact - Approx).normInf(), 1e-6);
 }
 
+TEST(ImplicitGradTest, CarriedInputProductMatchesRecomputed) {
+  // The gradient at a solve's carried U x (the transposed kernel over
+  // U^T) is bitwise the gradient at U x recomputed by gemv over U, and
+  // the one the solver-taking overload forms itself.
+  Rng R(13);
+  MonDeq Model = MonDeq::randomFc(R, 11, 9, 3, 20.0);
+  FixpointSolver Solver(Model, Splitting::PeacemanRachford);
+  Vector X(11);
+  for (size_t I = 0; I < X.size(); ++I)
+    X[I] = R.uniform(0.0, 1.0);
+  const Vector Coef = {0.5, -1.0, 1.0};
+  const FixpointResult Fix =
+      Solver.solve(X, InputGradientTol, InputGradientMaxIter);
+  const Vector Carried = inputGradient(Model, Fix.Z, Fix.InputProduct, Coef);
+  const Vector Recomputed =
+      inputGradient(Model, Fix.Z, Model.weightU() * X, Coef);
+  const Vector Whole = inputGradient(Model, Solver, X, Coef);
+  ASSERT_EQ(Carried.size(), X.size());
+  ASSERT_EQ(Recomputed.size(), X.size());
+  ASSERT_EQ(Whole.size(), X.size());
+  EXPECT_EQ(0, std::memcmp(Carried.data(), Recomputed.data(),
+                           X.size() * sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(Carried.data(), Whole.data(),
+                           X.size() * sizeof(double)));
+}
+
 TEST(ImplicitGradTest, AdjointReuseMatchesFreshLuBytes) {
   // Masks A, A, B, A (ReLU 0/1), then a non-binary tanh derivative: every
   // solve is bitwise a fresh LU of I - W^T D, and only the repeated A
